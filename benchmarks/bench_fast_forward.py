@@ -29,6 +29,7 @@ import json
 import pathlib
 import sys
 import time
+from unittest import mock
 
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if _SRC.is_dir() and str(_SRC) not in sys.path:  # direct script invocation
@@ -37,6 +38,7 @@ if _SRC.is_dir() and str(_SRC) not in sys.path:  # direct script invocation
 from repro.kernels import BenchmarkSpec, build_benchmark, verify_result
 from repro.obs import git_revision, stats_digest
 from repro.platform import ARCH_NAMES, build_platform
+from repro.platform import fast_forward as ff_engine
 
 #: Record format version for the JSON trajectory documents.
 SCHEMA = "bench_fast_forward/1"
@@ -93,12 +95,12 @@ def compare_modes(arch: str, built, reps: int = 1) -> dict:
     exact_s, __, exact = _timed(
         lambda: build_platform(arch, fast_forward=False), benchmark,
         min(reps, 3))
-    ff_s, __, ff = _timed(
-        lambda: build_platform(arch, fast_forward=True,
-                               translation_blocks=False), benchmark, reps)
+    # The per-instruction-only engine is the test-only switch's setting.
+    with mock.patch.object(ff_engine, "TRANSLATION_BLOCKS", False):
+        ff_s, __, ff = _timed(
+            lambda: build_platform(arch, fast_forward=True), benchmark, reps)
     blocks_s, blocks_system, blocks = _timed(
-        lambda: build_platform(arch, fast_forward=True,
-                               translation_blocks=True), benchmark, reps)
+        lambda: build_platform(arch, fast_forward=True), benchmark, reps)
 
     for mode, result in (("fast-forward", ff), ("translation-block",
                                                 blocks)):

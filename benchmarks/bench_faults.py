@@ -56,7 +56,6 @@ def _measure(specs, workers: int) -> dict:
     return {
         "workers": workers,
         "fast_forward": specs[0].fast_forward,
-        "translation_blocks": specs[0].translation_blocks,
         "wall_s": wall,
         "trials_per_s": len(campaign.results) / wall,
         "digest": campaign.digest(),
@@ -68,11 +67,10 @@ def _measure(specs, workers: int) -> dict:
 
 def run_measurements(trials: int, *, n_samples: int,
                      n_measurements: int) -> dict:
-    def specs(fast_forward=True, translation_blocks=True):
+    def specs(fast_forward=True):
         return build_campaign(
             trials, "mc-ref", campaign_seed=2012, n_samples=n_samples,
-            n_measurements=n_measurements, fast_forward=fast_forward,
-            translation_blocks=translation_blocks)
+            n_measurements=n_measurements, fast_forward=fast_forward)
 
     primary = _measure(specs(), 2)
     serial = _measure(specs(), 1)
@@ -128,8 +126,7 @@ def report(result: dict) -> None:
     print(f"{'mode':<10} {'workers':>7} {'engine':>14} {'wall [s]':>9} "
           f"{'trials/s':>9}")
     for label, mode in result["modes"].items():
-        engine = "exact" if not mode["fast_forward"] else (
-            "ff+blocks" if mode["translation_blocks"] else "ff")
+        engine = "fast" if mode["fast_forward"] else "exact"
         print(f"{label:<10} {mode['workers']:>7} {engine:>14} "
               f"{mode['wall_s']:>9.3f} {mode['trials_per_s']:>9.2f}")
     counts = result["outcomes"]

@@ -45,6 +45,7 @@ import argparse
 import pathlib
 import sys
 import time
+from unittest import mock
 
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if _SRC.is_dir() and str(_SRC) not in sys.path:  # direct script invocation
@@ -54,6 +55,7 @@ from repro.kernels import BenchmarkSpec, build_benchmark
 from repro.obs import ProbeMetrics, WindowedAggregator
 from repro.obs.telemetry import DEFAULT_WINDOW_CYCLES
 from repro.platform import ARCH_NAMES, build_platform
+from repro.platform import fast_forward as ff_engine
 
 #: Maximum tolerated attached-but-idle slowdown in the CI quick run.
 #: The design target is 2 %; the gate leaves headroom for shared-runner
@@ -87,9 +89,8 @@ MIN_SAMPLE_S = 0.25
 
 def _time_run(built, arch: str, fast_forward: bool, attach_bus: bool,
               subscribe: str | None, inner: int,
-              loop_traces: bool = True) -> float:
+              traces: bool = True) -> float:
     system = build_platform(arch, fast_forward=fast_forward)
-    system.loop_traces = loop_traces
     if attach_bus:
         bus = system.probe_bus()
         if subscribe == "metrics":
@@ -97,10 +98,12 @@ def _time_run(built, arch: str, fast_forward: bool, attach_bus: bool,
         elif subscribe == "watch":
             WindowedAggregator.attach(bus,
                                       window_cycles=WATCH_WINDOW_CYCLES)
-    started = time.perf_counter()
-    for _ in range(inner):
-        system.run(built.benchmark)
-    return (time.perf_counter() - started) / inner
+    # ``traces=False`` is the engine's test-only trace-free setting.
+    with mock.patch.object(ff_engine, "LOOP_TRACES", traces):
+        started = time.perf_counter()
+        for _ in range(inner):
+            system.run(built.benchmark)
+        return (time.perf_counter() - started) / inner
 
 
 def measure(built, arch: str, fast_forward: bool, repeats: int) -> dict:
@@ -123,8 +126,7 @@ def measure(built, arch: str, fast_forward: bool, repeats: int) -> dict:
     inner = max(1, round(MIN_SAMPLE_S / max(calibration, 1e-9)))
     variants = {
         "bare": dict(attach_bus=False, subscribe=None),
-        "matched": dict(attach_bus=False, subscribe=None,
-                        loop_traces=False),
+        "matched": dict(attach_bus=False, subscribe=None, traces=False),
         "idle": dict(attach_bus=True, subscribe=None),
         "subscribed": dict(attach_bus=True, subscribe="metrics"),
         "watch": dict(attach_bus=True, subscribe="watch"),

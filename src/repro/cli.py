@@ -68,11 +68,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--fast-forward", action="store_true",
         help="batch-commit provably conflict-free simulator cycles "
              "(bit-identical results, several times faster)")
-    parser.add_argument(
-        "--no-blocks", action="store_true",
-        help="disable the basic-block translation cache inside the "
-             "fast-forward engine (escape hatch; per-instruction "
-             "dispatch is slower but bit-identical)")
     parser.add_argument("--runs-dir", metavar="DIR", default="runs",
                         help="run-manifest directory (default: runs/)")
     parser.add_argument("--no-manifest", action="store_true",
@@ -114,12 +109,6 @@ def _arches(name: str) -> list[str]:
     return list(ARCH_NAMES) if name == "all" else [name]
 
 
-def _block_summary(system):
-    """Translation-block statistics of a finished run (None if the
-    fast-forward engine never attached)."""
-    return system.block_summary()
-
-
 def _emit_json_line(payload: dict) -> None:
     """One JSON object per line, flushed immediately.
 
@@ -155,11 +144,6 @@ def cmd_experiment(argv) -> int:
         "--fast-forward", action="store_true",
         help="batch-commit provably conflict-free simulator cycles "
              "(bit-identical results, several times faster)")
-    parser.add_argument(
-        "--no-blocks", action="store_true",
-        help="disable the basic-block translation cache inside the "
-             "fast-forward engine (escape hatch; per-instruction "
-             "dispatch is slower but bit-identical)")
     parser.add_argument("--runs-dir", metavar="DIR", default="runs",
                         help="run-manifest directory (default: runs/)")
     parser.add_argument("--no-manifest", action="store_true",
@@ -169,9 +153,6 @@ def cmd_experiment(argv) -> int:
     if args.fast_forward:
         from repro.platform import set_default_fast_forward
         set_default_fast_forward(True)
-    if args.no_blocks:
-        from repro.platform import set_default_translation_blocks
-        set_default_translation_blocks(False)
 
     requested = list(EXPERIMENTS) if "all" in args.experiments \
         else args.experiments
@@ -199,7 +180,6 @@ def cmd_experiment(argv) -> int:
                 "experiment", name, payload=result.to_csv(),
                 wall_time_s=wall,
                 extra={"fast_forward": args.fast_forward,
-                       "translation_blocks": not args.no_blocks,
                        "max_relative_error": result.max_relative_error()},
             ), directory=args.runs_dir)
     return 0
@@ -225,8 +205,7 @@ def cmd_trace(argv) -> int:
     built = _built_benchmark(args)
     for arch in _arches(args.arch):
         started = time.perf_counter()
-        system = build_platform(arch, fast_forward=args.fast_forward,
-                                translation_blocks=not args.no_blocks)
+        system = build_platform(arch, fast_forward=args.fast_forward)
         bus = system.probe_bus()
         sampled = _apply_sampling(bus, parser, args.sample)
         recorder = TraceRecorder.attach(system)
@@ -255,8 +234,7 @@ def cmd_trace(argv) -> int:
                 wall_time_s=wall,
                 extra={"trace_file": str(path),
                        "fast_forward": args.fast_forward,
-                       "translation_blocks": not args.no_blocks,
-                       "blocks": _block_summary(system),
+                       "blocks": system.block_summary(),
                        "sampling": dict(
                            pair.partition("=")[::2]
                            for pair in args.sample) or None},
@@ -285,8 +263,7 @@ def cmd_profile(argv) -> int:
     built = _built_benchmark(args)
     for arch in _arches(args.arch):
         started = time.perf_counter()
-        system = build_platform(arch, fast_forward=args.fast_forward,
-                                translation_blocks=not args.no_blocks)
+        system = build_platform(arch, fast_forward=args.fast_forward)
         bus = system.probe_bus()
         sampled = _apply_sampling(bus, parser, args.sample)
         metrics = ProbeMetrics.attach(bus, batched=not args.unbatched)
@@ -314,8 +291,7 @@ def cmd_profile(argv) -> int:
                 config=system.config, stats=result.stats,
                 event_summary=registry.snapshot(), wall_time_s=wall,
                 extra={"fast_forward": args.fast_forward,
-                       "translation_blocks": not args.no_blocks,
-                       "blocks": _block_summary(system),
+                       "blocks": system.block_summary(),
                        "batched": not args.unbatched},
             ), directory=args.runs_dir)
     return 0
@@ -413,8 +389,7 @@ def cmd_watch(argv) -> int:
     tty = sys.stdout.isatty()
 
     for arch in _arches(args.arch):
-        system = build_platform(arch, fast_forward=args.fast_forward,
-                                translation_blocks=not args.no_blocks)
+        system = build_platform(arch, fast_forward=args.fast_forward)
         aggregator = WindowedAggregator.attach(
             system.probe_bus(), window_cycles=window,
             batched=not args.unbatched, deadline_budget_cycles=budget)
@@ -470,7 +445,6 @@ def cmd_watch(argv) -> int:
                 telemetry=aggregator.telemetry_block(),
                 wall_time_s=wall, speedup_vs_exact=speedup,
                 extra={"fast_forward": args.fast_forward,
-                       "translation_blocks": not args.no_blocks,
                        "batched": not args.unbatched,
                        "window_cycles": window,
                        "blocks": args.repeat,
@@ -588,8 +562,6 @@ def cmd_farm(argv) -> int:
     parser.add_argument("--exact", action="store_true",
                         help="cycle-stepped reference mode instead of "
                              "fast-forward (slow; for cross-checks)")
-    parser.add_argument("--no-blocks", action="store_true",
-                        help="disable the basic-block translation cache")
     parser.add_argument("--no-warm", action="store_true",
                         help="cold-cache mode: workers drop every "
                              "process-level cache before each job "
@@ -621,8 +593,7 @@ def cmd_farm(argv) -> int:
         args.runs, _arches(args.arch), base_seed=base_seed,
         n_samples=args.samples, n_measurements=args.measurements,
         n_blocks=args.blocks, window_cycles=args.window,
-        clock_hz=args.clock_hz, fast_forward=not args.exact,
-        translation_blocks=not args.no_blocks)
+        clock_hz=args.clock_hz, fast_forward=not args.exact)
     checkpoint = args.checkpoint
     if checkpoint is None and args.resume:
         checkpoint = checkpoint_path(args.runs_dir, "farm",
@@ -744,8 +715,6 @@ def cmd_dse(argv) -> int:
     parser.add_argument("--exact", action="store_true",
                         help="cycle-stepped simulations instead of "
                              "fast-forward (slow; for cross-checks)")
-    parser.add_argument("--no-blocks", action="store_true",
-                        help="disable the basic-block translation cache")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="sweep-point cache directory "
                              "(default: RUNS_DIR/dse)")
@@ -807,8 +776,7 @@ def cmd_dse(argv) -> int:
         points, cache_dir=cache_dir, escalate=not args.no_escalate,
         escalate_policy="all" if args.escalate_all else "front",
         max_escalations=args.max_escalations, workers=args.workers,
-        fast_forward=not args.exact,
-        translation_blocks=not args.no_blocks, log=log)
+        fast_forward=not args.exact, log=log)
 
     front_out = args.front_out if args.front_out is not None \
         else pathlib.Path(args.runs_dir) / "dse" / "pareto_front.json"
@@ -984,8 +952,6 @@ def cmd_faults(argv) -> int:
                         help="cycle-stepped reference mode instead of "
                              "fast-forward (slow; the campaign digest "
                              "must not change)")
-    parser.add_argument("--no-blocks", action="store_true",
-                        help="disable the basic-block translation cache")
     parser.add_argument("--json", action="store_true",
                         help="emit one JSON line per classified trial "
                              "plus a final campaign line instead of the "
@@ -1009,8 +975,8 @@ def cmd_faults(argv) -> int:
         args.trials, args.arch, campaign_seed=args.campaign_seed,
         n_samples=args.samples, n_measurements=args.measurements,
         seed=args.seed, fast_forward=not args.exact,
-        translation_blocks=not args.no_blocks, watchdog=args.watchdog,
-        max_cycles=args.max_cycles, clock_hz=args.clock_hz)
+        watchdog=args.watchdog, max_cycles=args.max_cycles,
+        clock_hz=args.clock_hz)
     checkpoint = args.checkpoint
     if checkpoint is None and args.resume:
         checkpoint = checkpoint_path(args.runs_dir, "faults",

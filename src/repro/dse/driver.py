@@ -143,8 +143,7 @@ def sweep_identity(points) -> dict:
 
 def run_dse(points, *, cache_dir=None, escalate: bool = True,
             escalate_policy: str = "front", max_escalations=None,
-            workers: int = 1, fast_forward: bool = True,
-            translation_blocks: bool = True, model=None,
+            workers: int = 1, fast_forward: bool = True, model=None,
             log=None) -> DseResult:
     """Sweep ``points``; see the module docstring for the pipeline."""
     if escalate_policy not in ("front", "all"):
@@ -219,8 +218,7 @@ def run_dse(points, *, cache_dir=None, escalate: bool = True,
                 f"cycle-accurate simulation ({workers} worker(s))")
             specs = {
                 structural_hash: spec_for(
-                    record["_point"], fast_forward=fast_forward,
-                    translation_blocks=translation_blocks)
+                    record["_point"], fast_forward=fast_forward)
                 for structural_hash, record in to_run.items()}
             results = run_escalations(specs, workers=workers)
             escalations_run = len(results)

@@ -61,7 +61,6 @@ class DseSimSpec:
     n_samples: int = 512
     n_measurements: int = 256
     fast_forward: bool = True
-    translation_blocks: bool = True
 
     #: Worker protocol: skip the default-geometry warm-up run.
     farm_warm = False
@@ -86,8 +85,7 @@ class DseSimSpec:
             n_measurements=self.n_measurements,
             huffman_private=self.huffman_private))
         system = MultiCoreSystem(self.config(),
-                                 fast_forward=self.fast_forward,
-                                 translation_blocks=self.translation_blocks)
+                                 fast_forward=self.fast_forward)
         result = system.run(built.benchmark)
         verify_result(built, result)
         return DseSimResult(
@@ -102,8 +100,7 @@ class DseSimSpec:
 
 
 def spec_for(point: DesignPoint, *, fast_forward: bool = True,
-             translation_blocks: bool = True, n_samples: int = 512,
-             n_measurements: int = 256) -> DseSimSpec:
+             n_samples: int = 512, n_measurements: int = 256) -> DseSimSpec:
     """The simulation spec behind one design point's structural family."""
     return DseSimSpec(
         arch=point.arch, n_cores=point.n_cores, im_banks=point.im_banks,
@@ -112,7 +109,7 @@ def spec_for(point: DesignPoint, *, fast_forward: bool = True,
         dm_shared_words_per_bank=point.dm_shared_words_per_bank,
         huffman_private=point.huffman_private,
         n_samples=n_samples, n_measurements=n_measurements,
-        fast_forward=fast_forward, translation_blocks=translation_blocks)
+        fast_forward=fast_forward)
 
 
 def stats_from_canonical(payload: dict) -> SimulationStats:

@@ -42,8 +42,8 @@ DEFAULT_BASE_SEED = 2012
 def build_plan(runs: int, arches, *, base_seed: int = DEFAULT_BASE_SEED,
                n_samples: int = 512, n_measurements: int = 256,
                n_blocks: int = 2, window_cycles: int = 8192,
-               clock_hz: float = 1e6, fast_forward: bool = True,
-               translation_blocks: bool = True) -> list[FarmJobSpec]:
+               clock_hz: float = 1e6,
+               fast_forward: bool = True) -> list[FarmJobSpec]:
     """N shard specs: shard *i* gets ``arches[i % len(arches)]`` and the
     deterministic seed :func:`~repro.farm.jobs.shard_seed`\\ ``(base_seed,
     i)`` — the plan is a pure function of its arguments."""
@@ -63,7 +63,6 @@ def build_plan(runs: int, arches, *, base_seed: int = DEFAULT_BASE_SEED,
             window_cycles=window_cycles,
             clock_hz=clock_hz,
             fast_forward=fast_forward,
-            translation_blocks=translation_blocks,
         )
         for index in range(runs)
     ]
@@ -89,7 +88,6 @@ def plan_identity(plan, base_seed: int) -> dict:
         "window_cycles": first.window_cycles,
         "clock_hz": first.clock_hz,
         "fast_forward": first.fast_forward,
-        "translation_blocks": first.translation_blocks,
     }
 
 
@@ -358,7 +356,6 @@ def write_fleet_manifests(fleet: FleetResult, directory=None) -> None:
                 "cache_stats": result.cache_stats,
                 "cache_hit_rate": result.cache_hit_rate,
                 "fast_forward": identity["fast_forward"],
-                "translation_blocks": identity["translation_blocks"],
                 "attempts": job.attempts if job is not None else None,
                 "resumed": job.resumed if job is not None else False,
                 "retries": job.retry_summary()["retries"]

@@ -83,8 +83,19 @@ class FarmJobSpec:
     window_cycles: int = 8192
     clock_hz: float = 1e6
     fast_forward: bool = True
-    translation_blocks: bool = True
     fault: str | None = None
+
+    def __post_init__(self):
+        # Checked here, before any worker starts: a bad size would
+        # otherwise fail inside every worker and be retried as a crash.
+        for name in ("n_samples", "n_measurements", "n_blocks",
+                     "window_cycles"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value}")
+        if not self.clock_hz > 0:
+            raise ConfigurationError(
+                f"clock_hz must be > 0, got {self.clock_hz}")
 
 
 class JobState(enum.Enum):

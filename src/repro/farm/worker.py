@@ -117,8 +117,7 @@ def warm_worker(spec) -> dict:
     built = build_benchmark(BenchmarkSpec(
         n_samples=spec.n_samples, n_measurements=spec.n_measurements,
         huffman_private=True, seed=spec.seed))
-    system = build_platform(spec.arch, fast_forward=spec.fast_forward,
-                            translation_blocks=spec.translation_blocks)
+    system = build_platform(spec.arch, fast_forward=spec.fast_forward)
     system.run(built.benchmark)
     summary = system.block_summary()
     return {
@@ -156,8 +155,7 @@ def execute_job(job_id: int, spec, worker_id: int = 0) -> JobResult:
                       huffman_private=True, seed=spec.seed),
         n_blocks=spec.n_blocks)
     budget = spec.clock_hz * (spec.n_samples / SAMPLE_RATE_HZ)
-    system = build_platform(spec.arch, fast_forward=spec.fast_forward,
-                            translation_blocks=spec.translation_blocks)
+    system = build_platform(spec.arch, fast_forward=spec.fast_forward)
     aggregator = WindowedAggregator.attach(
         system.probe_bus(), window_cycles=spec.window_cycles,
         deadline_budget_cycles=budget)

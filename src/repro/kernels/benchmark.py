@@ -19,7 +19,7 @@ from repro.biosignal.compressed_sensing import SensingMatrix, cs_compress
 from repro.biosignal.ecg import ECGGenerator
 from repro.biosignal.huffman import HuffmanCode, HuffmanEncoder
 from repro.biosignal.quantize import NUM_SYMBOLS
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.kernels.memmap import BenchmarkMemoryMap
 from repro.kernels.source import kernel_source
 from repro.platform.multicore import Benchmark, SimulationResult
@@ -43,6 +43,12 @@ class BenchmarkSpec:
     huffman_private: bool = False
     seed: int = 2012
     training_seed: int = 1984
+
+    def __post_init__(self):
+        for name in ("n_leads", "n_samples", "n_measurements"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass
@@ -193,8 +199,8 @@ def build_block_series(spec: BenchmarkSpec | None = None,
         spec = BenchmarkSpec(**overrides)
     elif overrides:
         raise ValueError("pass either a spec or keyword overrides")
-    if n_blocks <= 0:
-        raise ValueError("need at least one block")
+    if n_blocks < 1:
+        raise ConfigurationError(f"n_blocks must be >= 1, got {n_blocks}")
 
     first = build_benchmark(spec)
     recording = ECGGenerator(n_leads=spec.n_leads, seed=spec.seed) \

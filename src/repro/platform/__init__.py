@@ -30,7 +30,6 @@ from repro.platform.multicore import (
     program_cache_size,
     program_cache_stats,
     set_default_fast_forward,
-    set_default_translation_blocks,
 )
 from repro.platform.stats import SimulationStats
 from repro.platform.streaming import StreamReport, run_stream
@@ -61,6 +60,5 @@ __all__ = [
     "program_cache_size",
     "program_cache_stats",
     "set_default_fast_forward",
-    "set_default_translation_blocks",
     "SimulationStats",
 ]

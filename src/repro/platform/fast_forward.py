@@ -57,6 +57,14 @@ _UNSET = object()
 #: at an instruction boundary.
 PEND_IF, PEND_DR, PEND_DW = 1, 2, 4
 
+#: Test-only switches for the engine's two translation tiers, read once
+#: per engine (when ``MultiCoreSystem.load`` builds it).
+#: ``TRANSLATION_BLOCKS = False`` gives the per-instruction-only engine,
+#: ``LOOP_TRACES = False`` the trace-free one; the differential suites
+#: and the speed/overhead benchmarks patch them to compare tiers.
+TRANSLATION_BLOCKS = True
+LOOP_TRACES = True
+
 #: Block entries at one PC before the engine attempts to grow a loop
 #: trace from there (also the retry cadence while profile data is still
 #: too thin).  Tests lower it to exercise the trace layer on tiny runs.
@@ -80,8 +88,7 @@ TRACE_CHAIN_NUM, TRACE_CHAIN_DEN = 7, 8
 class FastForwardEngine:
     """Batch-commits provably conflict-free cycles for one system."""
 
-    def __init__(self, system, compiled, decoded=None, img_hash=None,
-                 translation_blocks=False, loop_traces=True):
+    def __init__(self, system, compiled, decoded=None, img_hash=None):
         # Weak: the system owns its engine.  A strong back-reference
         # makes every system a reference cycle that only the cyclic
         # collector frees; the run loops allocate little, so it seldom
@@ -123,7 +130,7 @@ class FastForwardEngine:
         self.fast_cycles = 0
         self.fallbacks = 0
         # ---- translation-block layer (see repro.tamarisc.blocks) ----
-        self.translation_blocks = bool(translation_blocks) \
+        self._blocks = TRANSLATION_BLOCKS \
             and decoded is not None and img_hash is not None
         self._decoded = decoded
         self._img_hash = img_hash
@@ -131,7 +138,7 @@ class FastForwardEngine:
         # when the per-cycle proof would accept every lockstep fetch:
         # private I-banks or an instruction broadcast bus.  Without
         # either, single-core stretches still qualify.
-        self._blocks_static = self.translation_blocks \
+        self._blocks_static = self._blocks \
             and (self.im_private or self.instr_broadcast)
         self._block_env = (self.pwc, self.pwb, self.swb, self.shared_words,
                            self.dm_banks_n, self.data_broadcast)
@@ -150,10 +157,7 @@ class FastForwardEngine:
         # Traces only ever run unobserved (probed runs keep the
         # per-cycle-shaped event synthesis of the block/cycle paths),
         # but their state lives here so profile data survives stretches.
-        # ``loop_traces=False`` suppresses the layer even unobserved —
-        # the overhead benchmark uses it to time a bare run of the same
-        # shape an observed run takes.
-        self.loop_traces = bool(loop_traces)
+        self._traces = LOOP_TRACES
         self._trace_recs: dict[int, list] = {}
         self._trace_tried: set[int] = set()
         self._succ: dict[int, dict[int, int]] = {}
@@ -297,10 +301,10 @@ class FastForwardEngine:
                 return None
             arms_spec.append((expected, chain))
         # Sample the lockstep cores at the anchor: registers and flags
-        # that already differ across cores seed the uniform-variant
+        # that already differ across cores seed the trace's uniform
         # partition (build_trace treats everything they taint as
-        # per-core).  Uniformity is re-checked at every dispatch, so a
-        # lucky sample only costs a fallback, never correctness.
+        # per-core).  The trace re-checks uniformity at every entry, so
+        # a lucky sample only costs a decline, never correctness.
         system = self._system()
         cores = [core for core in system.cores
                  if not core.halted and core.pc == start]
@@ -319,12 +323,12 @@ class FastForwardEngine:
                        for core in cores[1:]))
         trace = tblocks.build_trace(anchor, arms_spec, percore_regs,
                                     percore_flags)
-        if trace is None:
-            self._trace_tried.add(start)
-            return None
-        run = trace.build(
+        run = None if trace is None else trace.build(
             self._block_env, self.dm_layout, self.core_banks,
             [bank.storage for bank in system.dmem.banks])
+        if run is None:  # rejected shape, or no uniform plan
+            self._trace_tried.add(start)
+            return None
         if self.im_private:
             fb0 = None
             arm_consts = None
@@ -358,7 +362,7 @@ class FastForwardEngine:
         entries = self.block_entries
         fast = self.fast_cycles
         return {
-            "enabled": self.translation_blocks,
+            "enabled": self._blocks,
             "entries": entries,
             "compiled": self.blocks_compiled,
             "hit_rate": (entries - self.blocks_compiled) / entries
@@ -500,13 +504,13 @@ class FastForwardEngine:
         mmu_s = [0] * n
 
         # Translation-block layer locals.
-        blocks_any = self.translation_blocks
+        blocks_any = self._blocks
         blocks_static = self._blocks_static
         block_recs = self._block_recs
         # Loop-trace locals.  Profiling (successor edges, per-PC entry
         # counts) and trace execution are both unobserved-only: probed
         # runs must keep synthesising the per-cycle event stream.
-        profiling = blocks_any and self.loop_traces and not observing
+        profiling = blocks_any and self._traces and not observing
         trace_recs = self._trace_recs
         succ = self._succ
         pc_entries = self._pc_entries
@@ -562,13 +566,15 @@ class FastForwardEngine:
                                 break
                     # ---- loop-trace fast path ----
                     # A registered trace at this PC commits whole loop
-                    # iterations with per-core scalar-register code; it
-                    # declines (j == 0) when the very first iteration
-                    # leaves the traced path, leaving state untouched
-                    # for the block path below.  Committed iterations
-                    # are all-lockstep, all-private and conflict-free
-                    # by construction, so the statistics fold to
-                    # compile-time constants times the iteration count.
+                    # iterations, computing each once for all cores; it
+                    # declines (j == 0) when the cores enter with
+                    # differing uniform-classified state or the very
+                    # first iteration leaves the traced path, leaving
+                    # state untouched for the block path below.
+                    # Committed iterations are all-lockstep and
+                    # conflict-free by construction, so the statistics
+                    # fold to compile-time constants times the
+                    # iteration count.
                     if profiling and entering \
                             and first_pc != trace_skip:
                         trace_skip = -1

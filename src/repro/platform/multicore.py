@@ -147,19 +147,6 @@ def set_default_fast_forward(enabled: bool) -> None:
     _DEFAULT_FAST_FORWARD = bool(enabled)
 
 
-#: Process-wide default for the fast-forward engine's translation-block
-#: layer (:mod:`repro.tamarisc.blocks`).  On by default — blocks carry
-#: the same bit-identity contract as the engine itself; the CLI's
-#: ``--no-blocks`` escape hatch flips this off.
-_DEFAULT_TRANSLATION_BLOCKS = True
-
-
-def set_default_translation_blocks(enabled: bool) -> None:
-    """Set the process-wide default for the translation-block layer."""
-    global _DEFAULT_TRANSLATION_BLOCKS
-    _DEFAULT_TRANSLATION_BLOCKS = bool(enabled)
-
-
 @dataclass
 class Benchmark:
     """A complete workload: one program image plus initial data."""
@@ -191,33 +178,19 @@ class MultiCoreSystem:
     :class:`SimulationStats` field — are bit-identical in either mode
     (the differential suite in ``tests/platform`` enforces this).
     ``None`` defers to the process default (see
-    :func:`set_default_fast_forward`).
-
-    ``translation_blocks`` additionally routes lockstep stretches of the
-    fast path through cached basic-block translations
-    (:mod:`repro.tamarisc.blocks`); it only takes effect together with
-    ``fast_forward`` and carries the identical bit-identity contract.
-    ``None`` defers to the process default (see
-    :func:`set_default_translation_blocks`).
+    :func:`set_default_fast_forward`).  The fast path routes lockstep
+    stretches through cached basic-block translations and loop traces
+    (:mod:`repro.tamarisc.blocks`) under the same bit-identity contract.
     """
 
     def __init__(self, config: ArchConfig | str,
-                 fast_forward: bool | None = None,
-                 translation_blocks: bool | None = None):
+                 fast_forward: bool | None = None):
         if isinstance(config, str):
             config = build_config(config)
         self.config = config
         if fast_forward is None:
             fast_forward = _DEFAULT_FAST_FORWARD
-        if translation_blocks is None:
-            translation_blocks = _DEFAULT_TRANSLATION_BLOCKS
         self.fast_forward = bool(fast_forward)
-        self.translation_blocks = bool(translation_blocks)
-        #: Loop-trace layer switch (set before :meth:`load`/:meth:`run`).
-        #: Traces never run observed anyway; disabling them outright
-        #: gives the overhead benchmark a bare run of the observed
-        #: shape to compare against.
-        self.loop_traces = True
         self._ff_engine: FastForwardEngine | None = None
         self.im_layout = config.im_layout()
         self.dm_layout = config.dm_layout()
@@ -318,11 +291,8 @@ class MultiCoreSystem:
         self._dwrites_committed = 0
         if self.fast_forward:
             self._ff_engine = FastForwardEngine(
-                self, self.compiled,
-                decoded=self.decoded,
-                img_hash=img_hash,
-                translation_blocks=self.translation_blocks,
-                loop_traces=self.loop_traces)
+                self, self.compiled, decoded=self.decoded,
+                img_hash=img_hash)
         else:
             self._ff_engine = None
         self.benchmark = benchmark
@@ -800,7 +770,6 @@ class MultiCoreSystem:
 
 
 def build_platform(name_or_config, fast_forward: bool | None = None,
-                   translation_blocks: bool | None = None,
                    **overrides) -> MultiCoreSystem:
     """Construct a platform by name ("mc-ref", "ulpmc-int", "ulpmc-bank")
     or from an explicit :class:`ArchConfig`."""
@@ -808,11 +777,9 @@ def build_platform(name_or_config, fast_forward: bool | None = None,
         if overrides:
             raise ConfigurationError(
                 "pass overrides with a name, not a config object")
-        return MultiCoreSystem(name_or_config, fast_forward=fast_forward,
-                               translation_blocks=translation_blocks)
+        return MultiCoreSystem(name_or_config, fast_forward=fast_forward)
     return MultiCoreSystem(build_config(name_or_config, **overrides),
-                           fast_forward=fast_forward,
-                           translation_blocks=translation_blocks)
+                           fast_forward=fast_forward)
 
 
 #: Alias matching the name used in project documentation.

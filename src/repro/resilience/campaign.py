@@ -25,7 +25,7 @@ deadline verdict from the existing
 :class:`~repro.obs.telemetry.WindowedAggregator` machinery.
 
 Campaign identity deliberately excludes the execution engine
-(``fast_forward``/``translation_blocks``) and every scheduling knob, so
+(``fast_forward``) and every scheduling knob, so
 ``repro regress`` cross-checks the campaign digest across engines,
 worker counts and cold/resumed executions.
 """
@@ -65,12 +65,24 @@ class FaultTrialSpec:
     n_measurements: int = 32
     seed: int = 2012           # ECG recording seed
     fast_forward: bool = True
-    translation_blocks: bool = True
     watchdog: int = 0          # 0 -> golden_cycles // 4 (min 4096)
     max_cycles: int = 0        # 0 -> 4 * golden_cycles
     clock_hz: float = 1e6
 
     farm_warm: ClassVar[bool] = True
+
+    def __post_init__(self):
+        # Checked here, before any worker starts: a bad size would fail
+        # every trial, and a negative budget would classify it "hang".
+        for name, minimum in (("n_samples", 1), ("n_measurements", 1),
+                              ("watchdog", 0), ("max_cycles", 0)):
+            value = getattr(self, name)
+            if value < minimum:
+                raise ConfigurationError(
+                    f"{name} must be >= {minimum}, got {value}")
+        if not self.clock_hz > 0:
+            raise ConfigurationError(
+                f"clock_hz must be > 0, got {self.clock_hz}")
 
     def run_in_worker(self, job_id: int, worker_id: int = 0):
         return execute_trial(self, worker_id=worker_id)
@@ -124,7 +136,7 @@ _GOLDEN_CACHE: dict[tuple, GoldenRun] = {}
 
 def _golden_key(spec: FaultTrialSpec) -> tuple:
     return (spec.arch, spec.n_samples, spec.n_measurements, spec.seed,
-            spec.fast_forward, spec.translation_blocks)
+            spec.fast_forward)
 
 
 def read_outputs(system, built) -> tuple:
@@ -154,8 +166,7 @@ def golden_run(spec: FaultTrialSpec) -> GoldenRun:
     built = build_benchmark(BenchmarkSpec(
         n_samples=spec.n_samples, n_measurements=spec.n_measurements,
         huffman_private=True, seed=spec.seed))
-    system = build_platform(spec.arch, fast_forward=spec.fast_forward,
-                            translation_blocks=spec.translation_blocks)
+    system = build_platform(spec.arch, fast_forward=spec.fast_forward)
     result = system.run(built.benchmark)
     outputs = read_outputs(system, built)
     golden = GoldenRun(
@@ -208,8 +219,7 @@ def execute_trial(spec: FaultTrialSpec, worker_id: int = 0,
     max_cycles = spec.max_cycles or 4 * golden.cycles
     watchdog = spec.watchdog or max(4096, golden.cycles // 4)
     session = FaultSession(fault_specs, watchdog_window=watchdog)
-    system = build_platform(spec.arch, fast_forward=spec.fast_forward,
-                            translation_blocks=spec.translation_blocks)
+    system = build_platform(spec.arch, fast_forward=spec.fast_forward)
     cycles = -1
     output_digest = ""
     detail = ""
@@ -287,8 +297,7 @@ def measure_degradation(spec: FaultTrialSpec, golden: GoldenRun,
     memmap = built.memmap
     budget = spec.clock_hz * (spec.n_samples / SAMPLE_RATE_HZ)
 
-    system = build_platform(spec.arch, fast_forward=spec.fast_forward,
-                            translation_blocks=spec.translation_blocks)
+    system = build_platform(spec.arch, fast_forward=spec.fast_forward)
     aggregator = WindowedAggregator.attach(
         system.probe_bus(), window_cycles=8192,
         deadline_budget_cycles=budget)
@@ -359,8 +368,7 @@ def measure_degradation(spec: FaultTrialSpec, golden: GoldenRun,
 def build_campaign(n_trials: int, arch: str, *, campaign_seed: int = 2012,
                    n_samples: int = 64, n_measurements: int = 32,
                    seed: int = 2012, fast_forward: bool = True,
-                   translation_blocks: bool = True, watchdog: int = 0,
-                   max_cycles: int = 0,
+                   watchdog: int = 0, max_cycles: int = 0,
                    clock_hz: float = 1e6) -> list[FaultTrialSpec]:
     """The campaign plan: one :class:`FaultTrialSpec` per trial."""
     if n_trials < 1:
@@ -368,18 +376,18 @@ def build_campaign(n_trials: int, arch: str, *, campaign_seed: int = 2012,
     return [FaultTrialSpec(
         trial=trial, campaign_seed=campaign_seed, arch=arch,
         n_samples=n_samples, n_measurements=n_measurements, seed=seed,
-        fast_forward=fast_forward, translation_blocks=translation_blocks,
-        watchdog=watchdog, max_cycles=max_cycles, clock_hz=clock_hz)
+        fast_forward=fast_forward, watchdog=watchdog,
+        max_cycles=max_cycles, clock_hz=clock_hz)
         for trial in range(n_trials)]
 
 
 def campaign_identity(specs) -> dict:
     """The config dict under which a campaign digest must reproduce.
 
-    The engine (``fast_forward``/``translation_blocks``) is excluded
-    on purpose: injection preserves bit identity, so ``repro regress``
-    enforces digest equality *across* engines, exactly like worker
-    count and resume state.
+    The engine (``fast_forward``) is excluded on purpose: injection
+    preserves bit identity, so ``repro regress`` enforces digest
+    equality *across* engines, exactly like worker count and resume
+    state.
     """
     first = specs[0]
     return {
@@ -549,7 +557,6 @@ def write_campaign_manifest(campaign: CampaignResult,
                                       for d in degradations),
             },
             "fast_forward": campaign.specs[0].fast_forward,
-            "translation_blocks": campaign.specs[0].translation_blocks,
             "workers": campaign.workers,
             "resumed": campaign.resumed,
             "worker_crashes": campaign.crashes,

@@ -992,24 +992,31 @@ def _emit_terminator(writer: _Writer, block: Block, loop: bool) -> None:
 # generated function that keeps iterating while every running core stays
 # on the traced paths in lockstep.  Key properties:
 #
-# * per-core scalar execution: each core runs a whole iteration back to
-#   back with registers, flags and the data-crossbar last-bank held in
-#   scalar locals, so the interleaved per-cycle phase loops of the block
-#   variant disappear;
-# * two-arm support: a data-dependent branch at the anchor (the shape
-#   Huffman bit loops produce) compiles both directions; each iteration
-#   all cores must take the *same* arm — core 0 picks, disagreement
-#   bails;
-# * every branch is a *guard*: the iteration aborts the moment any core
+# * uniform execution: lockstep cores run one program image down one
+#   control path (the code sharing the broadcast platforms are built
+#   on), so each iteration's computation runs *once* in scalar locals; a
+#   per-core loop replays only what differs per core — registers seen to
+#   differ at build time plus everything data-dependent on them,
+#   private-bank loads and stores, and data-crossbar bank transitions
+#   (:func:`_uniform_plan` derives the split; a shape without one never
+#   becomes a trace);
+# * entry check: ``_run`` declines (returns 0, state untouched) unless
+#   every core enters with core 0's uniform-classified registers and
+#   loaded flags;
+# * two-arm support: a branch at the anchor (the shape Huffman bit loops
+#   produce) compiles both directions and the uniform condition picks
+#   the arm;
+# * every branch is a *guard*: the iteration aborts the moment control
 #   leaves the traced direction, including the final back-edge.  Traces
 #   therefore only ever commit whole iterations, all of them lockstep,
-#   all data accesses private, provably conflict-free;
-# * rollback on abort: register files are snapshotted per iteration,
-#   data-memory writes kept in an undo log, flag/last-bank boundary
-#   values double-buffered — a guard divergence, address fault or
-#   shared-memory access restores the last committed iteration boundary
-#   exactly and returns the committed cycle count (0 = decline); the
-#   engine replays the rest through the per-block/per-cycle paths;
+#   provably conflict-free;
+# * abort without rollback: uniform scalars restore from their
+#   iteration-start copies and per-core effects apply only after an
+#   iteration's last guard, so a guard exit, an out-of-range address or
+#   an unexpected shared/private access leaves the last committed
+#   iteration boundary intact and returns the committed cycle count
+#   (0 = decline); the engine replays the rest through the
+#   per-block/per-cycle paths;
 # * statistics folded at exit as compile-time constants times the
 #   per-arm iteration counts (committed iterations of one arm are
 #   identical by construction).
@@ -1061,7 +1068,7 @@ class _Arm:
 
 
 class Trace:
-    """One anchored loop shape plus its per-environment callables.
+    """One anchored loop shape.
 
     ``prefix_cells`` covers the anchor block's body; ``split`` is the
     anchor's terminator (a guard for one-arm traces, a runtime arm
@@ -1073,8 +1080,7 @@ class Trace:
     """
 
     __slots__ = ("start", "prefix_cells", "prefix_pcs", "split", "arms",
-                 "percore_regs", "percore_flags",
-                 "periods", "max_period", "_sources", "_codes")
+                 "percore_regs", "percore_flags", "periods", "max_period")
 
     def __init__(self, start, prefix_cells, prefix_pcs, split, arms,
                  percore_regs=frozenset(), percore_flags=frozenset()):
@@ -1088,38 +1094,20 @@ class Trace:
         self.periods = tuple(len(self.prefix_pcs) + len(arm.pcs)
                              for arm in arms)
         self.max_period = max(self.periods)
-        self._sources: dict[tuple, str] = {}
-        self._codes: dict[tuple, object] = {}
 
     def arm_pcs(self, index: int) -> tuple:
         """Full fetch-PC sequence of one iteration through arm ``index``."""
         return self.prefix_pcs + self.arms[index].pcs
 
-    def arm_counts(self, index: int) -> tuple[int, int]:
-        """(reads, writes) of one iteration through arm ``index``."""
-        cells = list(self.prefix_cells) + list(self.arms[index].cells)
-        return (sum(1 for cell in cells if cell[0] == "read"),
-                sum(1 for cell in cells if cell[0] == "write"))
-
-    def source(self, env: tuple) -> str:
-        src = self._sources.get(env)
-        if src is None:
-            src = _generate_trace_source(self, env)
-            self._sources[env] = src
-        return src
-
-    def code(self, env: tuple):
-        code = self._codes.get(env)
-        if code is None:
-            code = _compile_cached(
-                self.source(env),
-                f"<trace {self.start:#x}x{self.max_period}>")
-            self._codes[env] = code
-        return code
-
     def build(self, env: tuple, layout, core_banks, storages):
+        """Bind one engine's geometry; the trace's ``_run`` callable, or
+        ``None`` when the shape has no uniform plan in ``env``."""
+        src = _generate_trace_source(self, env)
+        if src is None:
+            return None
         namespace: dict = {}
-        exec(self.code(env), namespace)
+        exec(_compile_cached(
+            src, f"<trace {self.start:#x}x{self.max_period}>"), namespace)
         return namespace["_build"](layout, core_banks, storages)
 
 
@@ -1151,9 +1139,9 @@ def build_trace(anchor: Block, arms_spec, percore_regs=(),
     or more blocks whose terminators are all direct/relative branches),
     the last expected direction returning to ``anchor.start``.
     ``percore_regs``/``percore_flags`` name state observed to differ
-    across the lockstep cores at build time — the seed for the uniform
-    specialisation's dataflow split.  Returns ``None`` on any construct
-    the trace compiler rejects.
+    across the lockstep cores at build time — the seed for
+    :func:`_uniform_plan`'s dataflow split.  Returns ``None`` on any
+    construct the trace compiler rejects.
     """
     if anchor.terminator != "br" or not 1 <= len(arms_spec) <= 2:
         return None
@@ -1249,95 +1237,6 @@ def _trace_flag_plan(trace: Trace):
     return prefix_emits, arm_emits, sorted(loads), sorted(stores)
 
 
-
-
-def _read_cell_lines(instr, emit, env, k: int):
-    """One read cell: private fast path plus (when the crossbar can
-    broadcast) a shared path requiring every core to load the *same*
-    address core 0 loaded — the lockstep-broadcast shape coefficient
-    and input-sample loops produce.  Anything else bails.
-
-    ``_c{k}``/``_sa{k}`` carry core 0's verdict (shared? which address)
-    to the other cores; the commit section folds the per-iteration
-    statistics from the same flags.
-    """
-    pwc, pwb, swb, shared_words, dbn, data_broadcast = env
-    lines = _scalarize(_address_lines(instr))
-    lines += [
-        "_o = _ra - %d" % PRIVATE_BASE,
-        "if _o >= 0:",
-        "    if _o >= %d:" % pwc,
-        "        _bail = True",
-        "        break",
-    ]
-    if data_broadcast:
-        lines += [
-            "    if _x:",
-            f"        if _c{k}:",
-            "            _bail = True",
-            "            break",
-            "    else:",
-            f"        _c{k} = False",
-            "    _bk = _cbp[_o // %d]" % pwb,
-            "    _vo = %d + _o %% %d" % (swb, pwb),
-            "else:",
-            "    if _ra >= %d:" % shared_words,
-            "        _bail = True",
-            "        break",
-            "    if _x:",
-            f"        if not _c{k} or _ra != _sa{k}:",
-            "            _bail = True",
-            "            break",
-            "    else:",
-            f"        _c{k} = True",
-            f"        _sa{k} = _ra",
-            "    _bk = _ra %% %d" % dbn,
-            "    _vo = _ra // %d" % dbn,
-        ]
-    else:
-        lines += [
-            "    _bk = _cbp[_o // %d]" % pwb,
-            "    _vo = %d + _o %% %d" % (swb, pwb),
-            "else:",
-            "    _bail = True",
-            "    break",
-        ]
-    lines += [
-        "if _dl is not None and _dl != _bk:",
-        "    _dt += 1",
-        "_dl = _bk",
-        "_v = _sto[_bk][_vo]",
-    ]
-    lines += _scalarize(_semantic_lines(instr, emit))
-    return lines
-
-
-def _write_cell_lines(instr, emit, env, undo: bool):
-    """One write cell (private only: cross-core write-merge never
-    happens, and shared writes are rare enough to bail on).  The
-    address preview precedes the semantics — which apply the
-    destination's pointer side effect — exactly like the engine."""
-    pwc, pwb, swb = env[0], env[1], env[2]
-    lines = _scalarize(_address_lines(instr))
-    lines += _scalarize(_semantic_lines(instr, emit))
-    lines += [
-        "_o = _wa - %d" % PRIVATE_BASE,
-        "if _o < 0 or _o >= %d:" % pwc,
-        "    _bail = True",
-        "    break",
-        "_bk = _cbp[_o // %d]" % pwb,
-        "if _dl is not None and _dl != _bk:",
-        "    _dt += 1",
-        "_dl = _bk",
-        "_s2 = _sto[_bk]",
-        "_o2 = %d + _o %% %d" % (swb, pwb),
-    ]
-    if undo:
-        lines.append("_u.append((_s2, _o2, _s2[_o2]))")
-    lines.append("_s2[_o2] = _res")
-    return lines
-
-
 def _guard_lines(instr: Instruction, expected: bool):
     if instr.cond == Cond.AL:
         return []  # always taken; build_trace rejected expected=False
@@ -1349,58 +1248,6 @@ def _guard_lines(instr: Instruction, expected: bool):
     ]
 
 
-def _chunk_cells(cells, emits, env, undo_writes: bool, kctr):
-    """Chunks + bookkeeping for one linear cell run.
-
-    ``undo_writes`` forces undo logging on every store: with several
-    lockstep cores a *later* core's bail rolls back earlier cores'
-    completed cells, so any bail point anywhere in the iteration means
-    every write must be journalled.  ``kctr`` is the mutable
-    dynamic-read-cell counter.  Returns ``(chunks, dyn_read_ids)``.
-    """
-    data_broadcast = env[5]
-    chunks = []
-    dyn_ids = []
-    for t, cell in enumerate(cells):
-        kind = cell[0]
-        if kind == "guard":
-            chunks.append(_guard_lines(cell[1], cell[2]))
-        elif kind == "alu":
-            chunks.append(_scalarize(_semantic_lines(cell[1], emits[t])))
-        elif kind == "read":
-            k = kctr[0]
-            kctr[0] += 1
-            if data_broadcast:
-                dyn_ids.append(k)
-            chunks.append(_read_cell_lines(cell[1], emits[t], env, k))
-        else:
-            chunks.append(_write_cell_lines(cell[1], emits[t], env,
-                                            undo_writes))
-    return chunks, dyn_ids
-
-
-_REG_REF = re.compile(r"_g(\d+)")
-
-
-def _trace_reg_plan(all_chunks):
-    """(loads, stores): every referenced register is loaded into a
-    scalar at iteration start and every assigned one written back at
-    the commit — simple and arm-agnostic (a register written in one arm
-    only is stored back unchanged when the other arm runs)."""
-    loads: set[int] = set()
-    stores: set[int] = set()
-    for chunks in all_chunks:
-        for lines in chunks:
-            for line in lines:
-                for match in _REG_REF.finditer(line):
-                    loads.add(int(match.group(1)))
-                stripped = line.lstrip()
-                match = _REG_REF.match(stripped)
-                if match and stripped[match.end():].startswith(" = "):
-                    stores.add(int(match.group(1)))
-    return sorted(loads), sorted(stores)
-
-
 def _fold_expr(per_arm_counts, count_vars):
     """``"3 * _ia + 5 * _ib"``-style constant fold, or ``None``."""
     terms = [f"{count} * {var}"
@@ -1408,246 +1255,7 @@ def _fold_expr(per_arm_counts, count_vars):
     return " + ".join(terms) if terms else None
 
 
-def _emit_trace_variant(w: _Writer, trace: Trace, env: tuple,
-                        name: str) -> None:
-    """Emit the generic (fully per-core) trace body as ``name``."""
-    prefix_emits, arm_emits, flag_loads, flag_stores = \
-        _trace_flag_plan(trace)
-    two_arm = len(trace.arms) == 2
-    split_cond = trace.split.cond != Cond.AL
-    kctr = [0]
-    all_cells = list(trace.prefix_cells) \
-        + [cell for arm in trace.arms for cell in arm.cells]
-    cells_bail = any(
-        cell[0] in ("read", "write")
-        or (cell[0] == "guard" and cell[1].cond != Cond.AL)
-        for cell in all_cells)
-    any_bail = cells_bail or split_cond or two_arm
-    any_write = any(cell[0] == "write" for cell in all_cells)
-    any_undo = any_bail and any_write
-    prefix_chunks, prefix_dyn = _chunk_cells(
-        trace.prefix_cells, prefix_emits, env, any_undo, kctr)
-    arm_chunks = []
-    arm_dyn = []
-    for arm, emits in zip(trace.arms, arm_emits):
-        chunks, dyn_ids = _chunk_cells(arm.cells, emits, env, any_undo,
-                                       kctr)
-        arm_chunks.append(chunks)
-        arm_dyn.append(dyn_ids)
-    reads = [trace.arm_counts(k)[0] for k in range(len(trace.arms))]
-    writes = [trace.arm_counts(k)[1] for k in range(len(trace.arms))]
-    accesses = [r + w for r, w in zip(reads, writes)]
-    data_broadcast = env[5]
-    any_mem = any(accesses)
-    dyn = data_broadcast and any(reads)
-    # Per-arm private accesses folded as constants: writes always, and
-    # reads too when the crossbar cannot broadcast (those cells bail on
-    # anything shared, so committed ones are private by construction).
-    const_priv = list(writes) if dyn else list(accesses)
-    reg_loads, reg_stores = _trace_reg_plan([prefix_chunks] + arm_chunks)
-    count_vars = ("_ia", "_ib") if two_arm else ("_it",)
-
-    def _dyn_fold(w, indent, ids):
-        for k in ids:
-            w.add(indent, f"if _c{k}:")
-            w.add(indent + 1, "_da += 1")
-            w.add(indent + 1, "_msh += 1")
-            w.add(indent + 1, "if _n > 1:")
-            w.add(indent + 2, "_db += 1")
-            w.add(indent + 2, "_dsv += _n - 1")
-            w.add(indent, "else:")
-            w.add(indent + 1, "_da += _n")
-            w.add(indent + 1, "_mpr += 1")
-
-    w.add(1, "def %s(_cores, _mt, _mp, _ms, _dlast, _dtr, _acc,"
-             " _maxj):" % name)
-    body = 2
-    w.add(body, "_n = len(_cores)")
-    if any_undo:
-        w.add(body, "_u = []")
-    if any_bail:
-        w.add(body, "_bsn = [None] * _n")
-    for bit in flag_loads:
-        w.add(body, f"_bf{bit} = []")
-    for bit in flag_stores:
-        w.add(body, f"_pf{bit} = []")
-    if any_mem:
-        w.add(body, "_bdl = []")
-        w.add(body, "_bdt = []")
-        w.add(body, "_pdl = []")
-        w.add(body, "_pdt = []")
-    if flag_loads or any_mem:
-        w.add(body, "for _c in _cores:")
-        if flag_loads:
-            w.add(body + 1, "_f = _c.flags")
-            for bit in flag_loads:
-                w.add(body + 1, f"_bf{bit}.append(_f.{bit})")
-            for bit in flag_stores:
-                w.add(body + 1, f"_pf{bit}.append(False)")
-        if any_mem:
-            w.add(body + 1, "_bdl.append(_dlast[_c.pid])")
-            w.add(body + 1, "_bdt.append(0)")
-            w.add(body + 1, "_pdl.append(0)")
-            w.add(body + 1, "_pdt.append(0)")
-    w.add(body, "_it = 0")
-    w.add(body, "_j = 0")
-    if two_arm:
-        w.add(body, "_ia = 0")
-        w.add(body, "_ib = 0")
-        w.add(body, "_la = 1")
-    if dyn:
-        w.add(body, "_da = 0")
-        w.add(body, "_db = 0")
-        w.add(body, "_dsv = 0")
-        w.add(body, "_mpr = 0")
-        w.add(body, "_msh = 0")
-    w.add(body, "while True:")
-    loop = body + 1
-    if any_undo:
-        w.add(loop, "del _u[:]")
-    if any_bail:
-        w.add(loop, "_bail = False")
-    w.add(loop, "_x = 0")
-    w.add(loop, "for _c in _cores:")
-    core = loop + 1
-    w.add(core, "_r = _c.regs")
-    if any_bail:
-        w.add(core, "_bsn[_x] = _r[:]")
-    if any_mem:
-        w.add(core, "_cbp = _cb[_c.pid]")
-        w.add(core, "_dl = _bdl[_x]")
-        w.add(core, "_dt = 0")
-    for reg in reg_loads:
-        w.add(core, f"_g{reg} = _r[{reg}]")
-    for bit in flag_loads:
-        w.add(core, f"_f{bit} = _bf{bit}[_x]")
-    for lines in prefix_chunks:
-        w.block(core, lines)
-    if two_arm:
-        w.add(core, f"_d = {_sc_cond(trace.split.cond)}")
-        w.add(core, "if _x:")
-        w.add(core + 1, "if _d != (_arm == 1):")
-        w.add(core + 2, "_bail = True")
-        w.add(core + 2, "break")
-        w.add(core, "else:")
-        w.add(core + 1, "_arm = 1 if _d else 0")
-        w.add(core, "if _d:")
-        for lines in arm_chunks[0]:
-            w.block(core + 1, lines)
-        if not any(arm_chunks[0]):
-            w.add(core + 1, "pass")
-        w.add(core, "else:")
-        for lines in arm_chunks[1]:
-            w.block(core + 1, lines)
-        if not any(arm_chunks[1]):
-            w.add(core + 1, "pass")
-    else:
-        w.block(core, _guard_lines(trace.split, trace.arms[0].expected))
-        for lines in arm_chunks[0]:
-            w.block(core, lines)
-    for reg in reg_stores:
-        w.add(core, f"_r[{reg}] = _g{reg}")
-    for bit in flag_stores:
-        w.add(core, f"_pf{bit}[_x] = _bf{bit}[_x]")
-        w.add(core, f"_bf{bit}[_x] = _f{bit}")
-    if any_mem:
-        w.add(core, "_pdl[_x] = _bdl[_x]")
-        w.add(core, "_bdl[_x] = _dl")
-        w.add(core, "_pdt[_x] = _bdt[_x]")
-        w.add(core, "_bdt[_x] += _dt")
-    w.add(core, "_x += 1")
-    if any_bail:
-        w.add(loop, "if _bail:")
-        if any_undo:
-            w.add(loop + 1, "for _s2, _o2, _v2 in reversed(_u):")
-            w.add(loop + 2, "_s2[_o2] = _v2")
-        w.add(loop + 1, "_y = 0")
-        w.add(loop + 1, "while _y < _x:")
-        w.add(loop + 2, "_cores[_y].regs[:] = _bsn[_y]")
-        for bit in flag_stores:
-            w.add(loop + 2, f"_bf{bit}[_y] = _pf{bit}[_y]")
-        if any_mem:
-            w.add(loop + 2, "_bdl[_y] = _pdl[_y]")
-            w.add(loop + 2, "_bdt[_y] = _pdt[_y]")
-        w.add(loop + 2, "_y += 1")
-        w.add(loop + 1, "break")
-    w.add(loop, "_it += 1")
-    if two_arm:
-        w.add(loop, "if _arm:")
-        w.add(loop + 1, "_ia += 1")
-        w.add(loop + 1, "_la = 1")
-        w.add(loop + 1, f"_j += {trace.periods[0]}")
-        if dyn:
-            _dyn_fold(w, loop + 1, prefix_dyn + arm_dyn[0])
-        w.add(loop, "else:")
-        w.add(loop + 1, "_ib += 1")
-        w.add(loop + 1, "_la = 0")
-        w.add(loop + 1, f"_j += {trace.periods[1]}")
-        if dyn:
-            _dyn_fold(w, loop + 1, prefix_dyn + arm_dyn[1])
-    else:
-        w.add(loop, f"_j += {trace.periods[0]}")
-        if dyn:
-            _dyn_fold(w, loop, prefix_dyn + arm_dyn[0])
-    w.add(loop, f"if _j + {trace.max_period} > _maxj:")
-    w.add(loop + 1, "break")
-    # ---- epilogue: nothing committed means nothing to write back ----
-    w.add(body, "if _j:")
-    epi = body + 1
-    cp_fold = _fold_expr(const_priv, count_vars)
-    if any_mem and cp_fold:
-        w.add(epi, f"_wpr = {cp_fold}")
-    mt_terms = (["_mpr", "_msh"] if dyn else []) \
-        + (["_wpr"] if any_mem and cp_fold else [])
-    mp_terms = (["_mpr"] if dyn else []) \
-        + (["_wpr"] if any_mem and cp_fold else [])
-    w.add(epi, "_x = 0")
-    w.add(epi, "for _c in _cores:")
-    w.add(epi + 1, f"_c.pc = {trace.start}")
-    w.add(epi + 1, "_c.retired += _j")
-    if flag_stores:
-        w.add(epi + 1, "_f = _c.flags")
-        for bit in flag_stores:
-            w.add(epi + 1, f"_f.{bit} = _bf{bit}[_x]")
-    if any_mem:
-        w.add(epi + 1, "_p = _c.pid")
-        if mt_terms:
-            w.add(epi + 1, f"_mt[_p] += {' + '.join(mt_terms)}")
-        if mp_terms:
-            w.add(epi + 1, f"_mp[_p] += {' + '.join(mp_terms)}")
-        if dyn:
-            w.add(epi + 1, "_ms[_p] += _msh")
-        w.add(epi + 1, "_dlast[_p] = _bdl[_x]")
-        w.add(epi + 1, "if _bdt[_x]:")
-        w.add(epi + 2, "_dtr[_p] += _bdt[_x]")
-    w.add(epi + 1, "_x += 1")
-    if any_mem:
-        acc0 = (["_da"] if dyn else []) \
-            + ([f"_n * (_wpr)"] if cp_fold else [])
-        if acc0:
-            w.add(epi, f"_acc[0] += {' + '.join(acc0)}")
-        del_fold = _fold_expr(accesses, count_vars)
-        if del_fold:
-            w.add(epi, f"_acc[1] += _n * ({del_fold})")
-        if dyn:
-            w.add(epi, "_acc[2] += _db")
-            w.add(epi, "_acc[3] += _dsv")
-        read_fold = _fold_expr(reads, count_vars)
-        if read_fold:
-            w.add(epi, f"_acc[4] += _n * ({read_fold})")
-        write_fold = _fold_expr(writes, count_vars)
-        if write_fold:
-            w.add(epi, f"_acc[5] += _n * ({write_fold})")
-    if two_arm:
-        w.add(epi, "_acc[8] = _ia")
-        w.add(epi, "_acc[9] = _ib")
-        w.add(epi, "_acc[10] = _la")
-    else:
-        w.add(epi, "_acc[8] = _it")
-        w.add(epi, "_acc[9] = 0")
-        w.add(epi, "_acc[10] = 1")
-    w.add(body, "return _j")
-
+_REG_REF = re.compile(r"_g(\d+)")
 _FLAG_REF = re.compile(r"_f([czvn])\b")
 
 
@@ -1682,18 +1290,19 @@ def _cell_io(lines):
 
 
 def _uniform_plan(trace: Trace, env: tuple):
-    """Uniform-specialisation plan, or ``None`` when unsafe/unprofitable.
+    """The trace's code-generation plan, or ``None`` when the shape
+    cannot run uniformly (the engine then never registers it).
 
-    The uniform variant executes each iteration's computation *once*
-    with plain scalars and loops over the cores only for effects that
-    genuinely differ per core: registers observed non-uniform at build
-    time plus everything data-dependent on them, private-bank stores,
+    A trace executes each iteration's computation *once* with plain
+    scalars and loops over the cores only for effects that genuinely
+    differ per core: registers observed non-uniform at build time plus
+    everything data-dependent on them, private-bank loads and stores,
     and MMU bank-transition accounting.  Prerequisites, checked here:
     every control decision (split + guards) and every memory address
     must be uniform, per-core data must never leak into a loaded or
-    stored flag, and reads must hit shared memory (the last one is
-    enforced at run time by bailing on private reads, which the
-    broadcast crossbar merges into one uniform value anyway).
+    stored flag, and a read with a uniform destination must be a shared
+    read the broadcast crossbar merges into one value (enforced at run
+    time by bailing on private addresses).
     """
     data_broadcast = env[5]
     prefix_emits, arm_emits, flag_loads, flag_stores = \
@@ -1802,8 +1411,14 @@ def _pc_renamed(info, lines, p_regs, p_flags):
     return captures, out
 
 
-def _emit_uniform_variant(w: _Writer, trace: Trace, env: tuple,
-                          plan: dict, name: str) -> None:
+def _emit_trace_run(w: _Writer, trace: Trace, env: tuple,
+                    plan: dict) -> None:
+    """Emit the trace's ``_run``.
+
+    ``_run`` first checks that every core enters with the same
+    uniform-classified registers and loaded flags as core 0; otherwise
+    it declines (returns 0) before touching any state.
+    """
     pwc, pwb, swb, shared_words, dbn, _dbc = env
     infos = plan["infos"]
     cls = plan["cls"]
@@ -1972,19 +1587,30 @@ def _emit_uniform_variant(w: _Writer, trace: Trace, env: tuple,
             w.add(li, "_pdl[_x] = _dl")
             w.add(li, "_pdt[_x] += _dt")
 
-    w.add(1, "def %s(_cores, _mt, _mp, _ms, _dlast, _dtr, _acc,"
-             " _maxj):" % name)
+    w.add(1, "def _run(_cores, _mt, _mp, _ms, _dlast, _dtr, _acc, _maxj):")
     b = 2
     w.add(b, "_n = len(_cores)")
     w.add(b, "_c0 = _cores[0]")
     if u_loads:
         w.add(b, "_r0 = _c0.regs")
-        for reg in u_loads:
-            w.add(b, f"_g{reg} = _r0[{reg}]")
     if flag_loads:
         w.add(b, "_f0 = _c0.flags")
-        for bit in flag_loads:
-            w.add(b, f"_f{bit} = _f0.{bit}")
+    if u_loads or flag_loads:
+        w.add(b, "for _c in _cores:")
+    if u_loads:
+        w.add(b + 1, "_r = _c.regs")
+        cond = " or ".join(f"_r[{reg}] != _r0[{reg}]" for reg in u_loads)
+        w.add(b + 1, f"if {cond}:")
+        w.add(b + 2, "return 0")
+    if flag_loads:
+        w.add(b + 1, "_f = _c.flags")
+        cond = " or ".join(f"_f.{bit} != _f0.{bit}" for bit in flag_loads)
+        w.add(b + 1, f"if {cond}:")
+        w.add(b + 2, "return 0")
+    for reg in u_loads:
+        w.add(b, f"_g{reg} = _r0[{reg}]")
+    for bit in flag_loads:
+        w.add(b, f"_f{bit} = _f0.{bit}")
     for reg in p_used:
         w.add(b, f"_p{reg} = [_c.regs[{reg}] for _c in _cores]")
     if any_mem:
@@ -2097,46 +1723,12 @@ def _emit_uniform_variant(w: _Writer, trace: Trace, env: tuple,
     w.add(b, "return _j")
 
 
-def _emit_dispatch(w: _Writer, trace: Trace, plan: dict) -> None:
-    """``_run``: route to the uniform body when the uniform-classified
-    entry state really is identical across the cores, else generic."""
-    infos = plan["infos"]
-    p_regs = plan["p_regs"]
-    flag_loads = plan["flag_loads"]
-    refs: set = set()
-    for info in infos:
-        refs |= info["rr"] | info["rw"]
-    check_regs = sorted(r for r in refs if r not in p_regs)
-    args = "_cores, _mt, _mp, _ms, _dlast, _dtr, _acc, _maxj"
-    w.add(1, "def _run(%s):" % args)
-    b = 2
-    w.add(b, "_r0 = _cores[0].regs")
-    if flag_loads:
-        w.add(b, "_f0 = _cores[0].flags")
-    w.add(b, "for _c in _cores:")
-    if check_regs:
-        w.add(b + 1, "_r = _c.regs")
-        cond = " or ".join(f"_r[{r}] != _r0[{r}]" for r in check_regs)
-        w.add(b + 1, f"if {cond}:")
-        w.add(b + 2, "return _generic(%s)" % args)
-    if flag_loads:
-        w.add(b + 1, "_f = _c.flags")
-        cond = " or ".join(f"_f.{bit} != _f0.{bit}"
-                           for bit in flag_loads)
-        w.add(b + 1, f"if {cond}:")
-        w.add(b + 2, "return _generic(%s)" % args)
-    w.add(b, "return _uniform(%s)" % args)
-
-
-def _generate_trace_source(trace: Trace, env: tuple) -> str:
-    w = _Writer()
-    w.add(0, "def _build(_layout, _cb, _sto):")
+def _generate_trace_source(trace: Trace, env: tuple) -> str | None:
     plan = _uniform_plan(trace, env)
     if plan is None:
-        _emit_trace_variant(w, trace, env, "_run")
-    else:
-        _emit_trace_variant(w, trace, env, "_generic")
-        _emit_uniform_variant(w, trace, env, plan, "_uniform")
-        _emit_dispatch(w, trace, plan)
+        return None
+    w = _Writer()
+    w.add(0, "def _build(_layout, _cb, _sto):")
+    _emit_trace_run(w, trace, env, plan)
     w.add(1, "return _run")
     return "\n".join(w.lines) + "\n"

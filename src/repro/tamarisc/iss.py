@@ -8,6 +8,17 @@ so cycles == retired instructions here.
 Data memory is a flat 64 Ki-word logical space (dict-backed, zero-default);
 no MMU is involved — the multi-core platforms in :mod:`repro.platform` add
 banking, translation and arbitration.
+
+Why it stays beside the platform: its default path executes each
+instruction through :class:`~repro.tamarisc.cpu.Core`'s generic operand
+walk.  The platform's exact loop, its fast-forward engine and the block
+and trace code generators all run the handlers compiled by
+:mod:`repro.tamarisc.dispatch`, so this walk is the only model of the
+instruction semantics that does not depend on that module.  The
+regression harness (:mod:`repro.tamarisc.regression`) checks every
+platform core against it; folding the ISS into the platform as a
+one-core configuration would leave the dispatch tables checked only
+against themselves.
 """
 
 from __future__ import annotations

@@ -26,9 +26,9 @@ import pathlib
 
 import pytest
 
+import repro.platform.fast_forward as ff_engine
 from repro.experiments import EXPERIMENTS
-from repro.platform import set_default_fast_forward, \
-    set_default_translation_blocks
+from repro.platform import set_default_fast_forward
 from repro.power.calibration import calibrated_set, reference_results
 
 #: The pinned experiments: paper tables/figures built from simulation.
@@ -41,8 +41,8 @@ GOLDEN_IDS = ("table1", "table2", "fig5", "fig6", "fig7", "fig8")
 #: ``reference_results`` cache ends up holding the default-mode results
 #: for any later test module.
 MODES = {
-    "blocks": (True, True),      # (fast_forward, translation_blocks)
-    "noblocks": (True, False),
+    "blocks": (True, True),      # (fast_forward, blocks)
+    "noblocks": (True, False),   # the engine's test-only switch
     "exact": (False, True),
 }
 
@@ -58,7 +58,7 @@ def _activate(mode: str) -> None:
     reference_results.cache_clear()
     calibrated_set.cache_clear()
     set_default_fast_forward(fast_forward)
-    set_default_translation_blocks(blocks)
+    ff_engine.TRANSLATION_BLOCKS = blocks
     _active_mode = mode
 
 
@@ -67,7 +67,7 @@ def _restore_execution_mode():
     yield
     global _active_mode
     set_default_fast_forward(False)
-    set_default_translation_blocks(True)
+    ff_engine.TRANSLATION_BLOCKS = True
     if _active_mode not in (None, "exact"):
         # don't leave another mode's results in the session-wide cache
         reference_results.cache_clear()

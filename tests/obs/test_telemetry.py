@@ -16,8 +16,11 @@ Plus the fleet-merge algebra, the streaming offsets/deadline
 accounting, and the small pure helpers.
 """
 
+from unittest import mock
+
 import pytest
 
+import repro.platform.fast_forward as ff_engine
 from repro.errors import ConfigurationError
 from repro.kernels import BenchmarkSpec, build_benchmark
 from repro.obs import ProbeMetrics, WindowedAggregator, summaries_digest
@@ -27,12 +30,13 @@ from repro.platform import build_platform
 
 WINDOW = 1024
 
-#: label -> build_platform kwargs; the three execution paths that must
-#: agree bit-for-bit.
+#: label -> (fast_forward, blocks); the three execution paths that must
+#: agree bit-for-bit (``blocks=False`` patches the engine's test-only
+#: switch for the per-instruction-only engine).
 MODES = {
-    "exact": dict(fast_forward=False),
-    "fast-forward": dict(fast_forward=True, translation_blocks=False),
-    "blocks": dict(fast_forward=True, translation_blocks=True),
+    "exact": (False, True),
+    "fast-forward": (True, False),
+    "blocks": (True, True),
 }
 
 
@@ -42,11 +46,13 @@ def built():
                                          huffman_private=True))
 
 
-def _run(built, arch, batched=True, window=WINDOW, **platform_kw):
-    system = build_platform(arch, **platform_kw)
+def _run(built, arch, batched=True, window=WINDOW, fast_forward=False,
+         blocks=True):
+    system = build_platform(arch, fast_forward=fast_forward)
     aggregator = WindowedAggregator.attach(
         system.probe_bus(), window_cycles=window, batched=batched)
-    result = system.run(built.benchmark)
+    with mock.patch.object(ff_engine, "TRANSLATION_BLOCKS", blocks):
+        result = system.run(built.benchmark)
     aggregator.detach()
     return aggregator, result
 
@@ -55,18 +61,18 @@ class TestBitIdentity:
     @pytest.mark.parametrize("arch", ["mc-ref", "ulpmc-int", "ulpmc-bank"])
     def test_windows_identical_across_modes_and_delivery(self, built, arch):
         digests = {}
-        for label, platform_kw in MODES.items():
+        for label, (fast_forward, blocks) in MODES.items():
             for batched in (True, False):
                 aggregator, _ = _run(built, arch, batched=batched,
-                                     **platform_kw)
+                                     fast_forward=fast_forward,
+                                     blocks=blocks)
                 assert len(aggregator.windows) > 1, \
                     "identity would be vacuous with <2 windows"
                 digests[(label, batched)] = aggregator.digest()
         assert len(set(digests.values())) == 1, digests
 
     def test_boundaries_exact_and_final_flagged(self, built):
-        aggregator, result = _run(built, "ulpmc-bank", fast_forward=True,
-                                  translation_blocks=True)
+        aggregator, result = _run(built, "ulpmc-bank", fast_forward=True)
         windows = aggregator.windows
         for window in windows[:-1]:
             assert not window.final
@@ -82,7 +88,8 @@ class TestPartition:
     def run(self, built, request):
         # The metrics collector and the aggregator ride the same bus:
         # both batch-drain the same rings, so agreement is end-to-end.
-        system = build_platform("ulpmc-bank", **MODES[request.param])
+        system = build_platform("ulpmc-bank",
+                                fast_forward=MODES[request.param][0])
         bus = system.probe_bus()
         collector = ProbeMetrics.attach(bus)
         aggregator = WindowedAggregator.attach(bus, window_cycles=WINDOW)

@@ -2,13 +2,13 @@
 
 The translation-block fast path only fires while every running core
 sits at the same PC; the loop-trace layer additionally speculates that
-the cores *stay* in lockstep through whole loop iterations.  These
-tests force every way out of that speculation — taken/not-taken
-divergence at a data-dependent branch, per-core splits that make the
-trace's agreement check bail, and uniform loops that commit through
-both the specialised (uniform) and the generic per-core trace variant —
-and require bit identity with the exact cycle loop throughout, plus
-evidence that each scenario actually exercised the intended machinery.
+the cores *stay* in lockstep through whole loop iterations and compute
+the same uniform values.  These tests force every way out of that
+speculation — taken/not-taken divergence at a data-dependent branch, a
+per-core split no trace can compute uniformly, and a trace entered with
+per-core values in registers it treats as uniform — and require bit
+identity with the exact cycle loop throughout, plus evidence that each
+scenario actually exercised the intended machinery.
 """
 
 import dataclasses
@@ -28,10 +28,16 @@ COUNTER = 12
 POINTER = 8
 SCRATCH = 9
 BASE = PRIVATE_BASE + 16
+#: First loop-body PC: :func:`_program` emits five setup instructions.
+LOOP_TOP = 5
 
 
-def _program(body):
-    """Counted loop around ``body``: counter in r12, pointer in r8."""
+def _program(body, tail=lambda top: []):
+    """Counted loop around ``body``: counter in r12, pointer in r8.
+
+    ``tail(top)`` lists instructions placed between the loop's
+    back-edge and the final ``HLT`` (``top`` is the loop's first PC).
+    """
     words = []
 
     def emit(instr):
@@ -48,22 +54,25 @@ def _program(body):
     emit(Instruction(op=Op.ADD, dreg=SCRATCH, s1mode=SrcMode.REG,
                      s1val=POINTER, s2mode=SrcMode.IMM, s2val=8))
     top = len(words)
+    assert top == LOOP_TOP
     for instr in body:
         emit(instr)
     emit(Instruction(op=Op.SUB, dreg=COUNTER, s1mode=SrcMode.REG,
                      s1val=COUNTER, s2mode=SrcMode.IMM, s2val=1))
     emit(Instruction(op=Op.BR, cond=Cond.NE, bmode=BranchMode.DIR,
                      target=top))
+    for instr in tail(top):
+        emit(instr)
     emit(Instruction(op=Op.HLT))
     return Program(words=words)
 
 
-def _benchmark(name, body, per_core_words):
+def _benchmark(name, body, per_core_words, tail=lambda top: []):
     """``per_core_words(pid)`` seeds each core's private sandbox."""
     data = DataImage()
     for pid in range(8):
         data.set_private_block(pid, PRIVATE_BASE, per_core_words(pid))
-    return Benchmark(name, _program(body), data)
+    return Benchmark(name, _program(body, tail), data)
 
 
 def _split_body(source):
@@ -114,8 +123,7 @@ def run_modes(benchmark, arch="mc-ref"):
     """(exact system+result, blocks system+result, engine)."""
     slow_sys = build_platform(arch, fast_forward=False)
     slow = slow_sys.run(benchmark)
-    fast_sys = build_platform(arch, fast_forward=True,
-                              translation_blocks=True)
+    fast_sys = build_platform(arch, fast_forward=True)
     fast = fast_sys.run(benchmark)
     return slow_sys, slow, fast_sys, fast, fast_sys._ff_engine
 
@@ -155,7 +163,7 @@ class TestBranchDivergence:
 
 
 class TestLoopTraces:
-    """Loop-trace discovery, commit, bail and dispatch variants."""
+    """Loop-trace discovery, commit, bail and decline."""
 
     def test_single_arm_trace_commits(self, trace_thresholds):
         # OR with the counter is always non-zero: NE is always taken,
@@ -179,13 +187,14 @@ class TestLoopTraces:
         assert engine.trace_cycles > 0
         assert_identical(slow_sys, slow, fast_sys, fast)
 
-    def test_agreement_bail_after_divergence(self, trace_thresholds):
-        # Per-core data drives the split, but the parities agree for
-        # the first 16 iterations: the trace is built from that
-        # lockstep profile and commits whole iterations.  The last 8
-        # iterations diverge by core parity, so the trace's agreement
-        # check must refuse the mixed iteration (a decline that leaves
-        # state untouched) and hand back to the per-cycle machinery.
+    def test_per_core_split_registers_no_trace(self, trace_thresholds):
+        # Per-core data drives the split: each core loads its own word
+        # and branches on its parity.  The parities agree for the first
+        # 16 iterations, so the loop profiles as a hot lockstep cycle,
+        # but the loaded value (and with it the guard's flags) is
+        # per-core, so no trace can compute the iteration once for all
+        # cores.  The shape is never registered, its anchor is not
+        # retried, and the blocks carry the loop bit-identically.
         def words(pid):
             image = [0] * 48
             for w in range(1, ITERS + 1):
@@ -203,15 +212,83 @@ class TestLoopTraces:
         ] + _split_body(Instruction(op=Op.AND, dreg=7,
                                     s1mode=SrcMode.REG, s1val=0,
                                     s2mode=SrcMode.IMM, s2val=1))
-        benchmark = _benchmark("decline", body, words)
+        benchmark = _benchmark("per-core-split", body, words)
         slow_sys, slow, fast_sys, fast, engine = run_modes(benchmark)
-        assert engine.trace_entries > 0
-        assert engine.trace_cycles > 0  # the agreeing prefix committed
-        declines = sum(rec[5] for rec in engine._trace_recs.values())
-        assert declines > 0
+        assert LOOP_TOP in engine._trace_tried  # considered, not retried
+        assert not engine._trace_recs
+        assert engine.traces_built == engine.trace_entries == 0
+        assert engine.block_entries > 0
         assert_identical(slow_sys, slow, fast_sys, fast)
         # both arms really ran after the parity split
         assert {core.regs[5] for core in fast_sys.cores} == {7, 3}
+
+    def test_non_uniform_entry_declines(self, trace_thresholds,
+                                        monkeypatch):
+        # The diamond accumulates r6 into r4.  Both are 0 on every core
+        # while the trace is built, so the trace computes them once for
+        # all cores.  A second pass re-enters the loop with a per-core
+        # r6: each entry must decline (return 0) before touching any
+        # state, and the blocks run the pass bit-identically.
+        records = []
+        calls = []
+        build = ff_engine.FastForwardEngine._build_trace
+
+        def state(engine, cores, args):
+            return ([(core.pc, core.retired, list(core.regs),
+                      core.flags.as_tuple()) for core in cores],
+                    [list(arg) for arg in args[:6]],
+                    [list(bank.storage)
+                     for bank in engine._system().dmem.banks])
+
+        def spying_build(engine, start):
+            record = build(engine, start)
+            if record is not None:
+                run = record[0]
+
+                def checked(cores, *args):
+                    before = state(engine, cores, args)
+                    committed = run(cores, *args)
+                    if not committed:
+                        assert state(engine, cores, args) == before
+                    calls.append(committed)
+                    return committed
+
+                record[0] = checked
+                records.append(record)
+            return record
+
+        monkeypatch.setattr(ff_engine.FastForwardEngine, "_build_trace",
+                            spying_build)
+
+        def second_pass(top):
+            # r6 := the core's own sandbox word; r11 counts passes, so
+            # the loop runs once more (two iterations) and then halts.
+            return [
+                Instruction(op=Op.MOV, dreg=6, s1mode=SrcMode.IND,
+                            s1val=POINTER),
+                Instruction(op=Op.MOV, dreg=COUNTER, s1mode=SrcMode.IMM,
+                            s1val=2),
+                Instruction(op=Op.ADD, dreg=11, s1mode=SrcMode.REG,
+                            s1val=11, s2mode=SrcMode.IMM, s2val=1),
+                Instruction(op=Op.SUB, dreg=3, s1mode=SrcMode.REG,
+                            s1val=11, s2mode=SrcMode.IMM, s2val=2),
+                Instruction(op=Op.BR, cond=Cond.NE, bmode=BranchMode.DIR,
+                            target=top),
+            ]
+
+        body = [Instruction(op=Op.ADD, dreg=4, s1mode=SrcMode.REG,
+                            s1val=4, s2mode=SrcMode.REG, s2val=6)] \
+            + _split_body(UNIFORM_SPLIT)
+        benchmark = _benchmark("reentry", body, lambda pid: [1 + pid] * 32,
+                               tail=second_pass)
+        slow_sys, slow, fast_sys, fast, engine = run_modes(benchmark)
+        assert any(calls), "the trace committed the first pass"
+        assert 0 in calls, "the second pass entered the trace"
+        assert sum(record[5] for record in records) > 0  # declines
+        assert_identical(slow_sys, slow, fast_sys, fast)
+        # the second pass really ran with per-core r6
+        assert [core.regs[4] for core in fast_sys.cores] \
+            == [2 * (1 + pid) for pid in range(8)]
 
     def test_per_core_data_uniform_control(self, trace_thresholds):
         # Uniform control flow over per-core private data: the trace

@@ -38,7 +38,7 @@ class TestBlockSeries:
             assert built.golden[0].samples == [int(v) for v in window]
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             build_block_series(BenchmarkSpec(), n_blocks=0)
         with pytest.raises(ValueError):
             build_block_series(BenchmarkSpec(), n_samples=64)

@@ -86,8 +86,7 @@ def test_campaign_identity_excludes_the_engine():
     from repro.resilience import campaign_identity
     ff = build_campaign(3, "mc-ref", campaign_seed=5, **GEOMETRY)
     exact = build_campaign(3, "mc-ref", campaign_seed=5,
-                           fast_forward=False, translation_blocks=False,
-                           **GEOMETRY)
+                           fast_forward=False, **GEOMETRY)
     assert campaign_identity(ff) == campaign_identity(exact)
     # ... but the spec keys differ, so checkpoints never cross engines.
     assert spec_key(ff[0]) != spec_key(exact[0])

@@ -16,10 +16,12 @@ Three block-level properties lock the tentpole down:
 
 import dataclasses
 import random
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.platform.fast_forward as ff_engine
 from repro.memory.layout import PRIVATE_BASE
 from repro.platform import ARCH_NAMES, Benchmark, build_platform
 from repro.tamarisc.blocks import (
@@ -48,10 +50,10 @@ def _benchmark(seed: int) -> Benchmark:
     return Benchmark(f"prop-{seed}", program, data)
 
 
-def _run(benchmark, arch, fast_forward, translation_blocks):
-    system = build_platform(arch, fast_forward=fast_forward,
-                            translation_blocks=translation_blocks)
-    return system, system.run(benchmark)
+def _run(benchmark, arch, fast_forward, blocks):
+    system = build_platform(arch, fast_forward=fast_forward)
+    with mock.patch.object(ff_engine, "TRANSLATION_BLOCKS", blocks):
+        return system, system.run(benchmark)
 
 
 class TestFusedExecution:

@@ -30,9 +30,11 @@ random corpus and its state must still match the exact loop bit for bit.
 
 import dataclasses
 import random
+from unittest import mock
 
 import pytest
 
+import repro.platform.fast_forward as ff_engine
 from repro.memory.layout import PRIVATE_BASE
 from repro.obs import EVENTS, ProbeMetrics
 from repro.platform import ARCH_NAMES, Benchmark, build_platform
@@ -44,7 +46,9 @@ from repro.tamarisc.regression import SANDBOX_WORDS, generate_random_program
 COMPARABLE_EVENTS = sorted(
     name for name in EVENTS if not name.startswith("ff."))
 
-#: (fast_forward, translation_blocks) per compared execution mode.
+#: (fast_forward, blocks) per compared execution mode; ``blocks=False``
+#: patches the engine's test-only switch for the per-instruction-only
+#: engine.
 MODES = {
     "exact": (False, False),
     "ff-instr": (True, False),
@@ -77,10 +81,11 @@ def looped_fuzz_benchmark(seed: int, iters: int = 24) -> Benchmark:
     forward branch mid-body splits the loop into a multi-block diamond
     (a single-block loop would just self-loop inside the block layer and
     never profile a trace).  Per-pid sandbox contents differ, so loaded
-    registers diverge across cores and both trace variants (uniform and
-    generic) plus the bail path get exercised; even seeds branch on the
-    uniform loop counter so whole iterations actually commit, odd seeds
-    branch on per-core data so the lockstep agreement check bails.
+    registers diverge across cores and the trace's per-core/uniform
+    split, its entry check and the bail path get exercised; even seeds
+    branch on the uniform loop counter so whole iterations actually
+    commit, odd seeds branch on per-core data, a shape no trace can
+    compute once for all cores, so the blocks must carry it.
     """
     from repro.tamarisc.encoding import encode
     from repro.tamarisc.isa import (BranchMode, Cond, DstMode, Instruction,
@@ -127,7 +132,7 @@ def looped_fuzz_benchmark(seed: int, iters: int = 24) -> Benchmark:
         emit(Instruction(op=Op.AND, dreg=7, s1mode=SrcMode.REG,
                          s1val=counter, s2mode=SrcMode.IMM,
                          s2val=rng.randrange(1, 8)))
-    else:  # per-core split — the trace's agreement check must bail
+    else:  # per-core split — no trace; the blocks carry the loop
         emit(Instruction(op=Op.AND, dreg=7, s1mode=SrcMode.IND,
                          s1val=pointer, s2mode=SrcMode.IMM,
                          s2val=rng.randrange(1, 8)))
@@ -150,12 +155,20 @@ def looped_fuzz_benchmark(seed: int, iters: int = 24) -> Benchmark:
     return Benchmark(f"fuzz-loop-{seed}", Program(words=words), data)
 
 
-def run_observed(arch: str, benchmark: Benchmark, fast_forward: bool,
-                 capture_events: bool = True,
-                 translation_blocks: bool = False):
+def run_mode(arch: str, benchmark: Benchmark, mode: str, system=None):
+    """Run ``benchmark`` in one of :data:`MODES` (unobserved unless a
+    ``system`` with a probe bus is passed in)."""
+    fast_forward, blocks = MODES[mode]
+    if system is None:
+        system = build_platform(arch, fast_forward=fast_forward)
+    with mock.patch.object(ff_engine, "TRANSLATION_BLOCKS", blocks):
+        return system.run(benchmark)
+
+
+def run_observed(arch: str, benchmark: Benchmark, mode: str,
+                 capture_events: bool = True):
     """One observed run; returns (result, metrics snapshot, streams)."""
-    system = build_platform(arch, fast_forward=fast_forward,
-                            translation_blocks=translation_blocks)
+    system = build_platform(arch, fast_forward=MODES[mode][0])
     bus = system.probe_bus()
     streams = None
     if capture_events:
@@ -165,7 +178,7 @@ def run_observed(arch: str, benchmark: Benchmark, fast_forward: bool,
                           lambda *args, _rec=streams[name].append:
                           _rec(args))
     metrics = ProbeMetrics.attach(bus)
-    result = system.run(benchmark)
+    result = run_mode(arch, benchmark, mode, system)
     mismatches = metrics.verify_against(result.stats)
     assert not mismatches, f"probe/stats reconciliation: {mismatches}"
     if streams is not None:
@@ -197,13 +210,9 @@ def test_fuzz_event_stream_identity(seed):
     """State, metrics and sorted event streams agree across all modes."""
     arch = ARCH_NAMES[seed % len(ARCH_NAMES)]
     benchmark = fuzz_benchmark(seed)
-    slow, slow_snap, slow_events = run_observed(
-        arch, benchmark, fast_forward=False)
-    for mode, (ffw, blocks) in MODES.items():
-        if not ffw:
-            continue
-        fast, fast_snap, fast_events = run_observed(
-            arch, benchmark, fast_forward=ffw, translation_blocks=blocks)
+    slow, slow_snap, slow_events = run_observed(arch, benchmark, "exact")
+    for mode in ("ff-instr", "ff-blocks"):
+        fast, fast_snap, fast_events = run_observed(arch, benchmark, mode)
         assert_state_identical(slow, fast)
         assert slow_snap == fast_snap, \
             f"metric registries diverged ({mode})"
@@ -223,17 +232,11 @@ def test_fuzz_unobserved_trace_identity(seed, monkeypatch):
     and rollback all run); the committed state must still match the
     exact loop exactly.
     """
-    import repro.platform.fast_forward as ff_engine
-
     monkeypatch.setattr(ff_engine, "TRACE_ENTRY_THRESHOLD", 4)
     monkeypatch.setattr(ff_engine, "TRACE_MIN_EDGE", 2)
     arch = ARCH_NAMES[seed % len(ARCH_NAMES)]
     benchmark = fuzz_benchmark(seed)
-    runs = {}
-    for mode, (ffw, blocks) in MODES.items():
-        system = build_platform(arch, fast_forward=ffw,
-                                translation_blocks=blocks)
-        runs[mode] = system.run(benchmark)
+    runs = {mode: run_mode(arch, benchmark, mode) for mode in MODES}
     assert_state_identical(runs["exact"], runs["ff-instr"])
     assert_state_identical(runs["exact"], runs["ff-blocks"])
 
@@ -241,17 +244,11 @@ def test_fuzz_unobserved_trace_identity(seed, monkeypatch):
 @pytest.mark.parametrize("seed", range(0, 50, 4))
 def test_fuzz_looped_trace_identity(seed, monkeypatch):
     """Counted-loop corpus: traces build, run and stay bit-identical."""
-    import repro.platform.fast_forward as ff_engine
-
     monkeypatch.setattr(ff_engine, "TRACE_ENTRY_THRESHOLD", 4)
     monkeypatch.setattr(ff_engine, "TRACE_MIN_EDGE", 2)
     arch = ARCH_NAMES[seed % len(ARCH_NAMES)]
     benchmark = looped_fuzz_benchmark(seed)
-    runs = {}
-    for mode, (ffw, blocks) in MODES.items():
-        system = build_platform(arch, fast_forward=ffw,
-                                translation_blocks=blocks)
-        runs[mode] = system.run(benchmark)
+    runs = {mode: run_mode(arch, benchmark, mode) for mode in MODES}
     assert_state_identical(runs["exact"], runs["ff-instr"])
     assert_state_identical(runs["exact"], runs["ff-blocks"])
 
@@ -266,14 +263,11 @@ def test_fuzz_batched_ring_identity(arch, seed):
     paths the stream test above bypasses.
     """
     benchmark = fuzz_benchmark(seed)
-    slow, slow_snap, _ = run_observed(
-        arch, benchmark, fast_forward=False, capture_events=False)
-    for mode, (ffw, blocks) in MODES.items():
-        if not ffw:
-            continue
-        fast, fast_snap, _ = run_observed(
-            arch, benchmark, fast_forward=ffw, translation_blocks=blocks,
-            capture_events=False)
+    slow, slow_snap, _ = run_observed(arch, benchmark, "exact",
+                                      capture_events=False)
+    for mode in ("ff-instr", "ff-blocks"):
+        fast, fast_snap, _ = run_observed(arch, benchmark, mode,
+                                          capture_events=False)
         assert_state_identical(slow, fast)
         assert slow_snap == fast_snap, \
             f"metric registries diverged ({mode})"

@@ -327,6 +327,32 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--samples", "0"],
+        ["trace", "--samples", "-3"],
+        ["profile", "--samples", "0"],
+        ["watch", "--samples", "0"],
+        ["watch", "--samples", "-1"],
+        ["farm", "--samples", "0"],
+        ["faults", "--samples", "0"],
+        ["farm", "--window", "0"],
+        ["farm", "--blocks", "0"],
+        ["farm", "--clock-hz", "0"],
+        ["faults", "--watchdog", "-1"],
+        ["faults", "--max-cycles", "-5"],
+    ], ids=" ".join)
+    def test_invalid_size_is_exit_2(self, argv, capsys, monkeypatch):
+        from repro.farm import jobs
+
+        def no_worker(*args, **kwargs):
+            pytest.fail("a farm worker started before validation")
+
+        monkeypatch.setattr(jobs, "_Worker", no_worker)
+        assert main(argv + ["--no-manifest"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
     def test_missing_regress_baseline_is_exit_2(self, tmp_path, capsys):
         assert main(["regress", "--runs-dir", str(tmp_path),
                      "--baseline", str(tmp_path / "nope")]) == 2
