@@ -16,18 +16,23 @@ Two questions, one per acceptance criterion:
   changes the numbers would be worthless.
 
   Subscribed overheads are measured against a *matched* bare run with
-  the loop-trace layer disabled: traces are definitionally
-  unobservable (probed runs must keep the per-cycle-shaped event
-  stream), so an observed run takes the block/cycle paths regardless
-  of delivery cost.  Dividing by a traced bare run would charge the
-  whole trace-layer speedup to the subscriber; that ratio belongs to
+  the loop-trace layer disabled: a per-event subscriber needs the
+  per-cycle-shaped event stream, which loop traces do not produce, so
+  an observed run takes the block/cycle paths regardless of delivery
+  cost.  Dividing by a traced bare run would charge the whole
+  trace-layer speedup to the subscriber; that ratio belongs to
   ``bench_fast_forward.py``, not this gate.
 * **Watch cost** — the slowdown with a
   :class:`~repro.obs.telemetry.WindowedAggregator` subscribed, i.e.
-  what ``repro watch`` costs per run.  The aggregator drains the same
-  batched rings plus a per-window boundary flush, so it shares the
-  subscribed ceiling (quiet measurements sit within noise of the
-  metrics collector's).
+  what ``repro watch`` costs per run.  Windows are differences of the
+  counter snapshots the run loops emit at window edges, so a watched
+  run keeps its loop traces: it is measured against the traced bare
+  run, under its own 5 % ceiling.
+
+Every ratio is *paired*: each round times all variants back to back
+(in rotated order) and divides within the round, and the cell reports
+the median of those per-round ratios, so machine-wide drift cancels
+instead of landing on whichever variant it happened to hit.
 
 Measured on both execution modes of every platform: the fast-forward
 engine amortises its emission checks per stretch, the cycle-stepped
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import statistics
 import sys
 import time
 from unittest import mock
@@ -67,17 +73,19 @@ FAIL_THRESHOLD = 0.05
 #: batched delivery path measures 3-9 % on a quiet machine; the gate
 #: roughly doubles the quiet ceiling for runner noise, the same margin
 #: the original 10 % gate gave the pre-translation-block cost of
-#: 2-5 %.  The windowed telemetry aggregator (``repro watch``) shares
-#: this ceiling.
+#: 2-5 %.
 SUBSCRIBED_THRESHOLD = 0.15
+
+#: Maximum tolerated slowdown with the windowed telemetry aggregator
+#: (``repro watch``) subscribed, against the traced bare run.
+WATCH_THRESHOLD = 0.05
 
 #: Window length used for the watch-subscribed stream: the production
 #: default of ``repro watch``.  The quick workload runs ~8.4-8.8 kcycle,
 #: so every timed run crosses one interior boundary plus the final
-#: emit — the flush-and-truncate boundary cost is in the timed region
-#: at exactly the rate a default watch pays it.  (Shorter windows
-#: flush more often *and* cut block fusion at every boundary, which
-#: gates a configuration ``repro watch`` does not ship.)
+#: emit — the snapshot cost and the block/trace budget cap at the edge
+#: are in the timed region at exactly the rate a default watch pays
+#: them.
 WATCH_WINDOW_CYCLES = DEFAULT_WINDOW_CYCLES
 
 
@@ -107,19 +115,18 @@ def _time_run(built, arch: str, fast_forward: bool, attach_bus: bool,
 
 
 def measure(built, arch: str, fast_forward: bool, repeats: int) -> dict:
-    """Min-of-stream timing of bare / matched / idle / subscribed / watch.
+    """Paired timing of bare / matched / idle / subscribed / watch.
 
-    ``bare`` is the untouched default configuration (idle-bus
+    ``bare`` is the untouched default configuration (idle and watch
     denominator); ``matched`` is bare with the loop-trace layer off
-    (subscribed/watch denominator — see the module docstring).  The
-    variants are sampled in strict rotation so machine-wide
-    throughput drift lands on every stream equally, and each stream is
-    summarised by its *minimum*: scheduler noise and frequency dips only
-    ever add time, so the fastest observed sample is the best estimate
-    of the true cost (the same reasoning as ``timeit``'s ``min``
-    recommendation).  This keeps the overhead ratio stable on shared
-    runners where median-of-stream estimates still swing by several
-    percent under sustained load from neighbours.
+    (subscribed denominator — see the module docstring).  Each round
+    samples every variant once, starting from a rotated position so
+    sustained frequency decay within a round does not systematically
+    tax whichever variant always samples last, and yields one ratio per
+    cell from its own samples.  A cell's overhead is the median of its
+    per-round ratios: drift between rounds divides out, and the median
+    ignores the rounds a neighbour's burst hit one side of a pair.
+    ``*_s`` report the fastest sample of each variant.
     """
     calibration = _time_run(built, arch, fast_forward, attach_bus=False,
                             subscribe=None, inner=1)
@@ -131,33 +138,23 @@ def measure(built, arch: str, fast_forward: bool, repeats: int) -> dict:
         "subscribed": dict(attach_bus=True, subscribe="metrics"),
         "watch": dict(attach_bus=True, subscribe="watch"),
     }
+    pairs = {"idle": "bare", "subscribed": "matched", "watch": "bare"}
     order = list(variants)
     streams = {name: [] for name in order}
     for repeat in range(repeats):
-        # Rotate the starting variant each round: sustained frequency
-        # decay within a round would otherwise systematically tax
-        # whichever stream always samples last.
         shift = repeat % len(order)
         for name in order[shift:] + order[:shift]:
             streams[name].append(_time_run(
                 built, arch, fast_forward, inner=inner, **variants[name]))
-    bare = min(streams["bare"])
-    matched = min(streams["matched"])
-    idle = min(streams["idle"])
-    subscribed = min(streams["subscribed"])
-    watch = min(streams["watch"])
-    return {
-        "arch": arch,
-        "mode": "fast-forward" if fast_forward else "exact",
-        "bare_s": bare,
-        "matched_s": matched,
-        "idle_s": idle,
-        "subscribed_s": subscribed,
-        "watch_s": watch,
-        "idle_overhead": idle / bare - 1.0,
-        "subscribed_overhead": subscribed / matched - 1.0,
-        "watch_overhead": watch / matched - 1.0,
-    }
+    row = {"arch": arch,
+           "mode": "fast-forward" if fast_forward else "exact"}
+    for name in order:
+        row[f"{name}_s"] = min(streams[name])
+    for name, base in pairs.items():
+        row[f"{name}_overhead"] = statistics.median(
+            sample / reference for sample, reference
+            in zip(streams[name], streams[base])) - 1.0
+    return row
 
 
 def verify_identity(built) -> list[str]:
@@ -230,13 +227,13 @@ def main(argv=None) -> int:
     # A cell over budget on a noisy runner gets one clean re-measurement
     # with doubled repeats before the verdict: failing CI then requires
     # two independent bad measurements of the same configuration.  The
-    # passes are merged field-wise by minimum — noise only ever inflates
-    # a ratio (the same reasoning as the per-stream min above), so the
-    # smaller of two independent estimates is the better one.
+    # passes are merged field-wise by minimum — noise inflates a ratio
+    # far more often than it deflates one, so the smaller of two
+    # independent estimates is the better one.
     def over_budget(row):
         return (row["idle_overhead"] > FAIL_THRESHOLD
                 or row["subscribed_overhead"] > SUBSCRIBED_THRESHOLD
-                or row["watch_overhead"] > SUBSCRIBED_THRESHOLD)
+                or row["watch_overhead"] > WATCH_THRESHOLD)
 
     for index, row in enumerate(rows):
         if over_budget(row):
@@ -282,11 +279,11 @@ def main(argv=None) -> int:
               f"{worst_sub['arch']} ({worst_sub['mode']}) exceeds the "
               f"{SUBSCRIBED_THRESHOLD:.0%} budget", file=sys.stderr)
         failed = True
-    if worst_watch["watch_overhead"] > SUBSCRIBED_THRESHOLD:
+    if worst_watch["watch_overhead"] > WATCH_THRESHOLD:
         print(f"FAIL: watch overhead "
               f"{worst_watch['watch_overhead']:.1%} on "
               f"{worst_watch['arch']} ({worst_watch['mode']}) exceeds the "
-              f"{SUBSCRIBED_THRESHOLD:.0%} budget", file=sys.stderr)
+              f"{WATCH_THRESHOLD:.0%} budget", file=sys.stderr)
         failed = True
     if failed:
         return 1

@@ -359,10 +359,6 @@ def cmd_watch(argv) -> int:
         help="node clock for the per-block deadline budget "
              "(default: 1e6)")
     parser.add_argument(
-        "--unbatched", action="store_true",
-        help="subscribe the aggregator per-event instead of via batch "
-             "drains (slower; windows are bit-identical either way)")
-    parser.add_argument(
         "--speedup-vs-exact", action="store_true",
         help="also time an uninstrumented exact-mode run of the same "
              "stream and record the wall-time ratio in the manifest")
@@ -392,7 +388,7 @@ def cmd_watch(argv) -> int:
         system = build_platform(arch, fast_forward=args.fast_forward)
         aggregator = WindowedAggregator.attach(
             system.probe_bus(), window_cycles=window,
-            batched=not args.unbatched, deadline_budget_cycles=budget)
+            deadline_budget_cycles=budget)
         last_paint = [0.0]
 
         def on_window(summary, arch=arch, aggregator=aggregator,
@@ -445,7 +441,6 @@ def cmd_watch(argv) -> int:
                 telemetry=aggregator.telemetry_block(),
                 wall_time_s=wall, speedup_vs_exact=speedup,
                 extra={"fast_forward": args.fast_forward,
-                       "batched": not args.unbatched,
                        "window_cycles": window,
                        "blocks": args.repeat,
                        "clock_hz": args.clock_hz,

@@ -28,12 +28,12 @@ measurement substrate.  It has four layers, each usable on its own:
   across git revisions (and within one revision, for nondeterminism)
   and render a pass/fail report — the engine behind ``repro regress``.
 * :mod:`repro.obs.telemetry` — **streaming telemetry**: a
-  :class:`~repro.obs.telemetry.WindowedAggregator` folds the probe
-  stream into fixed-cycle-window rolling summaries (per-core IPC,
-  stall/conflict/broadcast rates, lockstep fraction, deadline misses)
-  live during a run, with a merge operation combining N aggregators
-  into one fleet view — the engine behind ``repro watch`` and the
-  manifest ``telemetry`` block.
+  :class:`~repro.obs.telemetry.WindowedAggregator` turns the run
+  loops' window-edge counter snapshots into fixed-cycle-window rolling
+  summaries (per-core IPC, stall/conflict/broadcast rates, lockstep
+  fraction, deadline misses) live during a run, with a merge operation
+  combining N aggregators into one fleet view — the engine behind
+  ``repro watch`` and the manifest ``telemetry`` block.
 
 Nothing in this package imports :mod:`repro.platform`, so the platform
 modules can import the probe bus without cycles.

@@ -75,18 +75,25 @@ event              callback signature
                    newly translated) covering ``block_cycles`` cycles
 ``block.done``     ``(index, stats)`` — the streaming driver finished and
                    verified block ``index``
-``telemetry.window`` ``(end_cycle, final, sync_cycles, retired, stalls)`` —
+``telemetry.window`` ``(end_cycle, final, retired, stalls, totals)`` —
                    the run loop crossed a fixed-cycle telemetry window
                    boundary (see :attr:`ProbeBus.window_cycles`).
-                   ``end_cycle`` counts committed cycles, ``retired`` and
-                   ``stalls`` are per-core *cumulative* tuples and
-                   ``sync_cycles`` the cumulative lockstep-cycle count at
-                   the boundary; ``final`` marks the end-of-run flush
-                   (possibly a partial window).  Both execution paths
-                   ``flush()`` the bus immediately before emitting it, so
-                   no batched ring ever spans a window boundary — the
-                   invariant :mod:`repro.obs.telemetry` builds on.
+                   ``end_cycle`` counts committed cycles; ``retired``
+                   and ``stalls`` are per-core tuples and ``totals`` the
+                   platform-wide counters in :data:`WINDOW_TOTALS`
+                   order, all *cumulative* snapshots of the simulator's
+                   own counters at the boundary, so a window is the
+                   difference of two snapshots.  ``final`` marks the
+                   end of the run (possibly a partial window).  With a
+                   per-event subscriber attached the loops ``flush()``
+                   the bus first, so no batched ring spans a boundary.
 =================  ============================================================
+
+``telemetry.window`` and ``block.done`` are *snapshot* events
+(:data:`SNAPSHOT_EVENTS`): their payloads are counters the simulator
+keeps anyway.  A bus whose subscribers all listen to snapshot events
+only is not :attr:`~ProbeBus.observed`, and the run loops then take the
+same paths as an unobserved run — loop traces included.
 """
 
 from __future__ import annotations
@@ -112,6 +119,18 @@ EVENTS = frozenset({
     "block.done",
     "telemetry.window",
 })
+
+#: Events carrying run-level counter snapshots rather than per-cycle
+#: occurrences; subscribing to them does not make a run observed.
+SNAPSHOT_EVENTS = frozenset({"block.done", "telemetry.window"})
+
+#: The platform-wide cumulative counters of a ``telemetry.window``
+#: payload's ``totals`` tuple, in order.
+WINDOW_TOTALS = (
+    "ixbar_conflicts", "dxbar_conflicts", "im_broadcasts", "dm_broadcasts",
+    "im_broadcast_savings", "dm_broadcast_savings", "mmu_private",
+    "mmu_shared", "sync_cycles",
+)
 
 #: Bits reserved for the PC in the packed ``(cycle, pc)`` encoding of
 #: the ``core.retire``/``core.stall`` ring buffers.  26 bits cover any
@@ -314,12 +333,12 @@ class ProbeBus:
         self._sample_seen: dict[str, int] = {}
         #: Telemetry window length in cycles (0 = windowing off).  Set
         #: by a :class:`~repro.obs.telemetry.WindowedAggregator` before
-        #: the run; the run loops emit ``telemetry.window`` (preceded by
-        #: a :meth:`flush`) every time the committed-cycle count crosses
-        #: a multiple of this value, and once more at the end of a run.
+        #: the run; the run loops emit ``telemetry.window`` every time
+        #: the committed-cycle count reaches a multiple of this value,
+        #: and once more at the end of a run.
         self.window_cycles = 0
         #: Current 0-based cycle, maintained by the emitting run loop
-        #: while any subscriber is attached.  Lets hooks that fire from
+        #: while the bus is :attr:`observed`.  Lets hooks that fire from
         #: deeper components (crossbars, MMUs) timestamp their events
         #: without threading the cycle through every call.
         self.now = 0
@@ -330,6 +349,13 @@ class ProbeBus:
     def active(self) -> bool:
         """True when at least one subscriber is attached."""
         return bool(self._subscribers) or bool(self._batch_subscribers)
+
+    @property
+    def observed(self) -> bool:
+        """True when a subscriber needs per-event delivery, i.e. listens
+        to anything beyond :data:`SNAPSHOT_EVENTS`."""
+        return bool(self._batch_subscribers) or any(
+            event not in SNAPSHOT_EVENTS for event in self._subscribers)
 
     def wants(self, event: str) -> bool:
         """True when ``event`` has at least one subscriber."""

@@ -3,35 +3,34 @@
 The probe bus (:mod:`repro.obs.probes`) made instrumentation cheap
 enough to leave on, but every consumer so far is post-hoc: metrics,
 traces and manifests are inspected after a run ends.  This module adds
-the *live* layer: a :class:`WindowedAggregator` folds the probe stream
-into fixed-cycle-window rolling summaries (:class:`WindowSummary`) while
-the simulation runs — per-core IPC and stall counts, fleet retire /
-stall / crossbar-conflict / broadcast / MMU-mix rates, lockstep
-fraction, plus streaming-mode block throughput and deadline misses.
-``repro watch`` renders these live; run manifests embed them as the
-``telemetry`` block (schema ``repro-manifest/2``); and
-:meth:`WindowedAggregator.merge` combines the per-window summaries of N
-aggregators (future simulation-farm shards) into one fleet view.
+the *live* layer: a :class:`WindowedAggregator` turns the run loops'
+window-edge counter snapshots into fixed-cycle-window rolling summaries
+(:class:`WindowSummary`) while the simulation runs — per-core IPC and
+stall counts, fleet retire / stall / crossbar-conflict / broadcast /
+MMU-mix rates, lockstep fraction, plus streaming-mode block throughput
+and deadline misses.  ``repro watch`` renders these live; run manifests
+embed them as the ``telemetry`` block (schema ``repro-manifest/2``);
+and :meth:`WindowedAggregator.merge` combines the per-window summaries
+of N aggregators (simulation-farm shards) into one fleet view.
 
-Determinism contract (test-enforced in ``tests/obs/test_telemetry.py``):
-window summaries are **bit-identical** across the exact, fast-forward
-and translation-block execution modes and across batched / per-event
-probe delivery.  Two mechanisms make that hold:
+Every window is the difference of two cumulative snapshots.  At each
+multiple of :attr:`ProbeBus.window_cycles` committed cycles (and once
+more, flagged ``final``, at the end of the run) both run loops emit
+``telemetry.window`` carrying the simulator's own cumulative counters:
+per-core retired/stall counts, lockstep cycles, crossbar conflicts and
+broadcasts, and the MMU access mix (the fast-forward engine adds its
+not-yet-written-back stretch counters).  The aggregator subscribes to
+no per-cycle event, so an aggregated run is not *observed*
+(:attr:`ProbeBus.observed`): it runs the same blocks and loop traces as
+an unobserved one, with block and trace budgets capped at the next
+window edge so every edge is hit exactly.
 
-* Both run loops emit ``telemetry.window`` exactly when the
-  committed-cycle count crosses a multiple of
-  :attr:`ProbeBus.window_cycles` (and once more, flagged ``final``, at
-  the end of the run), carrying cumulative per-core retired/stall
-  snapshots and the cumulative lockstep-cycle count — architectural
-  quantities that are identical across modes after every cycle.  The
-  fast-forward engine declines to enter a translation block that would
-  commit past the next boundary (the per-cycle path covers the
-  remainder), so boundaries are always hit exactly.
-* Every boundary emission is preceded by a bus ``flush()``, so no
-  batched ring ever spans a boundary.  The aggregator can therefore
-  attribute *everything* — including the width/private ring columns
-  that carry no cycle number — to the currently open window, in both
-  delivery modes, without unpacking cycles at all.
+Determinism contract (test-enforced in ``tests/obs/test_telemetry.py``
+and ``tests/obs/test_window_oracle.py``): the counters are
+architectural quantities, identical across the exact, fast-forward,
+translation-block and loop-trace execution paths after every cycle, so
+window summaries are **bit-identical** across them — and equal to a
+fold of the per-event probe stream over the same windows.
 """
 
 from __future__ import annotations
@@ -41,11 +40,12 @@ from dataclasses import dataclass, fields
 
 from repro.errors import ConfigurationError
 from repro.obs.manifest import stats_digest
+from repro.obs.probes import WINDOW_TOTALS
 
 #: Default telemetry window length.  Small enough for a responsive live
 #: view of the ECG workload (dozens of windows per block), large enough
-#: that every translation block fits inside one window and the
-#: per-boundary flush cost vanishes.
+#: that capping block and trace budgets at window edges costs nothing
+#: measurable.
 DEFAULT_WINDOW_CYCLES = 8192
 
 #: Schema tag of the ``telemetry`` manifest block.
@@ -54,11 +54,7 @@ TELEMETRY_SCHEMA = "telemetry/1"
 #: Integer counter fields of :class:`WindowSummary`, in declaration
 #: order — the fields :meth:`WindowSummary.combine` sums and
 #: :meth:`WindowedAggregator.totals` accumulates.
-COUNTER_FIELDS = (
-    "retired", "stalls", "ixbar_conflicts", "dxbar_conflicts",
-    "im_broadcasts", "dm_broadcasts", "im_broadcast_savings",
-    "dm_broadcast_savings", "mmu_private", "mmu_shared", "sync_cycles",
-)
+COUNTER_FIELDS = ("retired", "stalls") + WINDOW_TOTALS
 
 
 def percentile(values, fraction: float):
@@ -242,7 +238,7 @@ def summaries_digest(summaries) -> str:
 
 
 class WindowedAggregator:
-    """Bus subscriber folding probe events into rolling window summaries.
+    """Bus subscriber turning window-edge snapshots into summaries.
 
     Usage mirrors :class:`~repro.obs.metrics.ProbeMetrics`::
 
@@ -251,11 +247,9 @@ class WindowedAggregator:
         windows = telemetry.finish()      # list[WindowSummary]
         print(telemetry.fleet_summary())
 
-    ``batched=True`` (default) consumes the typed ring buffers in bulk —
-    each drain costs one length/sum per flush, keeping the
-    watch-subscribed overhead inside the subscribed-cost CI budget
-    (``bench_obs_overhead.py`` gates it).  ``batched=False`` counts one
-    callback per occurrence; both modes produce bit-identical windows.
+    It subscribes to the snapshot events only (``telemetry.window``,
+    ``block.done``), so attaching it leaves the run on its unobserved
+    paths (see the module docstring).
 
     Live consumers append a callback to :attr:`listeners`; it fires with
     each :class:`WindowSummary` the moment its window closes (from
@@ -280,137 +274,46 @@ class WindowedAggregator:
         self.blocks_done = 0
         self.block_cycles: list[int] = []
         self.deadline_misses = 0
-        # open-window accumulators (reset on every window close)
-        self._w = dict.fromkeys(COUNTER_FIELDS[:-1], 0)  # sync via snapshot
-        # boundary-snapshot bases (cumulative values at the last boundary)
-        self._base_retired: tuple | None = None
-        self._base_stalls: tuple | None = None
-        self._base_sync = 0
+        # The snapshot at the last boundary of the current run
+        # ``(retired, stalls, totals)``; None at a run's start, where
+        # every counter is zero.
+        self._base = None
         self._prev_end = 0      # run-relative cycle of the last boundary
         self._offset = 0        # stream offset of finished runs
         self._bus = None
-        self._batched = False
 
     # -- wiring ------------------------------------------------------------
 
     @classmethod
     def attach(cls, bus, window_cycles: int = DEFAULT_WINDOW_CYCLES,
-               batched: bool = True,
                deadline_budget_cycles: float | None = None) \
             -> "WindowedAggregator":
         aggregator = cls(window_cycles,
                          deadline_budget_cycles=deadline_budget_cycles)
-        aggregator.subscribe(bus, batched=batched)
+        aggregator.subscribe(bus)
         return aggregator
 
-    def subscribe(self, bus, batched: bool = True) -> None:
+    def subscribe(self, bus) -> None:
         self._bus = bus
-        self._batched = batched
         bus.window_cycles = self.window_cycles
-        self._handlers = {
-            "telemetry.window": self._on_window,
-            "block.done": self._on_block,
-        }
-        if batched:
-            self._batch_handlers = {
-                "core.retire": self._drain_retired,
-                "core.stall": self._drain_stalls,
-                "ixbar.conflict": self._drain_ixbar,
-                "dxbar.conflict": self._drain_dxbar,
-                "im.broadcast": self._drain_im_broadcast,
-                "dm.broadcast": self._drain_dm_broadcast,
-                "mmu.translate": self._drain_translate,
-            }
-            for event, drain in self._batch_handlers.items():
-                bus.subscribe_batch(event, drain)
-        else:
-            self._batch_handlers = {}
-            self._handlers.update({
-                "core.retire": self._on_retire,
-                "core.stall": self._on_stall,
-                "ixbar.conflict": self._on_ixbar,
-                "dxbar.conflict": self._on_dxbar,
-                "im.broadcast": self._on_im_broadcast,
-                "dm.broadcast": self._on_dm_broadcast,
-                "mmu.translate": self._on_translate,
-            })
-        for event, handler in self._handlers.items():
-            bus.subscribe(event, handler)
+        bus.subscribe("telemetry.window", self._on_window)
+        bus.subscribe("block.done", self._on_block)
 
     def detach(self) -> None:
         if self._bus is None:
             return
-        for event, handler in self._handlers.items():
-            self._bus.unsubscribe(event, handler)
-        for event, drain in self._batch_handlers.items():
-            self._bus.unsubscribe_batch(event, drain)
+        self._bus.unsubscribe("telemetry.window", self._on_window)
+        self._bus.unsubscribe("block.done", self._on_block)
         self._bus.window_cycles = 0
         self._bus = None
 
     def finish(self) -> list[WindowSummary]:
         """The closed windows (the run loops close the final partial
-        window themselves via the ``final`` boundary, so unlike
-        :meth:`ProbeMetrics.finish` there is usually nothing left to
-        fold — this exists for symmetry and for aborted runs)."""
-        if self._batched and self._bus is not None:
-            self._bus.flush()
+        window themselves via the ``final`` boundary; this exists for
+        symmetry with :meth:`ProbeMetrics.finish`)."""
         return self.windows
 
-    # -- batched drains ----------------------------------------------------
-
-    def _drain_retired(self, ring) -> None:
-        self._w["retired"] += ring.occurrence_count()
-
-    def _drain_stalls(self, ring) -> None:
-        self._w["stalls"] += ring.occurrence_count()
-
-    def _drain_ixbar(self, ring) -> None:
-        self._w["ixbar_conflicts"] += len(ring.data)
-
-    def _drain_dxbar(self, ring) -> None:
-        self._w["dxbar_conflicts"] += len(ring.data)
-
-    def _drain_im_broadcast(self, ring) -> None:
-        count = len(ring.data)
-        self._w["im_broadcasts"] += count
-        self._w["im_broadcast_savings"] += sum(ring.data) - count
-
-    def _drain_dm_broadcast(self, ring) -> None:
-        count = len(ring.data)
-        self._w["dm_broadcasts"] += count
-        self._w["dm_broadcast_savings"] += sum(ring.data) - count
-
-    def _drain_translate(self, ring) -> None:
-        private = sum(ring.data)
-        self._w["mmu_private"] += private
-        self._w["mmu_shared"] += len(ring.data) - private
-
-    # -- per-event handlers (batched=False) --------------------------------
-
-    def _on_retire(self, cycle, pid, pc) -> None:
-        self._w["retired"] += 1
-
-    def _on_stall(self, cycle, pid, pc) -> None:
-        self._w["stalls"] += 1
-
-    def _on_ixbar(self, cycle, bank, masters) -> None:
-        self._w["ixbar_conflicts"] += 1
-
-    def _on_dxbar(self, cycle, bank, masters) -> None:
-        self._w["dxbar_conflicts"] += 1
-
-    def _on_im_broadcast(self, cycle, bank, width) -> None:
-        self._w["im_broadcasts"] += 1
-        self._w["im_broadcast_savings"] += width - 1
-
-    def _on_dm_broadcast(self, cycle, bank, width) -> None:
-        self._w["dm_broadcasts"] += 1
-        self._w["dm_broadcast_savings"] += width - 1
-
-    def _on_translate(self, cycle, pid, logical, bank, offset,
-                      private) -> None:
-        key = "mmu_private" if private else "mmu_shared"
-        self._w[key] += 1
+    # -- events ------------------------------------------------------------
 
     def _on_block(self, index, stats) -> None:
         self.blocks_done += 1
@@ -419,43 +322,39 @@ class WindowedAggregator:
         if budget is not None and stats.total_cycles > budget:
             self.deadline_misses += 1
 
-    # -- window boundaries -------------------------------------------------
-
-    def _on_window(self, end_cycle, final, sync_cycles, retired,
-                   stalls) -> None:
+    def _on_window(self, end_cycle, final, retired, stalls, totals) -> None:
         start = self._prev_end
         if end_cycle > start:
-            base_retired = self._base_retired or (0,) * len(retired)
-            base_stalls = self._base_stalls or (0,) * len(stalls)
+            base_retired, base_stalls, base_totals = self._base or (
+                (0,) * len(retired), (0,) * len(stalls), (0,) * len(totals))
+            core_retired = tuple(
+                now - base for now, base in zip(retired, base_retired))
+            core_stalls = tuple(
+                now - base for now, base in zip(stalls, base_stalls))
+            counters = (now - base for now, base in zip(totals, base_totals))
             summary = WindowSummary(
                 index=len(self.windows),
                 start_cycle=self._offset + start,
                 end_cycle=self._offset + end_cycle,
                 final=final,
-                core_retired=tuple(
-                    now - base for now, base in zip(retired, base_retired)),
-                core_stalls=tuple(
-                    now - base for now, base in zip(stalls, base_stalls)),
-                sync_cycles=sync_cycles - self._base_sync,
-                **self._w)
+                retired=sum(core_retired),
+                stalls=sum(core_stalls),
+                core_retired=core_retired,
+                core_stalls=core_stalls,
+                **dict(zip(WINDOW_TOTALS, counters)))
             self.windows.append(summary)
-            self._w = dict.fromkeys(self._w, 0)
             for listener in self.listeners:
                 listener(summary)
         if final:
             # End of one run: the next run's cycle count and cumulative
             # snapshots restart from zero (streaming re-loads the
-            # machine), so shift the stream offset and drop the bases.
+            # machine), so shift the stream offset and drop the base.
             self._offset += end_cycle
             self._prev_end = 0
-            self._base_retired = None
-            self._base_stalls = None
-            self._base_sync = 0
+            self._base = None
         else:
             self._prev_end = end_cycle
-            self._base_retired = tuple(retired)
-            self._base_stalls = tuple(stalls)
-            self._base_sync = sync_cycles
+            self._base = (retired, stalls, totals)
 
     # -- reductions --------------------------------------------------------
 

@@ -154,9 +154,11 @@ class FastForwardEngine:
         self.block_cycles = 0
         self.block_conflicts = 0
         # ---- loop-trace layer (cycles in the block graph) ----
-        # Traces only ever run unobserved (probed runs keep the
-        # per-cycle-shaped event synthesis of the block/cycle paths),
-        # but their state lives here so profile data survives stretches.
+        # Traces run whenever no per-event subscriber is attached (those
+        # keep the per-cycle-shaped event synthesis of the block/cycle
+        # paths; telemetry windows only cap trace budgets at window
+        # edges).  Their state lives here so profile data survives
+        # stretches.
         self._traces = LOOP_TRACES
         self._trace_recs: dict[int, list] = {}
         self._trace_tried: set[int] = set()
@@ -439,26 +441,18 @@ class FastForwardEngine:
         # Observability: per-cycle events are synthesised here so a
         # probed run sees the identical event stream in either execution
         # mode (the trace/metric differential tests enforce this).  All
-        # flags are hoisted once per stretch; unprobed runs pay only
-        # these local-boolean checks.  Hot events take the raw-append
-        # ring fast path (ap_* bound list.append) when the bus grants
-        # it, per-event emit otherwise.
+        # flags are hoisted once per stretch; runs without a per-event
+        # subscriber pay only these local-boolean checks.  Hot events
+        # take the raw-append ring fast path (ap_* bound list.append)
+        # when the bus grants it, per-event emit otherwise.
         bus = system.probes
-        observing = bus is not None and bus.active
+        observing = bus is not None and bus.observed
         p_retire = observing and bus.wants("core.retire")
         p_mmu = observing and bus.wants("mmu.translate")
         p_im_bc = observing and bus.wants("im.broadcast")
         p_dm_bc = observing and bus.wants("dm.broadcast")
         p_ff = observing and bus.wants("ff.exit")
         p_ffb = observing and bus.wants("ff.block")
-        # Telemetry windowing: same boundary protocol as the exact loop
-        # (flush, then emit the snapshot).  The block path additionally
-        # refuses to enter a block that would commit past the next
-        # boundary — the observed block variant is single-pass
-        # (j <= rec[1]), so the gate guarantees boundaries are hit
-        # exactly, never jumped over.
-        win = bus.window_cycles if observing else 0
-        p_win = win > 0 and bus.wants("telemetry.window")
         ap_retire = ap_mmu = ap_im_bc = ap_dm_bc = mmu_data = None
         emit = bus.emit if observing else None
         mk_retire = rt_data = rt_ring = im_bc_data = None
@@ -508,8 +502,9 @@ class FastForwardEngine:
         blocks_static = self._blocks_static
         block_recs = self._block_recs
         # Loop-trace locals.  Profiling (successor edges, per-PC entry
-        # counts) and trace execution are both unobserved-only: probed
-        # runs must keep synthesising the per-cycle event stream.
+        # counts) and trace execution run whenever no per-event
+        # subscriber is attached: those must keep receiving the
+        # per-cycle event stream.
         profiling = blocks_any and self._traces and not observing
         trace_recs = self._trace_recs
         succ = self._succ
@@ -536,6 +531,17 @@ class FastForwardEngine:
         run_cores = [cores[pid] for pid in run_list]
         limit = max_cycles if barrier is None \
             else (barrier if barrier < max_cycles else max_cycles)
+        # Telemetry windowing: every commit path that reaches ``edge``,
+        # the next multiple of ``win``, emits the boundary snapshot.
+        # Block and trace budgets are capped at it (``cap``), so an edge
+        # is always hit exactly, never jumped over.
+        win = bus.window_cycles if bus is not None else 0
+        edge = -1
+        cap = limit
+        if win and bus.wants("telemetry.window"):
+            edge = cycle - cycle % win + win
+            if edge < cap:
+                cap = edge
         try:
             while run_list:
                 if barrier is not None and cycle >= barrier:
@@ -580,12 +586,12 @@ class FastForwardEngine:
                         trace_skip = -1
                         trec = trace_recs.get(first_pc)
                         if trec is not None \
-                                and cycle + trec[1] <= limit:
+                                and cycle + trec[1] <= cap:
                             self.trace_entries += 1
                             trec[4] += 1
                             j = trec[0](run_cores, mmu_t, mmu_p, mmu_s,
                                         dlast, dtrans, bacc,
-                                        limit - cycle)
+                                        cap - cycle)
                             if j:
                                 cycle += j
                                 self.fast_cycles += j
@@ -639,6 +645,14 @@ class FastForwardEngine:
                                         if delta:
                                             itrans[pid] += delta
                                         ilast[pid] = fbl
+                                if cycle == edge:
+                                    system._emit_window(
+                                        bus, cycle, False, sync_cycles,
+                                        core_stats, im_bc, im_sv,
+                                        dm_bc + bacc[2], dm_sv + bacc[3],
+                                        mmu_p, mmu_s)
+                                    edge += win
+                                    cap = edge if edge < limit else limit
                                 succ_pc = -1
                                 trace_skip = first_pc
                                 continue
@@ -653,10 +667,7 @@ class FastForwardEngine:
                         rec = block_recs.get(first_pc, _UNSET)
                         if rec is _UNSET:
                             rec = self._block_record(first_pc)
-                        if rec is not None \
-                                and cycle + rec[1] <= limit \
-                                and (not p_win
-                                     or cycle % win + rec[1] <= win):
+                        if rec is not None and cycle + rec[1] <= cap:
                             # rec = (block, total, run_fast, run_obs,
                             #        handlers, fb_seq, fb_cum, halts)
                             self.block_entries += 1
@@ -683,7 +694,7 @@ class FastForwardEngine:
                                     j = rec[2](run_cores, mmu_t, mmu_p,
                                                mmu_s, dlast, dtrans,
                                                bacc,
-                                               limit - cycle)
+                                               cap - cycle)
                             except SimulationError as exc:
                                 # Address fault at block offset
                                 # bacc[6]: the generated code already
@@ -784,19 +795,19 @@ class FastForwardEngine:
                                     seg_stride = 0
                             if raise_exc is not None:
                                 raise raise_exc
-                            if j and p_win and not cycle % win:
-                                # Block ended exactly on a boundary
-                                # (the entry gate excludes crossings).
-                                # Emit here, before any conflict return
-                                # hands control back to the exact loop.
-                                bus.flush()
-                                seg_stride = 0
-                                bus.emit("telemetry.window", cycle,
-                                         False, sync_cycles,
-                                         tuple(core.retired
-                                               for core in cores),
-                                         tuple(cs.stall_cycles
-                                               for cs in core_stats))
+                            if cycle == edge:
+                                # Emit before any conflict return hands
+                                # control back to the exact loop.
+                                if observing:
+                                    bus.flush()
+                                    seg_stride = 0
+                                system._emit_window(
+                                    bus, cycle, False, sync_cycles,
+                                    core_stats, im_bc, im_sv,
+                                    dm_bc + bacc[2], dm_sv + bacc[3],
+                                    mmu_p, mmu_s)
+                                edge += win
+                                cap = edge if edge < limit else limit
                             conflict_at = bacc[7]
                             if conflict_at >= 0:
                                 # Potential bank conflict at that block
@@ -1090,12 +1101,16 @@ class FastForwardEngine:
                     run_list = [pid for pid in run_list
                                 if not cores[pid].halted]
                     run_cores = [cores[pid] for pid in run_list]
-                if p_win and not cycle % win:
-                    bus.flush()
-                    seg_stride = 0
-                    bus.emit("telemetry.window", cycle, False, sync_cycles,
-                             tuple(core.retired for core in cores),
-                             tuple(cs.stall_cycles for cs in core_stats))
+                if cycle == edge:
+                    if observing:
+                        bus.flush()
+                        seg_stride = 0
+                    system._emit_window(
+                        bus, cycle, False, sync_cycles, core_stats,
+                        im_bc, im_sv, dm_bc + bacc[2], dm_sv + bacc[3],
+                        mmu_p, mmu_s)
+                    edge += win
+                    cap = edge if edge < limit else limit
             return cycle, sync_cycles
         finally:
             # Fold the generated blocks' accumulator array into the

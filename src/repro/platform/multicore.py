@@ -365,7 +365,8 @@ class MultiCoreSystem:
 
         engine = self._ff_engine
 
-        # Observability wiring.  With no subscriber (the common case)
+        # Observability wiring.  With no per-event subscriber (the
+        # common case; telemetry windows only read counter snapshots)
         # this costs one attribute load and the per-cycle/per-event
         # local-boolean checks below — measured <2 % end-to-end by
         # benchmarks/bench_obs_overhead.py.  For each hot event the bus
@@ -386,8 +387,8 @@ class MultiCoreSystem:
         # stretch (which writes its own marks) moves the clock past
         # them.
         bus = self.probes
-        observing = bus is not None and bus.active
-        p_retire = p_stall = p_win = hooked_mmus = False
+        observing = bus is not None and bus.observed
+        p_retire = p_stall = hooked_mmus = False
         ap_retire = ap_stall = mk_retire = mk_stall = None
         rt_ring = st_ring = rt_data = st_data = None
         rt_open = rt_next = st_open = st_next = -1
@@ -395,16 +396,14 @@ class MultiCoreSystem:
         n_retire = n_stall = 0  # this lockstep cycle's run-length counts
         rt_rle = st_rle = False
         now = sync_pc = 0
-        win = 0
+        # Telemetry windowing (repro.obs.telemetry): at every multiple
+        # of ``win`` committed cycles emit a snapshot of the cumulative
+        # counters; the fast-forward engine emits the edges it commits.
+        win = bus.window_cycles if bus is not None else 0
+        p_win = win > 0 and bus.wants("telemetry.window")
         if observing:
             p_retire = bus.wants("core.retire")
             p_stall = bus.wants("core.stall")
-            # Telemetry windowing (repro.obs.telemetry): cross a
-            # boundary -> flush the rings (so no batch spans it), then
-            # emit the boundary snapshot.  Both conditions hoisted; the
-            # fast-forward engine applies the same protocol.
-            win = bus.window_cycles
-            p_win = win > 0 and bus.wants("telemetry.window")
             if p_retire:
                 ring = bus.batch("core.retire")
                 if ring is not None:
@@ -541,8 +540,8 @@ class MultiCoreSystem:
                 for pid in running:
                     if stuck and pid in stuck:
                         # Clock-stuck: the core holds its state, issues
-                        # nothing, and stalls (never a lockstep member).
-                        core_stats[pid].stall_cycles += 1
+                        # nothing, and stalls (never a lockstep member;
+                        # the commit phase counts the stall).
                         sync = False
                         continue
                     core = cores[pid]
@@ -618,9 +617,21 @@ class MultiCoreSystem:
 
                 halted_now = None
                 for pid in running:
-                    if stuck and pid in stuck:
-                        continue
                     mask = pending[pid]
+                    if stuck and pid in stuck:
+                        # Stalled on its in-flight instruction, or on the
+                        # one at its PC (no lockstep cycle: stride-0 mark).
+                        core_stats[pid].stall_cycles += 1
+                        if p_stall:
+                            pc = fetch_pc[pid] if mask else cores[pid].pc
+                            if ap_stall is not None:
+                                if st_open != now:
+                                    mk_stall((now, len(st_data), 0))
+                                    st_open = now
+                                ap_stall(pc)
+                            else:
+                                bus.emit("core.stall", now, pid, pc)
+                        continue
                     port = pid + pid
                     if mask & PEND_IF and i_granted[port]:
                         mask ^= PEND_IF
@@ -696,11 +707,11 @@ class MultiCoreSystem:
                         f"sync watchdog: no core retired for {watchdog} "
                         f"cycles (cycle {cycle}) on {self.config.name}")
                 if p_win and not cycle % win:
-                    bus.flush()
-                    rt_open = rt_next = st_open = st_next = -1
-                    bus.emit("telemetry.window", cycle, False, sync_cycles,
-                             tuple(core.retired for core in cores),
-                             tuple(cs.stall_cycles for cs in core_stats))
+                    if observing:
+                        bus.flush()
+                        rt_open = rt_next = st_open = st_next = -1
+                    self._emit_window(bus, cycle, False, sync_cycles,
+                                      core_stats)
         finally:
             self._dreads_committed += dreads
             self._dwrites_committed += dwrites
@@ -726,15 +737,36 @@ class MultiCoreSystem:
         if p_win:
             # Final (possibly partial) window; doubles as the run
             # separator for streaming consumers.  The finally block
-            # above already flushed, so every ring event precedes it.
-            bus.emit("telemetry.window", cycle, True, sync_cycles,
-                     tuple(core.retired for core in cores),
-                     tuple(cs.stall_cycles for cs in core_stats))
+            # above already flushed any rings, so every ring event
+            # precedes it.
+            self._emit_window(bus, cycle, True, sync_cycles, core_stats)
         return SimulationResult(
             benchmark=self.benchmark,
             stats=self._collect_stats(cycle, sync_cycles, core_stats),
             system=self,
         )
+
+    def _emit_window(self, bus, cycle, final, sync_cycles, core_stats,
+                     im_bc=0, im_sv=0, dm_bc=0, dm_sv=0, mmu_p=(),
+                     mmu_s=()) -> None:
+        """Emit ``telemetry.window`` with cumulative counter snapshots.
+
+        The fast-forward engine passes the stretch counters it has not
+        written back to the crossbars and MMUs yet (it never commits a
+        conflict, so it keeps no pending conflict count).
+        """
+        ix, dx = self.ixbar.stats, self.dxbar.stats
+        mmus = self.mmus
+        bus.emit("telemetry.window", cycle, final,
+                 tuple(core.retired for core in self.cores),
+                 tuple(cs.stall_cycles for cs in core_stats),
+                 (ix.conflict_events, dx.conflict_events,
+                  ix.broadcasts + im_bc, dx.broadcasts + dm_bc,
+                  ix.broadcast_savings + im_sv,
+                  dx.broadcast_savings + dm_sv,
+                  sum(m.private_accesses for m in mmus) + sum(mmu_p),
+                  sum(m.shared_accesses for m in mmus) + sum(mmu_s),
+                  sync_cycles))
 
     def _collect_stats(self, cycles: int, sync_cycles: int,
                        core_stats: list[CoreStats]) -> SimulationStats:

@@ -36,6 +36,18 @@ class TestBusMechanics:
         bus.unsubscribe("core.retire", handler)
         assert not bus.active
 
+    def test_observed_ignores_snapshot_subscribers(self):
+        bus = ProbeBus()
+        for event in ("telemetry.window", "block.done"):
+            bus.subscribe(event, lambda *a: None)
+        assert bus.active and not bus.observed
+        drain = bus.subscribe_batch("mmu.translate", lambda ring: None)
+        assert bus.observed
+        bus.unsubscribe_batch("mmu.translate", drain)
+        assert not bus.observed
+        bus.subscribe("ff.exit", lambda *a: None)
+        assert bus.observed
+
     def test_emit_order_and_args(self):
         bus = ProbeBus()
         seen = []

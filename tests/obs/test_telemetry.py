@@ -4,16 +4,18 @@ The aggregator's whole value rests on two contracts (see the module
 docstring of :mod:`repro.obs.telemetry`):
 
 * **Bit identity** — the per-window summary stream is identical across
-  the exact, fast-forward and translation-block execution modes and
-  across batched / per-event probe delivery.  Six run configurations
-  per platform, one digest.
+  the exact, fast-forward and translation-block execution modes, with
+  loop traces on and off.  Six run configurations per platform, one
+  digest (``test_window_oracle.py`` also pins it to a fold of the
+  per-event stream).
 * **Partition, not resample** — summing the windows reproduces the
   whole-run totals exactly: the metrics-registry counters, the
   :class:`~repro.platform.stats.SimulationStats` fields and the
   per-core retire/stall counts.
 
-Plus the fleet-merge algebra, the streaming offsets/deadline
-accounting, and the small pure helpers.
+Plus the engine contract that makes watching cheap (windows keep loop
+traces, per-event subscribers do not), the fleet-merge algebra, the
+streaming offsets/deadline accounting, and the small pure helpers.
 """
 
 from unittest import mock
@@ -46,12 +48,31 @@ def built():
                                          huffman_private=True))
 
 
-def _run(built, arch, batched=True, window=WINDOW, fast_forward=False,
-         blocks=True):
+@pytest.fixture(scope="module")
+def stream():
+    """A watched 3-block fast-forward stream: (aggregator, report)."""
+    from repro.kernels.benchmark import build_block_series
+    from repro.platform.streaming import run_stream
+
+    spec = BenchmarkSpec(n_samples=64, n_measurements=32,
+                         huffman_private=True)
+    series = build_block_series(spec, n_blocks=3)
+    system = build_platform("ulpmc-bank", fast_forward=True)
+    aggregator = WindowedAggregator.attach(
+        system.probe_bus(), window_cycles=WINDOW,
+        deadline_budget_cycles=1.0)  # everything misses
+    report = run_stream("ulpmc-bank", series, clock_hz=1e6, system=system)
+    aggregator.detach()
+    return aggregator, report
+
+
+def _run(built, arch, window=WINDOW, fast_forward=False, blocks=True,
+         traces=True):
     system = build_platform(arch, fast_forward=fast_forward)
     aggregator = WindowedAggregator.attach(
-        system.probe_bus(), window_cycles=window, batched=batched)
-    with mock.patch.object(ff_engine, "TRANSLATION_BLOCKS", blocks):
+        system.probe_bus(), window_cycles=window)
+    with mock.patch.object(ff_engine, "TRANSLATION_BLOCKS", blocks), \
+            mock.patch.object(ff_engine, "LOOP_TRACES", traces):
         result = system.run(built.benchmark)
     aggregator.detach()
     return aggregator, result
@@ -59,16 +80,15 @@ def _run(built, arch, batched=True, window=WINDOW, fast_forward=False,
 
 class TestBitIdentity:
     @pytest.mark.parametrize("arch", ["mc-ref", "ulpmc-int", "ulpmc-bank"])
-    def test_windows_identical_across_modes_and_delivery(self, built, arch):
+    def test_windows_identical_across_modes_and_traces(self, built, arch):
         digests = {}
         for label, (fast_forward, blocks) in MODES.items():
-            for batched in (True, False):
-                aggregator, _ = _run(built, arch, batched=batched,
-                                     fast_forward=fast_forward,
-                                     blocks=blocks)
+            for traces in (True, False):
+                aggregator, _ = _run(built, arch, fast_forward=fast_forward,
+                                     blocks=blocks, traces=traces)
                 assert len(aggregator.windows) > 1, \
                     "identity would be vacuous with <2 windows"
-                digests[(label, batched)] = aggregator.digest()
+                digests[(label, traces)] = aggregator.digest()
         assert len(set(digests.values())) == 1, digests
 
     def test_boundaries_exact_and_final_flagged(self, built):
@@ -81,6 +101,24 @@ class TestBitIdentity:
         assert windows[-1].final
         assert windows[-1].end_cycle == result.stats.total_cycles
         assert [w.index for w in windows] == list(range(len(windows)))
+
+
+class TestEngineTiers:
+    """Windows read counter snapshots, so watching keeps loop traces;
+    a per-event subscriber still gets the trace-free engine paths."""
+
+    def test_watched_stream_runs_traces(self, stream):
+        _, report = stream
+        assert sum(outcome.block_summary["trace_cycles"]
+                   for outcome in report.blocks) > 0
+
+    def test_probe_metrics_run_stays_trace_free(self, built):
+        system = build_platform("ulpmc-bank", fast_forward=True)
+        ProbeMetrics.attach(system.probe_bus())
+        system.run(built.benchmark)
+        summary = system.block_summary()
+        assert summary["block_cycles"] > 0
+        assert summary["trace_cycles"] == 0
 
 
 class TestPartition:
@@ -220,23 +258,6 @@ class TestMergeAlgebra:
 
 
 class TestStreaming:
-    @pytest.fixture(scope="class")
-    def stream(self, built):
-        from repro.kernels.benchmark import build_block_series
-        from repro.platform.streaming import run_stream
-
-        spec = BenchmarkSpec(n_samples=64, n_measurements=32,
-                             huffman_private=True)
-        series = build_block_series(spec, n_blocks=3)
-        system = build_platform("ulpmc-bank", fast_forward=True)
-        aggregator = WindowedAggregator.attach(
-            system.probe_bus(), window_cycles=WINDOW,
-            deadline_budget_cycles=1.0)  # everything misses
-        report = run_stream("ulpmc-bank", series, clock_hz=1e6,
-                            system=system)
-        aggregator.detach()
-        return aggregator, report
-
     def test_stream_offsets_never_alias(self, stream):
         aggregator, _ = stream
         edges = [(w.start_cycle, w.end_cycle) for w in aggregator.windows]

@@ -160,6 +160,16 @@ class TestWatch:
         with pytest.raises(SystemExit):
             main(["watch", "--repeat", "0"])
 
+    def test_unbatched_is_gone(self, capsys):
+        """Windows read counter snapshots, so there is no delivery mode
+        left to choose."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["watch", "--unbatched", "--no-manifest"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert any(line.startswith("repro watch: error: ")
+                   for line in err.splitlines()), err
+
     def test_json_lines_flushed_after_every_line(self, monkeypatch,
                                                  tmp_path):
         """A downstream consumer reading the pipe must see each JSON
