@@ -5,6 +5,10 @@ platform — the cycle-stepped reference loop, the per-instruction
 fast-forward mode and the fast-forward mode with its translation-block
 layer — verifies the outputs and every ``SimulationStats`` field are
 bit-identical across all three, and reports the wall-clock speedups.
+A ``contended`` cell times the serialised run on the same input:
+ulpmc-bank without instruction broadcast, all eight cores waiting on
+one IM bank, reported per retired instruction and against mc-ref's
+exact loop.
 
 Each run can be recorded as a ``bench_fast_forward/1`` JSON document
 (``--json``), giving the repo a tracked speed trajectory: CI writes the
@@ -62,6 +66,13 @@ CHECK_FRACTION = 0.8
 #: in the trajectory for human inspection).
 CHECK_ARCHES = ("mc-ref",)
 
+#: The contended cell: without instruction broadcast ulpmc-bank
+#: serialises all eight cores on one IM bank, so nearly every cycle runs
+#: in the exact loop with seven fetches waiting.  Recorded, never gated:
+#: its ratio to mc-ref's exact loop spread 1.60-2.10 within one checkout
+#: on a 2-CPU host, too wide for a 20% gate.
+CONTENDED = ("ulpmc-bank", {"instr_broadcast": False})
+
 #: Default location of the committed quick-geometry baseline.
 BASELINE_PATH = pathlib.Path(__file__).resolve().parent / "baselines" \
     / "BENCH_fast_forward.json"
@@ -113,6 +124,7 @@ def compare_modes(arch: str, built, reps: int = 1) -> dict:
     summary = engine.block_summary()
     return {
         "arch": arch,
+        "retired": sum(core.retired for core in exact.stats.cores),
         "exact_s": exact_s,
         "ff_s": ff_s,
         "blocks_s": blocks_s,
@@ -133,21 +145,53 @@ def compare_modes(arch: str, built, reps: int = 1) -> dict:
     }
 
 
-def run_comparison(spec: BenchmarkSpec, reps: int = 1) -> list[dict]:
+def measure_contended(built, reps: int, mc_ref: dict) -> dict:
+    """Best-of-``reps`` wall time of the :data:`CONTENDED` run, per
+    retired instruction and as a ratio to the exact-loop cost per
+    instruction of ``mc_ref`` (its :func:`compare_modes` row, measured
+    in this process)."""
+    arch, overrides = CONTENDED
+    run_s, system, result = _timed(
+        lambda: build_platform(arch, fast_forward=True, **overrides),
+        built.benchmark, reps)
+    verify_result(built, result)
+    stats = result.stats
+    retired = sum(core.retired for core in stats.cores)
+    us_per_instr = run_s / retired * 1e6
+    mc_ref_us = mc_ref["exact_s"] / mc_ref["retired"] * 1e6
+    return {
+        "arch": arch,
+        "overrides": overrides,
+        "cycles": stats.total_cycles,
+        "exact_cycles": stats.total_cycles - system._ff_engine.fast_cycles,
+        "retired": retired,
+        "run_s": run_s,
+        "us_per_instr": us_per_instr,
+        "mc_ref_exact_us_per_instr": mc_ref_us,
+        "ratio_vs_mc_ref_exact": us_per_instr / mc_ref_us,
+        "stats_digest": stats_digest(stats),
+    }
+
+
+def run_comparison(spec: BenchmarkSpec, reps: int = 1):
+    """The per-arch rows and the contended cell, on one input."""
     built = build_benchmark(spec)
-    return [compare_modes(arch, built, reps) for arch in ARCH_NAMES]
+    rows = [compare_modes(arch, built, reps) for arch in ARCH_NAMES]
+    mc_ref = next(row for row in rows if row["arch"] == "mc-ref")
+    return rows, measure_contended(built, reps, mc_ref)
 
 
-def make_record(rows: list[dict], quick: bool) -> dict:
+def make_record(rows: list[dict], contended: dict, quick: bool) -> dict:
     return {
         "schema": SCHEMA,
         "quick": quick,
         "git_rev": git_revision(),
         "rows": rows,
+        "contended": contended,
     }
 
 
-def report(rows: list[dict]) -> None:
+def report(rows: list[dict], contended: dict) -> None:
     print(f"{'arch':<11} {'exact [s]':>9} {'ff [s]':>8} {'blocks [s]':>10} "
           f"{'x exact':>8} {'x ff':>6} {'lockstep':>8} {'traces':>6} "
           f"{'fallbacks':>9}")
@@ -158,6 +202,12 @@ def report(rows: list[dict]) -> None:
               f"{row['speedup_blocks_vs_ff']:>5.2f}x "
               f"{row['lockstep_fraction']:>8.2f} {row['traces']:>6} "
               f"{row['fallbacks']:>9}")
+    print(f"contended: {contended['arch']} without instruction broadcast, "
+          f"{contended['cycles']} cycles ({contended['exact_cycles']} "
+          f"exact): {contended['us_per_instr']:.2f} us per retired "
+          f"instruction, {contended['ratio_vs_mc_ref_exact']:.2f}x "
+          f"mc-ref's exact loop "
+          f"({contended['mc_ref_exact_us_per_instr']:.2f} us)")
 
 
 def check_against_baseline(record: dict, baseline: dict) -> list[str]:
@@ -216,9 +266,9 @@ def main(argv=None) -> int:
     else:
         spec = BenchmarkSpec(huffman_private=True)
     reps = args.reps if args.reps is not None else (5 if args.quick else 1)
-    rows = run_comparison(spec, reps)
-    report(rows)
-    record = make_record(rows, args.quick)
+    rows, contended = run_comparison(spec, reps)
+    report(rows, contended)
+    record = make_record(rows, contended, args.quick)
 
     if args.json:
         args.json.parent.mkdir(parents=True, exist_ok=True)

@@ -8,13 +8,12 @@ same-address readers of a bank in one access.
 """
 
 from repro.interconnect.arbiter import RoundRobinArbiter
-from repro.interconnect.xbar import Crossbar, Request, XbarStats
+from repro.interconnect.xbar import Crossbar, XbarStats
 from repro.interconnect.mot import MeshOfTrees
 
 __all__ = [
     "RoundRobinArbiter",
     "Crossbar",
-    "Request",
     "XbarStats",
     "MeshOfTrees",
 ]

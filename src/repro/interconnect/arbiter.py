@@ -19,26 +19,13 @@ class RoundRobinArbiter:
         self.pointer = 0
         self.grants = 0
 
-    def grant(self, requesters) -> int:
-        """Pick the winner among ``requesters`` (iterable of ids).
-
-        The requester at or first after the pointer wins; the pointer then
-        moves just past the winner.
-        """
-        mask = 0
-        for requester in requesters:
-            if not 0 <= requester < self.n:
-                raise ValueError(
-                    f"requester ids must be in [0, {self.n}): {requester}")
-            mask |= 1 << requester
-        if not mask:
-            raise ValueError("grant called with no requesters")
-        return self.grant_mask(mask)
-
     def grant_mask(self, mask: int) -> int:
-        """:meth:`grant` over a bit set: bit ``i`` of ``mask`` set means
-        requester ``i`` asks.  The crossbar's per-cycle path; no
-        container is built."""
+        """Pick the winner among the requesters in ``mask`` (bit ``i``
+        set: requester ``i`` asks).
+
+        The requester at or first after the pointer wins; the pointer
+        then moves just past the winner.
+        """
         if mask <= 0 or mask >> self.n:
             raise ValueError(f"requester mask {mask:#x} outside "
                              f"{self.n} requesters")

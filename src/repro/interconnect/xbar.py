@@ -1,11 +1,11 @@
 """Cycle-level crossbar with read broadcast and per-bank round-robin.
 
-The crossbar arbitrates one cycle's worth of requests: every bank serves at
-most one *access* per cycle, but a read access can be **broadcast** — all
-masters reading the same (bank, offset) are granted together at the cost of
-a single bank access and with no extra cycles (paper Section III-B).
-Masters that lose arbitration stall (they are clock-gated by the platform)
-and reissue next cycle.
+Every bank serves at most one *access* per cycle, but a read access can
+be **broadcast** — all masters reading the same (bank, offset) are
+granted together at the cost of a single bank access and with no extra
+cycles (paper Section III-B).  Masters that lose arbitration stall (they
+are clock-gated by the platform) and their requests stay staged until
+granted.
 
 The same class models both crossbars:
 
@@ -18,11 +18,14 @@ The same class models both crossbars:
   landing in the same single-ported bank serialise like any other
   conflict.
 
-Requests are *staged* into preallocated per-port arrays and arbitrated
-by :meth:`Crossbar.arbitrate_staged`, which builds no per-cycle objects:
-the platform's cycle loop calls it every cycle of every simulation.
-:meth:`Crossbar.arbitrate` is the convenience form over a list of
-:class:`Request` objects; it stages them and runs the same arbitration.
+A request is *staged* once (:meth:`Crossbar.stage`), when the master's
+instruction starts, and stays in per-bank contention state until
+:meth:`Crossbar.resolve` grants it (:meth:`Crossbar.withdraw` drops it
+unserved).  That state is a pair of master bit sets per bank — who waits
+to read it, who waits to write it — plus the bit set of banks with
+waiters, so a cycle costs what changes in it: it touches only the banks
+with waiters, builds no per-request objects, and a request still waiting
+costs nothing until its bank is served.
 
 Statistics collected here feed the power model directly (bank accesses,
 broadcast savings, and per-master bank-transition counts that model
@@ -41,32 +44,25 @@ from repro.interconnect.arbiter import RoundRobinArbiter
 def masters_of(mask: int) -> list[int]:
     """The sorted master ids of a contender bit set (bit ``i``: master
     ``i``), as :attr:`Crossbar.probe_conflict` reports them."""
-    masters = []
-    master = 0
-    while mask:
-        if mask & 1:
-            masters.append(master)
-        mask >>= 1
-        master += 1
-    return masters
+    return [master for master in range(mask.bit_length())
+            if mask >> master & 1]
 
 
-@dataclass(frozen=True)
-class Request:
-    """One master port's request for this cycle.
+#: ``bit set -> ascending bit indices``, filled on demand and shared by
+#: every caller (the masks of a run repeat); emptied when it reaches
+#: ``_BITS_LIMIT`` entries, so wide crossbars cannot grow it unbounded.
+_BITS: dict[int, tuple[int, ...]] = {}
+_BITS_LIMIT = 1 << 16
 
-    ``grant_key`` (``(master, write)``) identifies the port across the
-    arbitration result.
-    """
 
-    master: int
-    bank: int
-    offset: int
-    write: bool = False
-
-    @property
-    def grant_key(self) -> tuple[int, bool]:
-        return (self.master, self.write)
+def bits_of(mask: int) -> tuple[int, ...]:
+    """The ascending indices of the set bits of ``mask`` (cached)."""
+    bits = _BITS.get(mask)
+    if bits is None:
+        if len(_BITS) >= _BITS_LIMIT:
+            _BITS.clear()
+        bits = _BITS[mask] = tuple(masters_of(mask))
+    return bits
 
 
 @dataclass
@@ -81,7 +77,7 @@ class XbarStats:
     broadcast_savings: int = 0
     #: bank-cycles in which a broadcast (>=2-way merge) happened
     broadcasts: int = 0
-    #: requests stalled by losing arbitration
+    #: requests stalled by losing arbitration (one per waiting cycle)
     stalls: int = 0
     #: bank-cycles with conflicting (non-mergeable) requests
     conflict_events: int = 0
@@ -100,9 +96,9 @@ class Crossbar:
     Every master owns two ports: port ``2 * master`` reads and port
     ``2 * master + 1`` writes.  Numbering ports master-major makes the
     ascending port order the request order the platform issues (cores
-    in PID order, each core's read before its write), which fixes the
-    order banks are served in and hence each master's bank-transition
-    sequence.
+    in PID order, each core's read before its write); banks are served
+    in the order of their lowest waiting port, which fixes each
+    master's bank-transition sequence and the order of probe events.
     """
 
     def __init__(self, masters: int, banks: int, broadcast: bool = True,
@@ -114,20 +110,19 @@ class Crossbar:
         self.arbiters = [RoundRobinArbiter(masters) for _ in range(banks)]
         self.stats = XbarStats()
         self._last_bank = [None] * masters
-        #: Request staging area for :meth:`arbitrate_staged`: ``queue``
-        #: lists this cycle's ports in request order; ``port_bank`` and
-        #: ``port_offset`` hold each queued port's target.  After the
-        #: call ``granted[port]`` says whether a queued port won.
-        ports = 2 * masters
-        self.queue = [0] * ports
-        self.port_bank = [0] * ports
-        self.port_offset = [0] * ports
-        self.granted = [False] * ports
-        # Per-bank scratch, all-zero between calls: requests seen this
-        # cycle, the first port seen, and the banks in first-seen order.
-        self._bank_count = [0] * banks
-        self._bank_first = [0] * banks
-        self._bank_order = [0] * banks
+        #: Contention state, kept across cycles: ``readers[bank]`` and
+        #: ``writers[bank]`` are the bit sets of masters with a read /
+        #: write staged at ``bank``, ``reading``/``writing`` their
+        #: unions and ``active`` the bit set of banks with waiters.
+        #: ``read_at[master]`` locates the master's staged read as
+        #: ``offset << key_shift | bank`` (-1: none), so equal keys are
+        #: exactly the reads one broadcast can serve.  The platform's
+        #: cycle loop writes these directly (an inlined :meth:`stage`).
+        self.readers = [0] * banks
+        self.writers = [0] * banks
+        self.active = self.reading = self.writing = 0
+        self.read_at = [-1] * masters
+        self.key_shift = banks.bit_length()
         #: Observability hooks, wired by the platform's run loop while a
         #: probe subscriber is attached (``None`` otherwise; the checks
         #: sit on the rare conflict/broadcast paths, not per request).
@@ -139,161 +134,171 @@ class Crossbar:
         self.probe_conflict = None
         self.probe_broadcast = None
 
-    def arbitrate(self, requests: list[Request]) -> set[tuple[int, bool]]:
-        """Arbitrate one cycle of requests.
+    def stage(self, port: int, bank: int, offset: int) -> None:
+        """Stage ``port``'s request for ``(bank, offset)``; it waits in
+        the bank's contention state until granted or withdrawn.  A port
+        holds at most one request."""
+        master = port >> 1
+        if port & 1:
+            self.writers[bank] |= 1 << master
+            self.writing |= 1 << master
+        else:
+            self.readers[bank] |= 1 << master
+            self.reading |= 1 << master
+            self.read_at[master] = offset << self.key_shift | bank
+        self.active |= 1 << bank
 
-        Returns the granted ``(master, write)`` port keys.  A master may
-        issue at most one read and one write per cycle; duplicates raise.
-        """
-        queue = self.queue
-        staged: set[int] = set()
-        for index, request in enumerate(requests):
-            port = 2 * request.master + bool(request.write)
-            if port in staged:
-                raise ValueError(
-                    f"master {request.master} issued two "
-                    f"{'writes' if request.write else 'reads'} to "
-                    f"{self.name} in one cycle")
-            staged.add(port)
-            queue[index] = port
-            self.port_bank[port] = request.bank
-            self.port_offset[port] = request.offset
-        self.arbitrate_staged(len(requests))
-        return {(port >> 1, bool(port & 1)) for port in staged
-                if self.granted[port]}
+    def withdraw(self, master: int) -> None:
+        """Drop ``master``'s staged requests unserved."""
+        keep = ~(1 << master)
+        readers = self.readers
+        writers = self.writers
+        for bank in range(self.banks):
+            readers[bank] &= keep
+            writers[bank] &= keep
+            if not (readers[bank] | writers[bank]):
+                self.active &= ~(1 << bank)
+        self.reading &= keep
+        self.writing &= keep
+        self.read_at[master] = -1
 
-    def arbitrate_staged(self, count: int) -> None:
-        """Arbitrate the first ``count`` ports of :attr:`queue`.
+    def clear(self) -> None:
+        """Withdraw every staged request."""
+        self.readers[:] = [0] * self.banks
+        self.writers[:] = [0] * self.banks
+        self.read_at[:] = [-1] * self.masters
+        self.active = self.reading = self.writing = 0
 
-        Banks are served in the order of their first request.  A bank
-        with one request grants it; a contended bank is resolved by
-        :meth:`_arbitrate_bank`.  Sets ``granted[port]`` for every
-        queued port and updates :attr:`stats`.
-        """
-        queue = self.queue
-        port_bank = self.port_bank
-        granted = self.granted
-        bank_count = self._bank_count
-        bank_first = self._bank_first
-        order = self._bank_order
-        n_banks = 0
-        for index in range(count):
-            port = queue[index]
-            bank = port_bank[port]
-            seen = bank_count[bank]
-            if not seen:
-                bank_first[bank] = port
-                order[n_banks] = bank
-                n_banks += 1
-            bank_count[bank] = seen + 1
-
-        last_bank = self._last_bank
-        stats = self.stats
-        delivered = 0
-        for index in range(n_banks):
-            bank = order[index]
-            seen = bank_count[bank]
-            bank_count[bank] = 0
-            if seen > 1:
-                delivered += self._arbitrate_bank(bank, seen, count)
-                continue
-            port = bank_first[bank]
-            granted[port] = True
-            delivered += 1
-            master = port >> 1
-            last = last_bank[master]
-            if last != bank:
-                if last is not None:
-                    transitions = stats.bank_transitions
-                    transitions[master] = transitions.get(master, 0) + 1
-                last_bank[master] = bank
-        stats.deliveries += delivered
-        stats.bank_accesses += n_banks
-
-    def _arbitrate_bank(self, bank: int, seen: int, count: int) -> int:
-        """Serve one contended bank (``seen`` >= 2 queued requests).
+    def resolve(self) -> tuple[int, int]:
+        """Serve one cycle: every bank with waiters grants one access.
 
         Same-offset reads merge into one broadcast group when broadcast
         is on; every other request is a group of its own.  A single
-        group is served whole.  Otherwise the bank's round-robin arbiter
-        picks a master and that master's group wins: its read group
-        first (the instruction cannot commit without it anyway), else
-        its write.  Returns the number of granted requests.
+        group is served whole, else the bank's round-robin arbiter picks
+        a master whose read group wins (the instruction cannot commit
+        without it anyway), else its write.  Granted ports leave the
+        contention state; the others stay staged and count one stall.
+        Returns the bit sets of masters granted a read and a write.
         """
-        queue = self.queue
-        port_bank = self.port_bank
-        port_offset = self.port_offset
-        granted = self.granted
-        broadcast = self.broadcast
-        masters = readers = 0
-        merged = broadcast  # still one broadcast group?
-        group_offset = -1
-        for index in range(count):
-            port = queue[index]
-            if port_bank[port] != bank:
-                continue
-            granted[port] = False
-            bit = 1 << (port >> 1)
-            masters |= bit
-            if port & 1:
-                merged = False
-            else:
-                readers |= bit
-                if merged:
-                    offset = port_offset[port]
-                    if group_offset < 0:
-                        group_offset = offset
-                    elif offset != group_offset:
-                        merged = False
-
+        active = self.active
+        if not active:
+            return 0, 0
+        readers = self.readers
+        writers = self.writers
+        if not active & (active - 1):
+            order = (active.bit_length() - 1,)
+        elif self.reading & self.writing or (
+                self.probe_conflict is not None
+                or self.probe_broadcast is not None) \
+                and (self.reading | self.writing).bit_count() \
+                > active.bit_count() + 1:
+            # A master may win two banks, or two contended banks may
+            # fire probes (two more waiting ports than banks): the
+            # service order is observable.
+            order = self._port_order(active)
+        else:
+            order = bits_of(active)
         stats = self.stats
+        transitions = stats.bank_transitions
         last_bank = self._last_bank
-        if not merged:
-            stats.conflict_events += 1
-            if self.probe_conflict is not None:
-                self.probe_conflict(bank, masters)
-            winner = self.arbiters[bank].grant_mask(masters)
-            reads = readers >> winner & 1
-            if reads and broadcast:
-                group_offset = port_offset[2 * winner]
-            else:
-                # A group of one: the winner's read, else its write.
-                granted[2 * winner if reads else 2 * winner + 1] = True
-                last = last_bank[winner]
-                if last != bank:
-                    if last is not None:
-                        transitions = stats.bank_transitions
-                        transitions[winner] = transitions.get(winner, 0) + 1
-                    last_bank[winner] = bank
-                stats.stalls += seen - 1
-                return 1
-
-        # A read group: every read of ``group_offset`` wins.
-        won = 0
-        for index in range(count):
-            port = queue[index]
-            if port & 1 or port_bank[port] != bank \
-                    or port_offset[port] != group_offset:
-                continue
-            granted[port] = True
-            won += 1
-            master = port >> 1
+        read_at = self.read_at
+        reads = writes = 0
+        served = delivered = len(order)  # broadcasts deliver more
+        for bank in order:
+            r = readers[bank]
+            w = writers[bank]
+            won = r | w
+            if r & w or won & (won - 1):
+                # Contended: one broadcast group is served whole, else
+                # the round-robin winner's read group or its write.
+                seen = count = r.bit_count() + w.bit_count()
+                if w or not self.broadcast or read_at.count(
+                        read_at[(r & -r).bit_length() - 1]) != seen:
+                    stats.conflict_events += 1
+                    if self.probe_conflict is not None:
+                        self.probe_conflict(bank, won)
+                    master = self.arbiters[bank].grant_mask(won)
+                    won = 1 << master
+                    key = read_at[master]
+                    count = 1
+                    if r & won and self.broadcast and read_at.count(key) > 1:
+                        won = 0
+                        for master in bits_of(r):
+                            if read_at[master] == key:
+                                won |= 1 << master
+                        count = won.bit_count()
+                stats.stalls += seen - count
+                if count > 1:
+                    stats.broadcasts += 1
+                    stats.broadcast_savings += count - 1
+                    delivered += count - 1
+                    if self.probe_broadcast is not None:
+                        self.probe_broadcast(bank, count)
+                    readers[bank] = r ^ won
+                    reads |= won
+                    if r == won and not w:
+                        active ^= 1 << bank
+                    for master in bits_of(won):  # in port order
+                        read_at[master] = -1
+                        last = last_bank[master]
+                        if last != bank:
+                            if last is not None:
+                                transitions[master] = \
+                                    transitions.get(master, 0) + 1
+                            last_bank[master] = bank
+                    continue
+                if won & r:
+                    readers[bank] = r ^ won
+                    reads |= won
+                    read_at[master] = -1
+                    if r == won and not w:
+                        active ^= 1 << bank
+                else:
+                    writers[bank] = w ^ won
+                    writes |= won
+                    if w == won and not r:
+                        active ^= 1 << bank
+            elif r:  # a lone read
+                readers[bank] = 0
+                reads |= r
+                active ^= 1 << bank
+                master = r.bit_length() - 1
+                read_at[master] = -1
+            else:  # a lone write
+                writers[bank] = 0
+                writes |= w
+                active ^= 1 << bank
+                master = w.bit_length() - 1
             last = last_bank[master]
             if last != bank:
                 if last is not None:
-                    transitions = stats.bank_transitions
                     transitions[master] = transitions.get(master, 0) + 1
                 last_bank[master] = bank
-        if won > 1:
-            stats.broadcasts += 1
-            stats.broadcast_savings += won - 1
-            if self.probe_broadcast is not None:
-                self.probe_broadcast(bank, won)
-        stats.stalls += seen - won
-        return won
+        self.active = active
+        self.reading ^= reads
+        if writes:
+            self.writing ^= writes
+        stats.deliveries += delivered
+        stats.bank_accesses += served
+        return reads, writes
+
+    def _port_order(self, active: int) -> list[int]:
+        """The banks of ``active`` ordered by their lowest waiting port
+        (a master's read port precedes its write port)."""
+        shift = self.key_shift
+        keys = []
+        for bank in bits_of(active):
+            r = self.readers[bank]
+            first = r | self.writers[bank]
+            first &= -first
+            port = (first.bit_length() << 1) - (1 if r & first else 0)
+            keys.append(port << shift | bank)
+        keys.sort()
+        return [key & ((1 << shift) - 1) for key in keys]
 
     def reset(self) -> None:
         for arbiter in self.arbiters:
             arbiter.reset()
         self.stats = XbarStats()
         self._last_bank = [None] * self.masters
+        self.clear()

@@ -24,34 +24,24 @@ class MMU:
     def __init__(self, pid: int, layout: DataMemoryLayout):
         self.pid = pid
         self.layout = layout
-        self.translations = 0
         self.private_accesses = 0
         self.shared_accesses = 0
-        #: Observability hook (``probe(pid, logical, bank, offset,
-        #: private)``), wired by the platform's run loop while a
-        #: ``mmu.translate`` subscriber is attached; ``None`` otherwise.
-        self.probe = None
-        #: Batched observability fast path: the ``mmu.translate`` ring
-        #: buffer's flat data list, wired by the run loop when only
-        #: batch subscribers listen.  One ``append(private)`` per
-        #: translation replaces the full ``probe`` callback.
-        self.probe_ring = None
+
+    @property
+    def translations(self) -> int:
+        return self.private_accesses + self.shared_accesses
 
     def translate(self, logical: int) -> tuple[int, int]:
-        """Physical (bank, offset) for ``logical``; counts the access mix."""
-        self.translations += 1
-        private = self.layout.is_private(logical)
-        if private:
+        """Physical (bank, offset) for ``logical``; counts the access mix.
+
+        The platform's run loops translate inline (same mapping, same
+        counts) and emit ``mmu.translate`` themselves.
+        """
+        if self.layout.is_private(logical):
             self.private_accesses += 1
         else:
             self.shared_accesses += 1
-        bank, offset = self.layout.translate(self.pid, logical)
-        ring = self.probe_ring
-        if ring is not None:
-            ring.append(private)
-        elif self.probe is not None:
-            self.probe(self.pid, logical, bank, offset, private)
-        return bank, offset
+        return self.layout.translate(self.pid, logical)
 
     def translate_quiet(self, logical: int) -> tuple[int, int]:
         """Translate without statistics (used by loaders and inspectors)."""

@@ -39,6 +39,11 @@ class ArchConfig:
     im_power_gating: bool = False
 
     def __post_init__(self):
+        for size in ("n_cores", "im_banks", "im_bank_words", "dm_banks",
+                     "dm_bank_words"):
+            if getattr(self, size) < 1:
+                raise ConfigurationError(
+                    f"{size} must be at least 1, got {getattr(self, size)}")
         if self.im_org == IMOrganization.PRIVATE:
             if self.im_banks != self.n_cores:
                 raise ConfigurationError(

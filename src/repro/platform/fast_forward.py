@@ -51,12 +51,6 @@ from repro.tamarisc import blocks as tblocks
 #: Sentinel distinguishing "no cached verdict" from "block unusable".
 _UNSET = object()
 
-#: Bits of the cycle loop's per-core pending-port mask
-#: (``MultiCoreSystem._pending``): the instruction fetch, data read and
-#: data write still waiting for a crossbar grant.  0 means the core sits
-#: at an instruction boundary.
-PEND_IF, PEND_DR, PEND_DW = 1, 2, 4
-
 #: Test-only switches for the engine's two translation tiers, read once
 #: per engine (when ``MultiCoreSystem.load`` builds it).
 #: ``TRANSLATION_BLOCKS = False`` gives the per-instruction-only engine,
@@ -83,6 +77,17 @@ TRACE_SPLIT_NUM, TRACE_SPLIT_DEN = 15, 16
 #: roughly every dozen iterations still leave a large win; the bailed
 #: iteration is rolled back and replayed exactly).
 TRACE_CHAIN_NUM, TRACE_CHAIN_DEN = 7, 8
+
+
+def emit_translate(bus, ring_append, cycle, pid, logical, bank, offset):
+    """Emit one ``mmu.translate`` event (to the ring when the bus grants
+    its raw-append fast path)."""
+    private = logical >= PRIVATE_BASE
+    if ring_append is not None:
+        ring_append(private)
+    else:
+        bus.emit("mmu.translate", cycle, pid, logical, bank, offset,
+                 private)
 
 
 class FastForwardEngine:
@@ -117,9 +122,7 @@ class FastForwardEngine:
         # the system's in-flight instruction state: the engine only
         # writes them while every core sits at an instruction boundary,
         # and a conflict fallback leaves the prepared cycle in them for
-        # the cycle loop (which then only marks the ports pending).
-        self._pending = system._pending
-        self._fetch_pc = system._fetch_pc
+        # the cycle loop (which then only stages the ports).
         self._handlers = system._handlers
         self._dr_bank = system._dr_bank
         self._dr_off = system._dr_off
@@ -377,34 +380,20 @@ class FastForwardEngine:
             "trace_cycles": self.trace_cycles,
         }
 
-    def _hand_back(self, run_list, cores) -> None:
-        """Leave the prepared cycle to the cycle loop: every running
-        core's handler and translated data ports are already in the
-        shared in-flight arrays (MMU accounting applied, exactly as the
-        loop's own attempt start would); latch each fetch PC and mark
-        the ports pending."""
-        pending = self._pending
-        fetch_pc = self._fetch_pc
-        dr_bank = self._dr_bank
-        dw_bank = self._dw_bank
-        for pid in run_list:
-            fetch_pc[pid] = cores[pid].pc
-            pending[pid] = PEND_IF \
-                | (PEND_DR if dr_bank[pid] >= 0 else 0) \
-                | (PEND_DW if dw_bank[pid] >= 0 else 0)
-        self.fallbacks += 1
-
     def advance(self, running, core_stats, cycle, sync_cycles,
                 max_cycles, barrier=None):
         """Commit conflict-free cycles until a potential conflict or halt.
 
         Preconditions: every core in ``running`` sits at an instruction
         boundary (no latched partial grants).  On a potential conflict
-        the cycle is *not* consumed: every core's attempt is left
-        prepared in the system's in-flight arrays (see
-        :meth:`_hand_back`) and the caller's cycle loop replays the
-        cycle through the crossbars.  Returns the updated
-        ``(cycle, sync_cycles)``.
+        the cycle is *not* consumed: every running core's handler and
+        translated data ports are left in the system's in-flight arrays
+        (MMU accounting applied, exactly as the loop's own instruction
+        start would) and the caller's cycle loop replays the cycle
+        through the crossbars.  Returns the updated ``(cycle,
+        sync_cycles, handed_back)``; ``handed_back`` says the next
+        cycle is prepared that way.  Otherwise every core is at an
+        instruction boundary.
 
         ``barrier`` (when not None) is a cycle the engine must not
         commit past: the call returns exactly at ``cycle >= barrier``
@@ -545,7 +534,7 @@ class FastForwardEngine:
         try:
             while run_list:
                 if barrier is not None and cycle >= barrier:
-                    return cycle, sync_cycles
+                    return cycle, sync_cycles, False
                 if cycle >= max_cycles:
                     raise CycleLimitError(
                         f"benchmark {system.benchmark.name!r} did not "
@@ -817,9 +806,9 @@ class FastForwardEngine:
                                 handler = rec[4][conflict_at]
                                 for pid in run_list:
                                     handlers[pid] = handler
-                                self._hand_back(run_list, cores)
+                                self.fallbacks += 1
                                 self.block_conflicts += 1
-                                return cycle, sync_cycles
+                                return cycle, sync_cycles, True
                             if profiling and j:
                                 # Successor profile: back-to-back block
                                 # entries (no per-cycle stretch in
@@ -878,21 +867,17 @@ class FastForwardEngine:
                                 layout.translate(pid, ra)  # exact raise
                             rb = cbanks[pid][off // pwb]
                             ro = swb + off % pwb
-                            if ap_mmu is not None:
-                                ap_mmu(True)
                         else:
                             mmu_s[pid] += 1
                             if ra >= shared_words:
                                 layout.translate(pid, ra)  # exact raise
                             rb = ra % dbn
                             ro = ra // dbn
-                            if ap_mmu is not None:
-                                ap_mmu(False)
                         dr_bank[pid] = rb
                         dr_off[pid] = ro
-                        if emit_mmu:
-                            bus.emit("mmu.translate", cycle, pid, ra,
-                                     rb, ro, ra >= PRIVATE_BASE)
+                        if p_mmu:
+                            emit_translate(bus, ap_mmu, cycle, pid, ra,
+                                           rb, ro)
                         dm_count += 1
                         entry = dm_map.get(rb)
                         if entry is None:
@@ -913,21 +898,17 @@ class FastForwardEngine:
                                 layout.translate(pid, wa)  # exact raise
                             wb = cbanks[pid][off // pwb]
                             wo = swb + off % pwb
-                            if ap_mmu is not None:
-                                ap_mmu(True)
                         else:
                             mmu_s[pid] += 1
                             if wa >= shared_words:
                                 layout.translate(pid, wa)  # exact raise
                             wb = wa % dbn
                             wo = wa // dbn
-                            if ap_mmu is not None:
-                                ap_mmu(False)
                         dw_bank[pid] = wb
                         dw_off[pid] = wo
-                        if emit_mmu:
-                            bus.emit("mmu.translate", cycle, pid, wa,
-                                     wb, wo, wa >= PRIVATE_BASE)
+                        if p_mmu:
+                            emit_translate(bus, ap_mmu, cycle, pid, wa,
+                                           wb, wo)
                         dm_count += 1
                         if wb in dm_map:
                             conflict = True  # writes never merge
@@ -969,10 +950,10 @@ class FastForwardEngine:
                 if conflict:
                     # Hand the prepared cycle to the exact loop.  MMU
                     # accounting already happened above (once per
-                    # attempt); marking the ports pending makes the loop
-                    # skip its own attempt start.
-                    self._hand_back(run_list, cores)
-                    return cycle, sync_cycles
+                    # attempt); the loop stages the prepared ports
+                    # instead of starting the instructions itself.
+                    self.fallbacks += 1
+                    return cycle, sync_cycles, True
 
                 # ---- commit the proven conflict-free cycle ----
                 cycle += 1
@@ -1111,7 +1092,7 @@ class FastForwardEngine:
                         mmu_p, mmu_s)
                     edge += win
                     cap = edge if edge < limit else limit
-            return cycle, sync_cycles
+            return cycle, sync_cycles, False
         finally:
             # Fold the generated blocks' accumulator array into the
             # stretch counters (slot 6 is the fault-offset channel).
@@ -1154,7 +1135,6 @@ class FastForwardEngine:
             for pid in range(n):
                 if mmu_t[pid]:
                     mmu = system.mmus[pid]
-                    mmu.translations += mmu_t[pid]
                     mmu.private_accesses += mmu_p[pid]
                     mmu.shared_accesses += mmu_s[pid]
             system._dreads_committed += dreads

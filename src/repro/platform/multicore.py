@@ -2,18 +2,22 @@
 
 Each clock cycle proceeds in two phases:
 
-1. **Request** — every non-halted core presents the memory requests of its
-   current instruction: the instruction fetch plus the previewed data read
-   and/or data write (TamaRISC's three ports, all usable in one cycle).
-   Requests already granted in earlier cycles stay latched and are not
-   reissued.
+1. **Request** — every core that committed in the previous cycle starts
+   its next instruction and stages its memory requests: the instruction
+   fetch plus the previewed data read and/or data write (TamaRISC's
+   three ports, all usable in one cycle).  A request stays staged in its
+   crossbar until it is granted; a stalled core issues nothing new.
 2. **Arbitrate & commit** — the I-Xbar and D-Xbar grant at most one access
-   per bank (merging same-address reads into broadcasts).  A core whose
-   requests are all satisfied commits its instruction — register/flag/PC
-   update and the actual data transfer; a core still missing a grant
-   stalls, clock-gated, and retries next cycle ("the requests are served
-   alternately while the waiting cores are stalled using clock gating",
-   Section III).
+   per bank (merging same-address reads into broadcasts), serving only
+   the banks with waiters.  A core whose requests are all satisfied
+   commits its instruction — register/flag/PC update and the actual
+   data transfer — in PID order; a core still missing a grant stalls,
+   clock-gated, and waits ("the requests are served alternately while
+   the waiting cores are stalled using clock gating", Section III).
+
+A contended cycle thus costs what changes in it, not what is still
+waiting: waiting cores are not walked, and their stall cycles settle
+lazily, from the retire counts, at window edges and at the run's end.
 
 Because instruction and data *contents* are deterministic, functional
 transfer happens at commit time; the crossbars only decide timing and
@@ -22,10 +26,10 @@ frozen while a core stalls (a property test asserts preview == commit).
 
 Instructions execute through the decode-cached dispatch table of
 :mod:`repro.tamarisc.dispatch` — the same handlers the fast-forward
-engine commits with — and requests are staged into the crossbars'
-preallocated port arrays, so a cycle allocates no per-request objects.
-The independent oracle for instruction semantics is the generic
-operand walk of :class:`~repro.tamarisc.cpu.Core`, which the
+engine commits with — and data addresses translate inline with the
+memory-layout constants hoisted, so a cycle allocates no per-request
+objects.  The independent oracle for instruction semantics is the
+generic operand walk of :class:`~repro.tamarisc.cpu.Core`, which the
 single-core ISS runs (``tests/tamarisc`` cross-checks every platform
 against it).
 """
@@ -37,13 +41,12 @@ from dataclasses import dataclass, field
 
 from repro.errors import (ConfigurationError, CycleLimitError, HangError,
                           SimulationError)
-from repro.interconnect.xbar import Crossbar, masters_of
+from repro.interconnect.xbar import Crossbar, bits_of, masters_of
 from repro.memory.banked_memory import BankedMemory
-from repro.memory.layout import IMOrganization
+from repro.memory.layout import PRIVATE_BASE, IMOrganization
 from repro.memory.mmu import MMU
 from repro.platform.config import ArchConfig, build_config
-from repro.platform.fast_forward import (PEND_DR, PEND_DW, PEND_IF,
-                                         FastForwardEngine)
+from repro.platform.fast_forward import FastForwardEngine, emit_translate
 from repro.platform.stats import CoreStats, SimulationStats
 from repro.tamarisc.blocks import image_hash
 from repro.tamarisc.cpu import Core
@@ -118,18 +121,24 @@ def program_cache_stats() -> dict:
 
 @functools.lru_cache(maxsize=32)
 def _fetch_table(im_layout, n_cores: int, program_len: int) -> list:
-    """``table[pid][pc]``: the I-Xbar (bank, offset) of each fetch.
+    """``table[pid][pc]``: the I-Xbar bank of each fetch and its
+    :attr:`~repro.interconnect.xbar.Crossbar.read_at` key.
 
     Built once per (IM layout, core count, program length) in a process
     and shared read-only by every system, so the cycle loop stages a
     fetch with one lookup and short runs do not rebuild it.
     """
-    locate = im_layout.locate
+    shift = im_layout.banks.bit_length()  # the I-Xbar's key format
+
+    def entry(pid, pc):
+        bank, offset = im_layout.locate(pid, pc)
+        return bank, offset << shift | bank
+
     if im_layout.organization == IMOrganization.PRIVATE:
-        return [[locate(pid, pc) for pc in range(program_len)]
+        return [[entry(pid, pc) for pc in range(program_len)]
                 for pid in range(n_cores)]
     # Shared IM: the location does not depend on the core.
-    return [[locate(0, pc) for pc in range(program_len)]] * n_cores
+    return [[entry(0, pc) for pc in range(program_len)]] * n_cores
 
 
 #: Instruction words are 24-bit.
@@ -209,14 +218,11 @@ class MultiCoreSystem:
         self.compiled = []
         # In-flight instruction state, PID-indexed and shared with the
         # fast-forward engine, which fills it when it hands a cycle back
-        # to the cycle loop.  ``_pending[pid]`` holds the PEND_* ports
-        # still waiting for a grant (0: at an instruction boundary);
-        # the other lists describe the in-flight instruction: the PC it
-        # was fetched from (latched: a fault may move ``core.pc`` while
-        # the fetch stalls), its handler and its translated data
+        # to the cycle loop: the PC each instruction was fetched from
+        # (latched: a fault may move ``core.pc`` while the fetch stalls;
+        # -1 once the core halted), its handler and its translated data
         # read/write (bank -1: none).
         n = config.n_cores
-        self._pending = [0] * n
         self._fetch_pc = [0] * n
         self._handlers = [None] * n
         self._dr_bank = [-1] * n
@@ -224,6 +230,8 @@ class MultiCoreSystem:
         self._dw_bank = [-1] * n
         self._dw_off = [0] * n
         self.benchmark: Benchmark | None = None
+        #: Each core's retire count when the current run started.
+        self._retired_base = [0] * n
         self._dreads_committed = 0
         self._dwrites_committed = 0
         #: Probe bus (:mod:`repro.obs.probes`), lazily created by
@@ -284,7 +292,6 @@ class MultiCoreSystem:
         self.imem.reset_counters()
         self.dmem.reset_counters()
         for mmu in self.mmus:
-            mmu.translations = 0
             mmu.private_accesses = 0
             mmu.shared_accesses = 0
         self._dreads_committed = 0
@@ -333,36 +340,43 @@ class MultiCoreSystem:
 
         n = self.config.n_cores
         cores = self.cores
-        mmus = self.mmus
         compiled = self.compiled
         program_len = len(compiled)
-        fetch_loc = None  # built at the first cycle-loop cycle
+        fetch_loc = _fetch_table(self.im_layout, n, program_len)
         ixbar = self.ixbar
         dxbar = self.dxbar
-        dm_banks = self.dmem.banks
+        ixbar.clear()  # a run that raised may have left ports staged
+        dxbar.clear()
+        i_readers = ixbar.readers
+        i_read_at = ixbar.read_at
+        d_readers = dxbar.readers
+        d_writers = dxbar.writers
+        d_read_at = dxbar.read_at
+        d_shift = dxbar.key_shift
+        i_resolve = ixbar.resolve
+        d_resolve = dxbar.resolve
+        dm_store = [bank.storage for bank in self.dmem.banks]
+        # Data addresses translate inline (MMU.translate without the
+        # call), with the layout constants hoisted as the fast-forward
+        # engine does.
+        mmus = self.mmus
+        layout = self.dm_layout
+        shared_words = layout.shared_words
+        dbn = layout.banks
+        swb = layout.shared_words_per_bank
+        pwb = layout.private_words_per_bank
+        pwc = layout.private_words_per_core
+        cbanks = [layout.core_banks(pid) for pid in range(n)]
         core_stats = [CoreStats() for _ in range(n)]
+        self._retired_base = [core.retired for core in cores]
         running = set(range(n))
-        pending = self._pending
-        pending[:] = [0] * n  # every core starts at an instruction boundary
         fetch_pc = self._fetch_pc
         handlers = self._handlers
         dr_bank = self._dr_bank
         dr_off = self._dr_off
         dw_bank = self._dw_bank
         dw_off = self._dw_off
-        # Crossbar staging areas (see Crossbar.arbitrate_staged).
-        i_queue = ixbar.queue
-        i_bank = ixbar.port_bank
-        i_off = ixbar.port_offset
-        i_granted = ixbar.granted
-        i_arbitrate = ixbar.arbitrate_staged
-        d_queue = dxbar.queue
-        d_bank = dxbar.port_bank
-        d_off = dxbar.port_offset
-        d_granted = dxbar.granted
-        d_arbitrate = dxbar.arbitrate_staged
         dreads = dwrites = 0
-
         engine = self._ff_engine
 
         # Observability wiring.  With no per-event subscriber (the
@@ -388,8 +402,8 @@ class MultiCoreSystem:
         # them.
         bus = self.probes
         observing = bus is not None and bus.observed
-        p_retire = p_stall = hooked_mmus = False
-        ap_retire = ap_stall = mk_retire = mk_stall = None
+        p_retire = p_stall = p_mmu = False
+        ap_retire = ap_stall = mk_retire = mk_stall = ap_mmu = None
         rt_ring = st_ring = rt_data = st_data = None
         rt_open = rt_next = st_open = st_next = -1
         rt_stride = st_stride = 0
@@ -402,6 +416,7 @@ class MultiCoreSystem:
         win = bus.window_cycles if bus is not None else 0
         p_win = win > 0 and bus.wants("telemetry.window")
         if observing:
+            self._wire_xbar_probes(bus)
             p_retire = bus.wants("core.retire")
             p_stall = bus.wants("core.stall")
             if p_retire:
@@ -418,71 +433,30 @@ class MultiCoreSystem:
                     ap_stall = ring.data.append
                     mk_stall = ring.marks.extend
                     st_data = ring.data
-            if bus.wants("ixbar.conflict"):
-                ring = bus.batch("ixbar.conflict")
-                if ring is not None:
-                    ixbar.probe_conflict = (
-                        lambda bank, masters, _ap=ring.data.append:
-                        _ap(bus.now))
-                else:
-                    ixbar.probe_conflict = (
-                        lambda bank, masters:
-                        bus.emit("ixbar.conflict", bus.now, bank,
-                                 masters_of(masters)))
-            if bus.wants("dxbar.conflict"):
-                ring = bus.batch("dxbar.conflict")
-                if ring is not None:
-                    dxbar.probe_conflict = (
-                        lambda bank, masters, _ap=ring.data.append:
-                        _ap(bus.now))
-                else:
-                    dxbar.probe_conflict = (
-                        lambda bank, masters:
-                        bus.emit("dxbar.conflict", bus.now, bank,
-                                 masters_of(masters)))
-            if bus.wants("im.broadcast"):
-                ring = bus.batch("im.broadcast")
-                if ring is not None:
-                    ixbar.probe_broadcast = (
-                        lambda bank, width, _ap=ring.data.append:
-                        _ap(width))
-                else:
-                    ixbar.probe_broadcast = (
-                        lambda bank, width:
-                        bus.emit("im.broadcast", bus.now, bank, width))
-            if bus.wants("dm.broadcast"):
-                ring = bus.batch("dm.broadcast")
-                if ring is not None:
-                    dxbar.probe_broadcast = (
-                        lambda bank, width, _ap=ring.data.append:
-                        _ap(width))
-                else:
-                    dxbar.probe_broadcast = (
-                        lambda bank, width:
-                        bus.emit("dm.broadcast", bus.now, bank, width))
-            if bus.wants("mmu.translate"):
-                hooked_mmus = True
+            p_mmu = bus.wants("mmu.translate")
+            if p_mmu:
                 ring = bus.batch("mmu.translate")
                 if ring is not None:
-                    for mmu in mmus:
-                        mmu.probe_ring = ring.data
-                else:
-                    def mmu_probe(pid, logical, bank, offset, private):
-                        bus.emit("mmu.translate", bus.now, pid, logical,
-                                 bank, offset, private)
-                    for mmu in mmus:
-                        mmu.probe = mmu_probe
+                    ap_mmu = ring.data.append
 
         cycle = 0
         sync_cycles = 0
         # Fault-injection hooks: ``fault_next`` is the next cycle an
         # injection is due (a barrier for the fast-forward engine),
-        # ``stuck`` the live set of clock-stuck cores, ``watchdog`` the
-        # hang window (cycles without a single commit fleet-wide).
+        # ``watchdog`` the hang window (cycles without a single commit
+        # fleet-wide).
         fault_next = faults.next_cycle if faults is not None else None
-        stuck = faults.stuck_cores if faults is not None else None
         watchdog = faults.watchdog_window if faults is not None else 0
         last_progress = 0
+        # Contention bookkeeping, bit ``pid`` per core: ``starting``,
+        # the cores that committed last cycle; ``w_if``/``w_dr``/``w_dw``,
+        # those with a fetch / data read / data write staged in a
+        # crossbar; ``stuck_mid``, the clock-stuck ones that froze
+        # mid-instruction.  Waiting cores cost nothing per cycle (see
+        # :meth:`_settle_stalls`).
+        run_mask = starting = (1 << n) - 1
+        prepared = False
+        w_if = w_dr = w_dw = stuck_mid = 0
         try:
             while running:
                 if fault_next is not None and cycle >= fault_next:
@@ -493,36 +467,49 @@ class MultiCoreSystem:
                     engine = self._ff_engine
                     compiled = self.compiled
                     program_len = len(compiled)
-                    for pid in sorted(faults.dead_cores):
-                        if pid in running:
-                            core_stats[pid].halted_at = cycle
-                            pending[pid] = 0
-                            running.discard(pid)
+                    for pid in faults.dead_cores & running:
+                        core_stats[pid].halted_at = cycle
+                        running.discard(pid)
+                        fetch_pc[pid] = -1
+                    gone = run_mask
+                    run_mask = sum(1 << pid for pid in running)
+                    stuck = sum(1 << pid
+                                for pid in faults.stuck_cores & running)
+                    # A dead or clock-stuck core withdraws its ports; a
+                    # stuck one holds its state and stalls from now on.
+                    gone = gone & ~run_mask | stuck
+                    stuck_mid |= stuck & (w_if | w_dr | w_dw)
+                    for pid in bits_of(gone):
+                        ixbar.withdraw(pid)
+                        dxbar.withdraw(pid)
+                    starting &= ~gone
+                    w_if &= ~gone
+                    w_dr &= ~gone
+                    w_dw &= ~gone
                     last_progress = cycle
                     if not running:
                         break
-                if engine is not None:
-                    # The engine needs every running core at an instruction
-                    # boundary (no latched partial grants); mid-stall cycles
-                    # stay on the exact path below.
-                    for pid in running:
-                        if pending[pid]:
-                            break
-                    else:
-                        cycle, sync_cycles = engine.advance(
-                            running, core_stats, cycle, sync_cycles,
-                            max_cycles, fault_next)
-                        last_progress = cycle
-                        if not running:
-                            break
-                        if fault_next is not None and cycle >= fault_next:
-                            continue  # inject at the boundary, re-enter
+                if engine is not None and not (w_if | w_dr | w_dw):
+                    # The engine needs every running core at an
+                    # instruction boundary (no partial grants).
+                    cycle, sync_cycles, prepared = engine.advance(
+                        running, core_stats, cycle, sync_cycles,
+                        max_cycles, fault_next)
+                    last_progress = cycle
+                    if not running:
+                        break
+                    # Every running core starts its next instruction,
+                    # or (``prepared``) stages the one the engine handed
+                    # back with its cycle, translated and counted.
+                    run_mask = starting = sum(1 << pid for pid in running)
+                    for pid in bits_of((1 << n) - 1 ^ run_mask):
+                        fetch_pc[pid] = -1
+                    if fault_next is not None and cycle >= fault_next:
+                        continue  # inject at the boundary, re-enter
                 if cycle >= max_cycles:
                     raise CycleLimitError(
                         f"benchmark {self.benchmark.name!r} did not finish "
                         f"within {max_cycles} cycles on {self.config.name}")
-                if fetch_loc is None:
-                    fetch_loc = _fetch_table(self.im_layout, n, program_len)
                 cycle += 1
                 if observing:
                     if not (cycle & 0x3FFF):
@@ -531,77 +518,101 @@ class MultiCoreSystem:
                     now = cycle - 1
                     bus.now = now
 
-                # ---- request: stage every outstanding port ----
-                # Ports are numbered 2*pid (+1 for the data write), so
-                # staging in PID order is the crossbars' request order.
-                n_im = n_dm = 0
-                sync = len(running) > 1
-                sync_pc = -1
-                for pid in running:
-                    if stuck and pid in stuck:
-                        # Clock-stuck: the core holds its state, issues
-                        # nothing, and stalls (never a lockstep member;
-                        # the commit phase counts the stall).
-                        sync = False
-                        continue
-                    core = cores[pid]
-                    mask = pending[pid]
-                    if not mask:
-                        # Instruction boundary: start the next attempt.
-                        # Its data addresses are translated (and counted
-                        # by the MMU) once, then latched across stalls.
+                # ---- request: start the cores that committed last cycle ----
+                # Each instruction's data addresses are translated (and
+                # counted) once; its ports then stay staged in the
+                # crossbars until granted (Crossbar.stage, inlined).
+                # PID order is the crossbars' request order.
+                if starting:
+                    i_new = d_new = 0
+                    for pid in bits_of(starting):
+                        bit = 1 << pid
+                        core = cores[pid]
                         pc = core.pc
                         if pc >= program_len:
                             raise SimulationError(
                                 f"core {pid} ran off the program "
                                 f"at PC {pc:#x}")
-                        handler = compiled[pc]
                         fetch_pc[pid] = pc
-                        handlers[pid] = handler
-                        mask = PEND_IF
-                        preview = handler.preview
-                        if preview is None:
-                            dr_bank[pid] = dw_bank[pid] = -1
-                        else:
-                            dread, dwrite = preview(core.regs)
+                        if not prepared:
+                            handler = compiled[pc]
+                            handlers[pid] = handler
+                            preview = handler.preview
+                            if preview is None:
+                                dread = dwrite = None
+                            else:
+                                dread, dwrite = preview(core.regs)
                             if dread is None:
                                 dr_bank[pid] = -1
                             else:
-                                dr_bank[pid], dr_off[pid] = \
-                                    mmus[pid].translate(dread)
-                                mask = PEND_IF | PEND_DR
+                                if dread >= PRIVATE_BASE:
+                                    mmus[pid].private_accesses += 1
+                                    offset = dread - PRIVATE_BASE
+                                    if offset >= pwc:
+                                        layout.translate(pid, dread)  # raises
+                                    dr_bank[pid] = cbanks[pid][offset // pwb]
+                                    dr_off[pid] = swb + offset % pwb
+                                else:
+                                    mmus[pid].shared_accesses += 1
+                                    if dread >= shared_words:
+                                        layout.translate(pid, dread)  # raises
+                                    dr_bank[pid] = dread % dbn
+                                    dr_off[pid] = dread // dbn
+                                if p_mmu:
+                                    emit_translate(bus, ap_mmu, now, pid,
+                                                   dread, dr_bank[pid],
+                                                   dr_off[pid])
                             if dwrite is None:
                                 dw_bank[pid] = -1
                             else:
-                                dw_bank[pid], dw_off[pid] = \
-                                    mmus[pid].translate(dwrite)
-                                mask |= PEND_DW
-                        pending[pid] = mask
-                    port = pid + pid
-                    if mask & PEND_IF:
-                        pc = fetch_pc[pid]
-                        i_queue[n_im] = port
-                        n_im += 1
-                        i_bank[port], i_off[port] = fetch_loc[pid][pc]
-                        if sync:
-                            if sync_pc < 0:
-                                sync_pc = pc
-                            elif pc != sync_pc:
-                                sync = False
-                    else:
-                        sync = False  # mid-instruction: no lockstep
-                    if mask & PEND_DR:
-                        d_queue[n_dm] = port
-                        n_dm += 1
-                        d_bank[port] = dr_bank[pid]
-                        d_off[port] = dr_off[pid]
-                    if mask & PEND_DW:
-                        port += 1
-                        d_queue[n_dm] = port
-                        n_dm += 1
-                        d_bank[port] = dw_bank[pid]
-                        d_off[port] = dw_off[pid]
-                if sync:
+                                if dwrite >= PRIVATE_BASE:
+                                    mmus[pid].private_accesses += 1
+                                    offset = dwrite - PRIVATE_BASE
+                                    if offset >= pwc:
+                                        layout.translate(pid, dwrite)  # raises
+                                    dw_bank[pid] = cbanks[pid][offset // pwb]
+                                    dw_off[pid] = swb + offset % pwb
+                                else:
+                                    mmus[pid].shared_accesses += 1
+                                    if dwrite >= shared_words:
+                                        layout.translate(pid, dwrite)  # raises
+                                    dw_bank[pid] = dwrite % dbn
+                                    dw_off[pid] = dwrite // dbn
+                                if p_mmu:
+                                    emit_translate(bus, ap_mmu, now, pid,
+                                                   dwrite, dw_bank[pid],
+                                                   dw_off[pid])
+                        bank, i_read_at[pid] = fetch_loc[pid][pc]
+                        i_readers[bank] |= bit
+                        i_new |= 1 << bank
+                        bank = dr_bank[pid]
+                        if bank >= 0:
+                            d_readers[bank] |= bit
+                            d_read_at[pid] = dr_off[pid] << d_shift | bank
+                            d_new |= 1 << bank
+                            w_dr |= bit
+                        bank = dw_bank[pid]
+                        if bank >= 0:
+                            d_writers[bank] |= bit
+                            d_new |= 1 << bank
+                            w_dw |= bit
+                    ixbar.active |= i_new
+                    ixbar.reading |= starting
+                    if d_new:
+                        dxbar.active |= d_new
+                        dxbar.reading |= w_dr
+                        dxbar.writing |= w_dw
+                    w_if |= starting
+                    starting = 0
+                    prepared = False
+                # Lockstep: every running core fetches one PC (halted
+                # and dead cores hold fetch PC -1; a stuck core stages
+                # no fetch).
+                if w_if == run_mask and run_mask & (run_mask - 1) \
+                        and fetch_pc.count(
+                            sync_pc := fetch_pc[(run_mask & -run_mask)
+                                                .bit_length() - 1]) \
+                        == len(running):
                     sync_cycles += 1
                     if observing:
                         rt_rle = ap_retire is not None
@@ -609,53 +620,39 @@ class MultiCoreSystem:
                 elif observing:
                     rt_rle = st_rle = False
 
-                # ---- arbitrate, then commit or stall each core ----
-                if n_im:
-                    i_arbitrate(n_im)
-                if n_dm:
-                    d_arbitrate(n_dm)
-
-                halted_now = None
-                for pid in running:
-                    mask = pending[pid]
-                    if stuck and pid in stuck:
-                        # Stalled on its in-flight instruction, or on the
-                        # one at its PC (no lockstep cycle: stride-0 mark).
-                        core_stats[pid].stall_cycles += 1
-                        if p_stall:
-                            pc = fetch_pc[pid] if mask else cores[pid].pc
-                            if ap_stall is not None:
-                                if st_open != now:
-                                    mk_stall((now, len(st_data), 0))
-                                    st_open = now
-                                ap_stall(pc)
-                            else:
-                                bus.emit("core.stall", now, pid, pc)
+                # ---- arbitrate, then commit the fully granted cores ----
+                granted = i_resolve()[0]
+                w_if ^= granted
+                if dxbar.active:
+                    d_reads, d_writes = d_resolve()
+                    w_dr ^= d_reads
+                    w_dw ^= d_writes
+                    granted |= d_reads | d_writes
+                waiting = w_if | w_dr | w_dw
+                done = granted & ~waiting
+                if done:
+                    last_progress = cycle
+                # Commits in PID order (data reads happen at commit).
+                # A per-event stall subscriber walks the other running
+                # cores too, in the same order.
+                for pid in bits_of(run_mask if p_stall else done):
+                    bit = 1 << pid
+                    if not done & bit:
+                        # Stalled on its in-flight instruction, or (stuck
+                        # at a boundary) on the one at its PC.
+                        if st_rle:
+                            n_stall += 1
+                            continue
+                        pc = fetch_pc[pid] if (waiting | stuck_mid) & bit \
+                            else cores[pid].pc
+                        if ap_stall is not None:
+                            if st_open != now:
+                                mk_stall((now, len(st_data), 0))
+                                st_open = now
+                            ap_stall(pc)
+                        else:
+                            bus.emit("core.stall", now, pid, pc)
                         continue
-                    port = pid + pid
-                    if mask & PEND_IF and i_granted[port]:
-                        mask ^= PEND_IF
-                    if mask & PEND_DR and d_granted[port]:
-                        mask ^= PEND_DR
-                    if mask & PEND_DW and d_granted[port + 1]:
-                        mask ^= PEND_DW
-                    core = cores[pid]
-                    if mask:
-                        pending[pid] = mask
-                        core_stats[pid].stall_cycles += 1
-                        if p_stall:
-                            if st_rle:
-                                n_stall += 1
-                            elif ap_stall is not None:
-                                if st_open != now:
-                                    mk_stall((now, len(st_data), 0))
-                                    st_open = now
-                                ap_stall(fetch_pc[pid])
-                            else:
-                                bus.emit("core.stall", cycle - 1, pid,
-                                         fetch_pc[pid])
-                        continue
-                    pending[pid] = 0
                     if p_retire:
                         if rt_rle:
                             n_retire += 1
@@ -665,25 +662,26 @@ class MultiCoreSystem:
                                 rt_open = now
                             ap_retire(fetch_pc[pid])
                         else:
-                            bus.emit("core.retire", cycle - 1, pid,
-                                     fetch_pc[pid])
+                            bus.emit("core.retire", now, pid, fetch_pc[pid])
+                    core = cores[pid]
                     bank = dr_bank[pid]
                     if bank >= 0:
-                        value = dm_banks[bank].storage[dr_off[pid]]
+                        value = dm_store[bank][dr_off[pid]]
                         dreads += 1
                     else:
                         value = None
                     store = handlers[pid].commit(core, value)
                     if store is not None:
-                        dm_banks[dw_bank[pid]].storage[dw_off[pid]] = \
+                        dm_store[dw_bank[pid]][dw_off[pid]] = \
                             store[1] & 0xFFFF
                         dwrites += 1
-                    last_progress = cycle
                     if core.halted:
                         core_stats[pid].halted_at = cycle
-                        if halted_now is None:
-                            halted_now = []
-                        halted_now.append(pid)
+                        running.discard(pid)
+                        run_mask ^= bit
+                        fetch_pc[pid] = -1
+                    else:
+                        starting |= bit
                 if n_retire:
                     if rt_stride != -n_retire or rt_next != now:
                         mk_retire((now, len(rt_data), -n_retire))
@@ -700,8 +698,6 @@ class MultiCoreSystem:
                     st_next = now + 1
                     ap_stall(sync_pc)
                     n_stall = 0
-                if halted_now is not None:
-                    running.difference_update(halted_now)
                 if watchdog and cycle - last_progress >= watchdog:
                     raise HangError(
                         f"sync watchdog: no core retired for {watchdog} "
@@ -728,10 +724,6 @@ class MultiCoreSystem:
                     ap_stall(sync_pc)
                 ixbar.probe_conflict = ixbar.probe_broadcast = None
                 dxbar.probe_conflict = dxbar.probe_broadcast = None
-                if hooked_mmus:
-                    for mmu in mmus:
-                        mmu.probe = None
-                        mmu.probe_ring = None
                 bus.flush()
 
         if p_win:
@@ -740,11 +732,45 @@ class MultiCoreSystem:
             # above already flushed any rings, so every ring event
             # precedes it.
             self._emit_window(bus, cycle, True, sync_cycles, core_stats)
+        else:
+            self._settle_stalls(core_stats, cycle)
         return SimulationResult(
             benchmark=self.benchmark,
             stats=self._collect_stats(cycle, sync_cycles, core_stats),
             system=self,
         )
+
+    def _wire_xbar_probes(self, bus) -> None:
+        """Hook the crossbars' conflict/broadcast probes to ``bus``
+        (the run loop unhooks them when it returns)."""
+        for xbar, conflict, broadcast in (
+                (self.ixbar, "ixbar.conflict", "im.broadcast"),
+                (self.dxbar, "dxbar.conflict", "dm.broadcast")):
+            if bus.wants(conflict):
+                ring = bus.batch(conflict)
+                xbar.probe_conflict = (
+                    lambda bank, masters, _ap=ring.data.append:
+                    _ap(bus.now)) if ring is not None else (
+                    lambda bank, masters, _event=conflict:
+                    bus.emit(_event, bus.now, bank, masters_of(masters)))
+            if bus.wants(broadcast):
+                ring = bus.batch(broadcast)
+                xbar.probe_broadcast = (
+                    lambda bank, width, _ap=ring.data.append:
+                    _ap(width)) if ring is not None else (
+                    lambda bank, width, _event=broadcast:
+                    bus.emit(_event, bus.now, bank, width))
+
+    def _settle_stalls(self, core_stats, cycle: int) -> None:
+        """Write every core's stall count as of ``cycle``: a running
+        core commits or stalls in every cycle of either engine, so it
+        stalled for the cycles it ran minus the instructions it retired
+        in this run."""
+        base = self._retired_base
+        for pid, stats in enumerate(core_stats):
+            end = stats.halted_at
+            stats.stall_cycles = (cycle if end is None else end) \
+                - (self.cores[pid].retired - base[pid])
 
     def _emit_window(self, bus, cycle, final, sync_cycles, core_stats,
                      im_bc=0, im_sv=0, dm_bc=0, dm_sv=0, mmu_p=(),
@@ -755,6 +781,7 @@ class MultiCoreSystem:
         written back to the crossbars and MMUs yet (it never commits a
         conflict, so it keeps no pending conflict count).
         """
+        self._settle_stalls(core_stats, cycle)
         ix, dx = self.ixbar.stats, self.dxbar.stats
         mmus = self.mmus
         bus.emit("telemetry.window", cycle, final,

@@ -1,12 +1,13 @@
 """Crossbar: broadcast merging, conflicts, stalls, transitions."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.interconnect.arbiter import RoundRobinArbiter
-from repro.interconnect.xbar import (Crossbar, Request, XbarStats,
-                                     masters_of)
+from repro.interconnect import xbar as xbar_module
+from repro.interconnect.xbar import Crossbar, bits_of, masters_of
+
+from tests.interconnect.xbar_reference import (ReferenceCrossbar, Request,
+                                               arbitrate_list)
 
 
 def reads(*specs):
@@ -16,7 +17,7 @@ def reads(*specs):
 class TestBroadcast:
     def test_same_address_reads_merge_into_one_access(self):
         xbar = Crossbar(8, 8, broadcast=True)
-        granted = xbar.arbitrate(reads(*[(m, 2, 5) for m in range(8)]))
+        granted = arbitrate_list(xbar, reads(*[(m, 2, 5) for m in range(8)]))
         assert granted == {(m, False) for m in range(8)}
         assert xbar.stats.bank_accesses == 1
         assert xbar.stats.broadcast_savings == 7
@@ -25,25 +26,26 @@ class TestBroadcast:
 
     def test_broadcast_disabled_serialises(self):
         xbar = Crossbar(8, 8, broadcast=False)
-        granted = xbar.arbitrate(reads(*[(m, 2, 5) for m in range(8)]))
+        granted = arbitrate_list(xbar, reads(*[(m, 2, 5) for m in range(8)]))
         assert len(granted) == 1
         assert xbar.stats.stalls == 7
 
     def test_different_offsets_same_bank_conflict(self):
         xbar = Crossbar(8, 8, broadcast=True)
-        granted = xbar.arbitrate(reads((0, 1, 10), (1, 1, 11)))
+        granted = arbitrate_list(xbar, reads((0, 1, 10), (1, 1, 11)))
         assert len(granted) == 1
         assert xbar.stats.conflict_events == 1
 
     def test_writes_never_merge(self):
         xbar = Crossbar(8, 8, broadcast=True)
-        granted = xbar.arbitrate([Request(0, 3, 7, write=True),
-                                  Request(1, 3, 7, write=True)])
+        granted = arbitrate_list(xbar, [Request(0, 3, 7, write=True),
+                                        Request(1, 3, 7, write=True)])
         assert len(granted) == 1
 
     def test_partial_broadcast_group_wins_together(self):
         xbar = Crossbar(8, 8, broadcast=True)
-        granted = xbar.arbitrate(reads((0, 1, 5), (1, 1, 5), (2, 1, 9)))
+        granted = arbitrate_list(xbar,
+                                 reads((0, 1, 5), (1, 1, 5), (2, 1, 9)))
         # Round-robin points at master 0; its whole same-address group
         # (masters 0 and 1) is served in the single access.
         assert granted == {(0, False), (1, False)}
@@ -54,52 +56,66 @@ class TestBroadcast:
 class TestPorts:
     def test_read_and_write_from_same_master_different_banks(self):
         xbar = Crossbar(8, 16, broadcast=True)
-        granted = xbar.arbitrate([Request(0, 1, 5),
-                                  Request(0, 2, 6, write=True)])
+        granted = arbitrate_list(xbar, [Request(0, 1, 5),
+                                        Request(0, 2, 6, write=True)])
         assert granted == {(0, False), (0, True)}
         assert xbar.stats.bank_accesses == 2
 
     def test_read_and_write_same_bank_serialise(self):
         """A single-ported bank cannot serve a core's read and write in
-        one cycle."""
+        one cycle: the read goes first, the write stays staged."""
         xbar = Crossbar(8, 16, broadcast=True)
-        granted = xbar.arbitrate([Request(0, 1, 5),
-                                  Request(0, 1, 6, write=True)])
-        assert granted == {(0, False)}  # read served first
-        granted = xbar.arbitrate([Request(0, 1, 6, write=True)])
-        assert granted == {(0, True)}
-
-    def test_duplicate_port_request_rejected(self):
-        xbar = Crossbar(8, 8)
-        with pytest.raises(ValueError):
-            xbar.arbitrate(reads((0, 1, 5), (0, 2, 6)))
+        xbar.stage(0, 1, 5)
+        xbar.stage(1, 1, 6)
+        assert xbar.resolve() == (0b1, 0)
+        assert xbar.writers[1] == 0b1 and xbar.active == 1 << 1
+        assert xbar.resolve() == (0, 0b1)
+        assert xbar.active == 0 and xbar.writing == 0
 
 
 class TestFairness:
     def test_round_robin_across_cycles(self):
+        """Four staged readers of one bank: each wins once in four
+        cycles, and the losers keep their requests staged."""
         xbar = Crossbar(4, 4, broadcast=True)
+        for master in range(4):
+            xbar.stage(2 * master, 0, master + 1)
         winners = []
         for __ in range(4):
-            granted = xbar.arbitrate(reads((0, 0, 1), (1, 0, 2),
-                                           (2, 0, 3), (3, 0, 4)))
-            winners.append(next(iter(granted))[0])
+            granted, _ = xbar.resolve()
+            winners.extend(masters_of(granted))
         assert sorted(winners) == [0, 1, 2, 3]
+        assert xbar.active == 0
+        assert xbar.stats.stalls == 3 + 2 + 1
 
 
 class TestTransitions:
     def test_bank_transitions_counted_per_master(self):
         xbar = Crossbar(2, 4, broadcast=True)
-        xbar.arbitrate(reads((0, 0, 0)))
-        xbar.arbitrate(reads((0, 1, 0)))   # transition
-        xbar.arbitrate(reads((0, 1, 1)))   # same bank: no transition
-        xbar.arbitrate(reads((0, 2, 0)))   # transition
+        arbitrate_list(xbar, reads((0, 0, 0)))
+        arbitrate_list(xbar, reads((0, 1, 0)))   # transition
+        arbitrate_list(xbar, reads((0, 1, 1)))   # same bank: no transition
+        arbitrate_list(xbar, reads((0, 2, 0)))   # transition
         assert xbar.stats.bank_transitions == {0: 2}
         assert xbar.stats.total_bank_transitions == 2
 
     def test_first_access_is_not_a_transition(self):
         xbar = Crossbar(2, 4)
-        xbar.arbitrate(reads((0, 3, 0)))
+        arbitrate_list(xbar, reads((0, 3, 0)))
         assert xbar.stats.total_bank_transitions == 0
+
+    def test_read_and_write_granted_in_port_order(self):
+        """The bank-order case: master 1 wins its read (port 2, bank 3)
+        and its write (port 3, bank 0) in one cycle.  Banks are served
+        by lowest waiting port, so the read's bank comes first: one
+        transition, and the write's bank is the last one."""
+        xbar = Crossbar(2, 4, broadcast=True)
+        arbitrate_list(xbar, reads((1, 3, 0)))
+        granted = arbitrate_list(xbar, [Request(1, 3, 1),
+                                        Request(1, 0, 2, write=True)])
+        assert granted == {(1, False), (1, True)}
+        assert xbar.stats.bank_transitions == {1: 1}
+        assert xbar._last_bank[1] == 0
 
 
 class TestInvariants:
@@ -120,7 +136,7 @@ class TestInvariants:
             seen.add((master, write))
             requests.append(Request(master, bank, offset, write=write))
         xbar = Crossbar(8, 4, broadcast=True)
-        granted = xbar.arbitrate(requests)
+        granted = arbitrate_list(xbar, requests)
         stats = xbar.stats
         assert stats.deliveries == len(granted)
         assert stats.bank_accesses <= stats.deliveries
@@ -130,75 +146,42 @@ class TestInvariants:
 
     def test_reset(self):
         xbar = Crossbar(4, 4)
-        xbar.arbitrate(reads((0, 0, 0)))
+        xbar.stage(0, 0, 0)
+        xbar.stage(2, 0, 1)
+        xbar.stage(5, 1, 0)
+        xbar.resolve()
         xbar.reset()
         assert xbar.stats.bank_accesses == 0
         assert xbar._last_bank == [None] * 4
+        assert xbar.active == xbar.reading == xbar.writing == 0
+        assert xbar.readers == [0] * 4 and xbar.writers == [0] * 4
+        assert xbar.read_at == [-1] * 4
+
+
+class TestBitsOf:
+    @given(st.integers(min_value=0, max_value=(1 << 40) - 1))
+    def test_matches_masters_of(self, mask):
+        assert bits_of(mask) == tuple(masters_of(mask))
+
+    def test_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(xbar_module, "_BITS", {})
+        monkeypatch.setattr(xbar_module, "_BITS_LIMIT", 4)
+        for mask in range(1, 40):
+            assert bits_of(mask) == tuple(masters_of(mask))
+            assert len(xbar_module._BITS) <= 4
 
 
 class TestEmpty:
     def test_no_requests(self):
-        assert Crossbar(4, 4).arbitrate([]) == set()
+        xbar = Crossbar(4, 4)
+        assert xbar.resolve() == (0, 0)
+        assert xbar.stats.bank_accesses == 0
 
 
-class ReferenceCrossbar:
-    """The straightforward dict/set arbitration the staged crossbar must
-    reproduce: requests grouped per bank in first-request order, broadcast
-    groups keyed by offset, the round-robin winner's read group served
-    before its write."""
-
-    def __init__(self, masters, banks, broadcast):
-        self.broadcast = broadcast
-        self.arbiters = [RoundRobinArbiter(masters) for _ in range(banks)]
-        self.stats = XbarStats()
-        self.last_bank = [None] * masters
-        self.events = []
-
-    def arbitrate(self, requests):
-        by_bank = {}
-        for request in requests:
-            by_bank.setdefault(request.bank, []).append(request)
-        granted = set()
-        stats = self.stats
-        for bank, bank_requests in by_bank.items():
-            winners = self._bank(bank, bank_requests)
-            for request in winners:
-                granted.add(request.grant_key)
-                last = self.last_bank[request.master]
-                if last is not None and last != bank:
-                    stats.bank_transitions[request.master] = \
-                        stats.bank_transitions.get(request.master, 0) + 1
-                self.last_bank[request.master] = bank
-            stats.deliveries += len(winners)
-            stats.bank_accesses += 1
-            if len(winners) > 1:
-                stats.broadcasts += 1
-                stats.broadcast_savings += len(winners) - 1
-                self.events.append(("broadcast", bank, len(winners)))
-            stats.stalls += len(bank_requests) - len(winners)
-        return granted
-
-    def _bank(self, bank, bank_requests):
-        if len(bank_requests) == 1:
-            return bank_requests
-        groups = {}
-        for request in bank_requests:
-            if self.broadcast and not request.write:
-                key = (False, request.offset)
-            else:
-                key = (True, request.master, request.write)
-            groups.setdefault(key, []).append(request)
-        if len(groups) == 1:
-            return bank_requests
-        self.stats.conflict_events += 1
-        masters = sorted({request.master for request in bank_requests})
-        self.events.append(("conflict", bank, masters))
-        winner = self.arbiters[bank].grant(masters)
-        candidates = [group for group in groups.values()
-                      if any(r.master == winner for r in group)]
-        candidates.sort(key=lambda group: any(r.write and r.master == winner
-                                              for r in group))
-        return candidates[0]
+request = st.tuples(st.integers(min_value=0, max_value=7),
+                    st.integers(min_value=0, max_value=3),
+                    st.integers(min_value=0, max_value=3),
+                    st.booleans())
 
 
 def _cycle_requests(raw):
@@ -211,58 +194,132 @@ def _cycle_requests(raw):
     return [ports[key] for key in sorted(ports)]
 
 
-class TestStagedMatchesReference:
-    """Differential: the allocation-free staged arbitration equals the
-    dict/set reference cycle by cycle — grants, every statistic, each
-    master's last bank, the arbiter pointers and the probe events."""
+def _probed(xbar):
+    events = []
+    xbar.probe_conflict = lambda bank, masters: events.append(
+        ("conflict", bank, masters_of(masters)))
+    xbar.probe_broadcast = \
+        lambda bank, width: events.append(("broadcast", bank, width))
+    return events
 
-    request = st.tuples(st.integers(min_value=0, max_value=7),
-                        st.integers(min_value=0, max_value=3),
-                        st.integers(min_value=0, max_value=3),
-                        st.booleans())
+
+def _assert_same_state(xbar, reference, events):
+    assert xbar.stats == reference.stats
+    assert xbar._last_bank == reference.last_bank
+    assert [(a.pointer, a.grants) for a in xbar.arbiters] \
+        == [(a.pointer, a.grants) for a in reference.arbiters]
+    if events is not None:
+        assert events == reference.events
+
+
+class TestStagedMatchesReference:
+    """Differential: one fully restaged cycle of the persistent crossbar
+    equals the dict/set reference cycle by cycle — grants, every
+    statistic, each master's last bank, the arbiter pointers and the
+    probe events."""
 
     @given(st.lists(st.lists(request, max_size=16), min_size=1,
                     max_size=12),
            st.booleans())
     def test_cycle_sequences(self, cycles, broadcast):
-        staged = Crossbar(8, 4, broadcast=broadcast)
-        events = []
-        staged.probe_conflict = lambda bank, masters: events.append(
-            ("conflict", bank, masters_of(masters)))
-        staged.probe_broadcast = \
-            lambda bank, width: events.append(("broadcast", bank, width))
+        xbar = Crossbar(8, 4, broadcast=broadcast)
+        events = _probed(xbar)
         reference = ReferenceCrossbar(8, 4, broadcast)
         for raw in cycles:
             requests = _cycle_requests(raw)
-            assert staged.arbitrate(requests) \
+            assert arbitrate_list(xbar, requests) \
                 == reference.arbitrate(requests)
-            assert staged.stats == reference.stats
-            assert staged._last_bank == reference.last_bank
-            assert [(a.pointer, a.grants) for a in staged.arbiters] \
-                == [(a.pointer, a.grants) for a in reference.arbiters]
-            assert events == reference.events
+            _assert_same_state(xbar, reference, events)
 
     def test_staged_call_reports_per_port_grants(self):
-        """The platform's form: stage ports, arbitrate, read ``granted``."""
+        """The platform's form: stage ports, resolve, read the granted
+        master bit sets; the loser stays staged."""
         xbar = Crossbar(4, 4, broadcast=True)
-        for index, (port, bank, offset) in enumerate(
-                [(0, 1, 5), (2, 1, 5), (3, 1, 6), (4, 2, 0)]):
-            xbar.queue[index] = port
-            xbar.port_bank[port] = bank
-            xbar.port_offset[port] = offset
-        xbar.arbitrate_staged(4)
+        for port, bank, offset in [(0, 1, 5), (2, 1, 5), (3, 1, 6),
+                                   (4, 2, 0)]:
+            xbar.stage(port, bank, offset)
         # Master 0 wins bank 1 (pointer 0): its read group is the
         # offset-5 broadcast with master 1; master 1's write stalls.
-        assert [xbar.granted[port] for port in (0, 2, 3, 4)] \
-            == [True, True, False, True]
+        assert xbar.resolve() == (0b111, 0)
         assert xbar.stats.broadcasts == 1 and xbar.stats.stalls == 1
+        assert xbar.writers[1] == 0b10 and xbar.writing == 0b10
+        assert xbar.active == 1 << 1
+        assert xbar.resolve() == (0, 0b10)
+        assert xbar.active == 0
 
     def test_conflict_hook_reports_contender_bit_set(self):
         xbar = Crossbar(8, 4, broadcast=False)
         events = []
         xbar.probe_conflict = \
             lambda bank, masters: events.append((bank, masters))
-        xbar.arbitrate(reads((7, 2, 0), (0, 2, 1), (5, 2, 0)))
+        arbitrate_list(xbar, reads((7, 2, 0), (0, 2, 1), (5, 2, 0)))
         assert events == [(2, 0b1010_0001)]
         assert masters_of(0b1010_0001) == [0, 5, 7]
         assert masters_of(0) == []
+
+
+def run_streams(cycles, broadcast, probed=True, masters=8, banks=4):
+    """Feed a request stream to the persistent crossbar the way the
+    platform does — a master keeps its ungranted ports staged and adds
+    new ones only when it has none left — and check it against the
+    reference fed the fully restaged list after every cycle.  Unprobed,
+    the crossbar may serve banks in index order wherever that order is
+    unobservable."""
+    xbar = Crossbar(masters, banks, broadcast=broadcast)
+    events = _probed(xbar) if probed else None
+    reference = ReferenceCrossbar(masters, banks, broadcast)
+    pending: dict[tuple[int, bool], Request] = {}
+    for raw in cycles:
+        busy = {master for master, _ in pending}
+        for request in _cycle_requests(raw):
+            if request.master not in busy:
+                pending[request.grant_key] = request
+                xbar.stage(request.port, request.bank, request.offset)
+        requests = [pending[key] for key in sorted(pending)]
+        granted = reference.arbitrate(requests)
+        reads, writes = xbar.resolve()
+        assert {(m, False) for m in masters_of(reads)} \
+            | {(m, True) for m in masters_of(writes)} == granted
+        _assert_same_state(xbar, reference, events)
+        for key in granted:
+            del pending[key]
+        assert xbar.reading == sum(1 << master for master, write
+                                   in pending if not write)
+        assert xbar.writing == sum(1 << master for master, write
+                                   in pending if write)
+        assert xbar.active == sum({1 << request.bank
+                                   for request in pending.values()})
+    return xbar
+
+
+class TestPersistentMatchesReference:
+    """Multi-cycle differential: ports stay staged until granted."""
+
+    @given(st.lists(st.lists(request, max_size=16), min_size=1,
+                    max_size=24),
+           st.booleans(), st.booleans())
+    def test_request_streams(self, cycles, broadcast, probed):
+        run_streams(cycles, broadcast, probed)
+
+    def test_eight_way_contention_on_one_bank(self):
+        cycles = [[(m, 0, m % 2, False) for m in range(8)]] * 12
+        for broadcast in (True, False):
+            for probed in (True, False):
+                xbar = run_streams(cycles, broadcast, probed)
+                assert xbar.stats.conflict_events > 0
+
+    def test_read_and_write_of_one_master_in_one_bank(self):
+        cycles = [[(3, 1, 4, False), (3, 1, 5, True), (5, 1, 4, False)]]
+        for broadcast in (True, False):
+            xbar = run_streams(cycles * 4, broadcast)
+            assert xbar.stats.conflict_events > 0
+
+    def test_read_and_write_granted_in_different_banks(self):
+        # Master 1's read lands in bank 3 and its write in bank 0; the
+        # read's port is lower, so bank 3 is served first.
+        cycles = [[(1, 3, 0, False)], [(1, 3, 1, False), (1, 0, 2, True)],
+                  [(0, 0, 1, True), (1, 3, 2, False), (1, 0, 3, True)]]
+        for probed in (True, False):
+            xbar = run_streams(cycles, True, probed)
+            assert xbar.stats.bank_transitions == {1: 2}
+            assert xbar._last_bank[1] == 3 and xbar.writers[0] == 0b10

@@ -152,9 +152,9 @@ class TestEventStream:
         for event in EVENTS:
             bus.subscribe(event, lambda *a: None)
         system.run(built.benchmark)
-        assert system.ixbar.probe_conflict is None
-        assert system.dxbar.probe_broadcast is None
-        assert all(mmu.probe is None for mmu in system.mmus)
+        for xbar in (system.ixbar, system.dxbar):
+            assert xbar.probe_conflict is None
+            assert xbar.probe_broadcast is None
 
 
 class TestBlockDone:

@@ -127,8 +127,10 @@ def series():
                       huffman_private=True), n_blocks=2)
 
 
-def _snapshot_stream(arch, series, window, fast_forward, blocks):
-    system = build_platform(arch, fast_forward=fast_forward)
+def _snapshot_stream(arch, series, window, fast_forward, blocks,
+                     overrides=None):
+    system = build_platform(arch, fast_forward=fast_forward,
+                            **(overrides or {}))
     aggregator = WindowedAggregator.attach(system.probe_bus(),
                                            window_cycles=window)
     with mock.patch.object(ff_engine, "TRANSLATION_BLOCKS", blocks):
@@ -154,6 +156,24 @@ def test_stream_windows_equal_reference_fold(series, arch, window):
         assert windows == expected, label
         if label == "blocks+traces":
             assert trace_cycles > 0, "the watched stream ran no trace"
+
+
+@pytest.mark.parametrize("arch,overrides",
+                         [("ulpmc-bank", {"instr_broadcast": False}),
+                          ("ulpmc-int", {"data_broadcast": False})])
+def test_contended_windows_equal_reference_fold(series, arch, overrides):
+    """Broadcast off, the cores contend: most cycles run in the exact
+    loop, ports stay staged across 97-cycle window edges and the
+    snapshots settle the waiting cores' stalls there."""
+    system = build_platform(arch, fast_forward=False, **overrides)
+    oracle = ReferenceWindows(system.probe_bus(), 97)
+    run_stream(arch, series, system=system)
+    expected = _dicts(oracle.windows)
+    assert sum(window["stalls"] for window in expected) > 1000
+    for label, (fast_forward, blocks) in MODES.items():
+        windows, _ = _snapshot_stream(arch, series, 97, fast_forward,
+                                      blocks, overrides)
+        assert windows == expected, label
 
 
 def test_dead_core_degradation_windows_equal_reference_fold(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.memory.layout import IMOrganization
+from repro.platform import build_platform
 from repro.platform.config import (
     ARCH_NAMES,
     ArchConfig,
@@ -61,6 +62,14 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="interleav"):
             ArchConfig(name="bad", im_org=IMOrganization.INTERLEAVED,
                        im_power_gating=True)
+
+    @pytest.mark.parametrize("override", [{"n_cores": 0}, {"n_cores": -1},
+                                          {"im_bank_words": 0}])
+    @pytest.mark.parametrize("arch", ARCH_NAMES)
+    def test_sizes_must_be_positive(self, arch, override):
+        """Through the library API too, not only the CLI's DSE axes."""
+        with pytest.raises(ConfigurationError, match="at least 1"):
+            build_platform(arch, **override)
 
     def test_layouts_derived(self):
         assert MC_REF.im_layout().organization == IMOrganization.PRIVATE

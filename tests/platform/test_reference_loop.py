@@ -1,32 +1,35 @@
 """The cycle loop against a straightforward reference loop.
 
-``MultiCoreSystem.run`` executes the compiled dispatch table and stages
-requests into the crossbars' preallocated port arrays.  The reference
-below is the loop written the plain way — one :class:`Request` object
-per port, :meth:`Crossbar.arbitrate` on lists, the generic operand walk
-of :class:`~repro.tamarisc.cpu.Core` for previews and commits, a set of
-fetch PCs for lockstep detection — and both execution modes of the
-platform must reproduce it bit for bit on configurations where cores
-desynchronise, stall with partial grants and contend for banks — also
-when a fault moves a core's PC while its fetch is stalled.  The
-crossbar's own arbitration is checked against a dict/set reference in
-``tests/interconnect/test_xbar.py``.
+``MultiCoreSystem.run`` executes the compiled dispatch table, keeps each
+port staged in the crossbars until it is granted and settles stall
+cycles lazily.  The reference below is the loop written the plain way —
+every waiting port restaged as a :class:`Request` each cycle and
+arbitrated by the list-form :class:`ReferenceCrossbar`, the generic
+operand walk of :class:`~repro.tamarisc.cpu.Core` for previews and
+commits, a set of fetch PCs for lockstep detection, one stall counted
+per core and cycle — and both execution modes of the platform must
+reproduce it bit for bit on configurations where cores desynchronise,
+stall with partial grants and contend for banks — also when a fault
+moves a core's PC while its fetch is stalled, sticks a core's clock or
+kills it.  The crossbar's own arbitration is checked against the same
+reference in ``tests/interconnect/test_xbar.py``.
 """
 
 import random
 
 import pytest
 
-from repro.errors import CycleLimitError, SimulationError
-from repro.interconnect.xbar import Request
+from repro.errors import CycleLimitError, HangError, SimulationError
 from repro.kernels import BenchmarkSpec, build_benchmark
 from repro.memory.layout import PRIVATE_BASE
 from repro.platform import ARCH_NAMES, Benchmark, build_platform
-from repro.platform.fast_forward import PEND_IF
 from repro.platform.stats import CoreStats
 from repro.resilience import FaultSession, FaultSpec
+from repro.tamarisc.assembler import assemble
 from repro.tamarisc.program import DataImage
 from repro.tamarisc.regression import SANDBOX_WORDS, generate_random_program
+
+from tests.interconnect.xbar_reference import ReferenceCrossbar, Request
 
 MAX_CYCLES = 200_000
 
@@ -53,82 +56,114 @@ def reference_run(system, benchmark, max_cycles=MAX_CYCLES, faults=None):
     """Run ``benchmark`` on ``system`` with the reference loop; returns
     the :class:`SimulationStats`.
 
-    ``faults`` (a :class:`FaultSession` of bit-flip faults; stuck and
-    dead cores are not modelled here) is applied between cycles, where
-    the platform applies it.  An in-flight instruction keeps the PC it
-    was fetched from.
+    ``faults`` (a :class:`FaultSession`) is applied between cycles,
+    where the platform applies it.  An in-flight instruction keeps the
+    PC it was fetched from.  A clock-stuck core issues nothing and
+    stalls every cycle; a dead core leaves the run at the fault cycle.
+    The reference crossbars' statistics replace the system's, also when
+    the run raises.
     """
     system.load(benchmark)
-    n = system.config.n_cores
+    config = system.config
+    n = config.n_cores
+    ixbar = ReferenceCrossbar(n, config.im_banks, config.instr_broadcast)
+    dxbar = ReferenceCrossbar(n, config.dm_banks, config.data_broadcast)
     cores, mmus, decoded = system.cores, system.mmus, system.decoded
     storage = [bank.storage for bank in system.dmem.banks]
     core_stats = [CoreStats() for _ in range(n)]
     attempts = [None] * n
     running = set(range(n))
-    cycle = sync_cycles = 0
-    while running:
-        if faults is not None and faults.next_cycle is not None \
-                and cycle >= faults.next_cycle:
-            faults.apply_due(system, cycle)
-            decoded = system.decoded
-        if cycle >= max_cycles:
-            raise CycleLimitError(
-                f"benchmark {benchmark.name!r} did not finish within "
-                f"{max_cycles} cycles on {system.config.name}")
-        cycle += 1
-        im_requests, dm_requests, fetch_pcs = [], [], set()
-        for pid in sorted(running):
-            core = cores[pid]
-            if attempts[pid] is None:
-                if core.pc >= len(decoded):
-                    raise SimulationError(
-                        f"core {pid} ran off the program at PC "
-                        f"{core.pc:#x}")
-                instr = decoded[core.pc]
-                dread, dwrite = core.data_requests(instr)
-                attempts[pid] = _Attempt(
-                    instr, core.pc,
-                    mmus[pid].translate(dread.addr) if dread else None,
-                    mmus[pid].translate(dwrite.addr) if dwrite else None)
-            attempt = attempts[pid]
-            if attempt.need_if:
-                bank, offset = system.im_layout.locate(pid, attempt.fetch_pc)
-                im_requests.append(Request(pid, bank, offset))
-                fetch_pcs.add(attempt.fetch_pc)
-            else:
-                fetch_pcs.add(None)
-            if attempt.need_dr:
-                dm_requests.append(Request(pid, *attempt.dr_loc))
-            if attempt.need_dw:
-                dm_requests.append(Request(pid, *attempt.dw_loc, write=True))
-        if len(running) > 1 and len(fetch_pcs) == 1 \
-                and None not in fetch_pcs:
-            sync_cycles += 1
-        granted = {("im",) + key for key
-                   in system.ixbar.arbitrate(im_requests)}
-        granted |= {("dm",) + key for key
-                    in system.dxbar.arbitrate(dm_requests)}
-        for pid in sorted(running):
-            attempt = attempts[pid]
-            attempt.need_if &= ("im", pid, False) not in granted
-            attempt.need_dr &= ("dm", pid, False) not in granted
-            attempt.need_dw &= ("dm", pid, True) not in granted
-            if attempt.need_if or attempt.need_dr or attempt.need_dw:
-                core_stats[pid].stall_cycles += 1
-                continue
-            value = None
-            if attempt.dr_loc is not None:
-                value = storage[attempt.dr_loc[0]][attempt.dr_loc[1]]
-                system._dreads_committed += 1
-            store = cores[pid].execute(attempt.instr, value)
-            if store is not None:
-                storage[attempt.dw_loc[0]][attempt.dw_loc[1]] = \
-                    store[1] & 0xFFFF
-                system._dwrites_committed += 1
-            attempts[pid] = None
-            if cores[pid].halted:
-                core_stats[pid].halted_at = cycle
-                running.discard(pid)
+    stuck = faults.stuck_cores if faults is not None else set()
+    watchdog = faults.watchdog_window if faults is not None else 0
+    cycle = sync_cycles = last_progress = 0
+    try:
+        while running:
+            if faults is not None and faults.next_cycle is not None \
+                    and cycle >= faults.next_cycle:
+                faults.apply_due(system, cycle)
+                decoded = system.decoded
+                for pid in faults.dead_cores & running:
+                    core_stats[pid].halted_at = cycle
+                    attempts[pid] = None
+                    running.discard(pid)
+                last_progress = cycle
+                if not running:
+                    break
+            if cycle >= max_cycles:
+                raise CycleLimitError(
+                    f"benchmark {benchmark.name!r} did not finish within "
+                    f"{max_cycles} cycles on {config.name}")
+            cycle += 1
+            im_requests, dm_requests, fetch_pcs = [], [], set()
+            for pid in sorted(running):
+                if pid in stuck:
+                    fetch_pcs.add(None)
+                    continue
+                core = cores[pid]
+                if attempts[pid] is None:
+                    if core.pc >= len(decoded):
+                        raise SimulationError(
+                            f"core {pid} ran off the program at PC "
+                            f"{core.pc:#x}")
+                    instr = decoded[core.pc]
+                    dread, dwrite = core.data_requests(instr)
+                    attempts[pid] = _Attempt(
+                        instr, core.pc,
+                        mmus[pid].translate(dread.addr) if dread else None,
+                        mmus[pid].translate(dwrite.addr) if dwrite
+                        else None)
+                attempt = attempts[pid]
+                if attempt.need_if:
+                    bank, offset = system.im_layout.locate(
+                        pid, attempt.fetch_pc)
+                    im_requests.append(Request(pid, bank, offset))
+                    fetch_pcs.add(attempt.fetch_pc)
+                else:
+                    fetch_pcs.add(None)
+                if attempt.need_dr:
+                    dm_requests.append(Request(pid, *attempt.dr_loc))
+                if attempt.need_dw:
+                    dm_requests.append(Request(pid, *attempt.dw_loc,
+                                               write=True))
+            if len(running) > 1 and len(fetch_pcs) == 1 \
+                    and None not in fetch_pcs:
+                sync_cycles += 1
+            granted = {("im",) + key for key
+                       in ixbar.arbitrate(im_requests)}
+            granted |= {("dm",) + key for key
+                        in dxbar.arbitrate(dm_requests)}
+            for pid in sorted(running):
+                attempt = attempts[pid]
+                if pid in stuck:
+                    core_stats[pid].stall_cycles += 1
+                    continue
+                attempt.need_if &= ("im", pid, False) not in granted
+                attempt.need_dr &= ("dm", pid, False) not in granted
+                attempt.need_dw &= ("dm", pid, True) not in granted
+                if attempt.need_if or attempt.need_dr or attempt.need_dw:
+                    core_stats[pid].stall_cycles += 1
+                    continue
+                value = None
+                if attempt.dr_loc is not None:
+                    value = storage[attempt.dr_loc[0]][attempt.dr_loc[1]]
+                    system._dreads_committed += 1
+                store = cores[pid].execute(attempt.instr, value)
+                if store is not None:
+                    storage[attempt.dw_loc[0]][attempt.dw_loc[1]] = \
+                        store[1] & 0xFFFF
+                    system._dwrites_committed += 1
+                attempts[pid] = None
+                last_progress = cycle
+                if cores[pid].halted:
+                    core_stats[pid].halted_at = cycle
+                    running.discard(pid)
+            if watchdog and cycle - last_progress >= watchdog:
+                raise HangError(
+                    f"sync watchdog: no core retired for {watchdog} "
+                    f"cycles (cycle {cycle}) on {config.name}")
+    finally:
+        system.ixbar.stats = ixbar.stats
+        system.dxbar.stats = dxbar.stats
     return system._collect_stats(cycle, sync_cycles, core_stats)
 
 
@@ -147,9 +182,11 @@ def outcome(system, run):
     return (stats, *machine)
 
 
-def assert_matches_reference(arch, benchmark, overrides, fault_specs=None):
+def assert_matches_reference(arch, benchmark, overrides, fault_specs=None,
+                             watchdog=50_000):
     def session():
-        return None if fault_specs is None else FaultSession(fault_specs)
+        return None if fault_specs is None \
+            else FaultSession(fault_specs, watchdog_window=watchdog)
 
     system = build_platform(arch, **overrides)
     expected = outcome(system, lambda: reference_run(
@@ -182,6 +219,41 @@ def test_random_corpus(seed, arch, overrides):
     assert_matches_reference(arch, fuzz_benchmark(seed), overrides)
 
 
+#: Every core adds its own value to one shared word, read-modify-write,
+#: for its own trip count.  Under contention a core's load of the word
+#: can be granted a cycle before its fetch, and another core's store to
+#: the word then commits in the same cycle: the sum depends on the
+#: commit order within a cycle (PID order; data reads happen at commit).
+RACE_SOURCE = """
+    li  r1, 0x4000
+    mov r2, [r1]
+    add r1, r1, #1
+    mov r4, [r1]
+    li  r3, 0x40
+loop:
+    add r5, [r3], r2
+    mov [r3], r5
+    add r6, [r3], #1
+    mov [r3], r6
+    sub r4, r4, #1
+    bne loop
+    hlt
+"""
+
+
+@pytest.mark.parametrize("overrides", CONTENTION)
+@pytest.mark.parametrize("arch", ARCH_NAMES)
+def test_shared_word_race(arch, overrides):
+    data = DataImage()
+    data.set_shared_block(0x40, [0])
+    for pid in range(8):
+        data.set_private_block(pid, PRIVATE_BASE,
+                               [3 * pid + 1, 12 + pid % 5])
+    assert_matches_reference(
+        arch, Benchmark("shared-race", assemble(RACE_SOURCE), data),
+        overrides)
+
+
 @pytest.fixture(scope="module")
 def tiny_ecg():
     return build_benchmark(BenchmarkSpec(n_samples=32, n_measurements=16))
@@ -207,18 +279,51 @@ class _FetchStallProbe(FaultSession):
         return self.due
 
     def apply_due(self, system, cycle):
-        pids = [pid for pid, mask in enumerate(system._pending)
-                if mask & PEND_IF]
+        pids = [pid for pid, key in enumerate(system.ixbar.read_at)
+                if key >= 0]
         if pids:
             self.stalled.append((cycle, pids))
         self.due = cycle + 1
 
 
-def fetch_stalls(arch, benchmark):
+class _ContentionStateProbe(_FetchStallProbe):
+    """Checks at every cycle boundary that the crossbars' summary masks
+    agree with their per-bank state (the cycle loop stages inline)."""
+
+    waits = 0  # boundaries with a port still staged
+
+    def apply_due(self, system, cycle):
+        for xbar in (system.ixbar, system.dxbar):
+            self.waits += bool(xbar.active)
+            reading = writing = active = 0
+            for bank in range(xbar.banks):
+                reading |= xbar.readers[bank]
+                writing |= xbar.writers[bank]
+                if xbar.readers[bank] | xbar.writers[bank]:
+                    active |= 1 << bank
+            assert (xbar.reading, xbar.writing, xbar.active) \
+                == (reading, writing, active), (xbar.name, cycle)
+            assert [key >= 0 for key in xbar.read_at] \
+                == [bool(reading >> master & 1)
+                    for master in range(xbar.masters)], (xbar.name, cycle)
+        super().apply_due(system, cycle)
+
+
+@pytest.mark.parametrize("overrides", CONTENTION[1:])
+@pytest.mark.parametrize("fast_forward", [False, True])
+def test_crossbar_summary_masks_track_staged_ports(fast_forward,
+                                                   overrides):
+    probe = _ContentionStateProbe()
+    build_platform("ulpmc-int", fast_forward=fast_forward,
+                   **overrides).run(fuzz_benchmark(8), faults=probe)
+    assert probe.waits > 20, "no contention exercised"
+
+
+def fetch_stalls(arch, benchmark, overrides=None):
     """``[(cycle, pid), ...]``: the boundaries at which a core waits for
     its instruction fetch (first stalled core of each)."""
     probe = _FetchStallProbe()
-    build_platform(arch).run(benchmark, faults=probe)
+    build_platform(arch, **(overrides or {})).run(benchmark, faults=probe)
     return [(cycle, pids[0]) for cycle, pids in probe.stalled]
 
 
@@ -237,3 +342,28 @@ def test_pc_fault_during_fetch_stall(tiny_ecg, arch, nth, mask):
     if mask == 1 << 14:
         assert expected[0] == "SimulationError"
         assert f"core {pid} ran off the program" in expected[1]
+
+
+@pytest.mark.parametrize("kinds", [("stuck",), ("dead",), ("stuck", "dead")])
+@pytest.mark.parametrize("arch,overrides",
+                         [("ulpmc-bank", {"instr_broadcast": False}),
+                          ("ulpmc-int", {"data_broadcast": False})])
+def test_stuck_and_dead_cores_while_fetch_waits(tiny_ecg, arch, overrides,
+                                                kinds):
+    """A core sticks or dies while its fetch waits on a contended bank:
+    its staged ports are withdrawn, and its stall cycles — settled
+    lazily by the platform — match the reference's per-cycle count.  A
+    core that only sticks trips the watchdog once the others halted."""
+    stalls = fetch_stalls(arch, tiny_ecg.benchmark, overrides)
+    assert len(stalls) > 100, f"too few fetch stalls on {arch}"
+    cycle, pid = stalls[len(stalls) // 3]
+    specs = tuple(FaultSpec(kind, cycle + 300 * index, pid)
+                  for index, kind in enumerate(kinds))
+    expected = assert_matches_reference(arch, tiny_ecg.benchmark, overrides,
+                                        fault_specs=specs, watchdog=2_000)
+    if kinds == ("stuck",):
+        assert expected[0] == "HangError"
+    else:
+        core = expected[0].cores[pid]
+        assert core.halted_at == specs[-1].cycle
+        assert core.stall_cycles >= 300 * (len(kinds) - 1)

@@ -13,7 +13,6 @@ import pytest
 
 from repro.errors import ReproError, TrapError
 from repro.platform import build_platform, program_artifacts
-from repro.platform.fast_forward import PEND_IF
 from repro.resilience import (
     FaultSession,
     FaultSpec,
@@ -121,8 +120,8 @@ class _FetchStallProbe(FaultSession):
         return self.due if self.found is None else None
 
     def apply_due(self, system, cycle):
-        for pid, mask in enumerate(system._pending):
-            if mask & PEND_IF:
+        for pid, key in enumerate(system.ixbar.read_at):
+            if key >= 0:  # its fetch is staged, waiting for a grant
                 self.found = (cycle, pid)
                 return
         self.due = cycle + 1
