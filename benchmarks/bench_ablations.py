@@ -11,8 +11,8 @@ def test_ablations_reproduction(benchmark):
     assert result.max_relative_error() < 0.05
 
     def summarise():
-        __, runs = reference_results(huffman_private=True)
-        stats = runs["ulpmc-bank"].stats
+        __, reference = reference_results("ulpmc-bank")
+        stats = reference.stats
         return stats.im_bank_accesses / stats.im_fetches
 
     ratio = benchmark(summarise)

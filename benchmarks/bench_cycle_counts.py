@@ -15,7 +15,7 @@ def test_cycle_counts_reproduction(benchmark):
                                           huffman_private=True))
 
     def simulate():
-        system = build_platform("ulpmc-bank")
+        system = build_platform("ulpmc-bank", fast_forward=False)
         outcome = system.run(built.benchmark)
         verify_result(built, outcome)
         return outcome.stats

@@ -59,6 +59,9 @@ CHECK_METRICS = ("rank_correlation", "cycle_accuracy")
 BASELINE_PATH = pathlib.Path(__file__).resolve().parent / "baselines" \
     / "BENCH_dse.json"
 
+#: Engine of the anchor and escalation simulations.
+FAST_FORWARD = True
+
 #: Fidelity grids.  Both include shared-lut and 2-core points — the
 #: regime where the analytical model actually has to estimate — and two
 #: voltages so the structural de-duplication is exercised.
@@ -76,25 +79,27 @@ def run_measurements(axes: dict) -> dict:
         raise AssertionError("fidelity grid produced no feasible points")
 
     # Warm the anchor simulations (lru_cached process-wide) so the
-    # timed pass measures the fast path, not the one-time calibration.
-    # Fast-forward is bit-identical to exact mode (a tested invariant),
-    # so warming in it changes nothing downstream.
-    from repro.platform import set_default_fast_forward
+    # timed pass measures the analytical model, not the one-time
+    # calibration.  Fast-forward is bit-identical to exact mode (a
+    # tested invariant), so the engine changes nothing downstream.
+    from repro.platform import ARCH_NAMES
     from repro.power.calibration import reference_results
-    set_default_fast_forward(True)
-    for private in (True, False):
-        reference_results(huffman_private=private)
+    for arch in ARCH_NAMES:
+        for private in (True, False):
+            reference_results(arch, private, fast_forward=FAST_FORWARD)
 
     # Time the pure analytical pass separately (no cache, no farm).
     started = time.perf_counter()
-    analytical = run_dse(points, cache_dir=None, escalate=False)
+    analytical = run_dse(points, cache_dir=None, escalate=False,
+                         fast_forward=FAST_FORWARD)
     analytical_wall = time.perf_counter() - started
 
     # Escalate *every* structural family for the fidelity comparison.
     started = time.perf_counter()
     result = run_dse(points, cache_dir=None, escalate=True,
                      escalate_policy="all",
-                     max_escalations=len(points))
+                     max_escalations=len(points),
+                     fast_forward=FAST_FORWARD)
     escalated_wall = time.perf_counter() - started
 
     fidelity = result.fidelity
@@ -102,8 +107,9 @@ def run_measurements(axes: dict) -> dict:
         raise AssertionError(
             "fidelity grid escalated fewer than 2 families; "
             "rank correlation is undefined")
-    if analytical.digest() != run_dse(points, cache_dir=None,
-                                      escalate=False).digest():
+    if analytical.digest() != run_dse(
+            points, cache_dir=None, escalate=False,
+            fast_forward=FAST_FORWARD).digest():
         raise AssertionError("analytical sweep digest is not stable")
 
     front_points = {tuple(sorted(record["point"].items()))

@@ -22,7 +22,7 @@ Usable both as a pytest-benchmark module and as a script::
     python benchmarks/bench_fast_forward.py              # full workload
     python benchmarks/bench_fast_forward.py --quick      # CI smoke run
     python benchmarks/bench_fast_forward.py --quick \\
-        --json BENCH_fast_forward.json \\
+        --json runs/BENCH_fast_forward.json \\
         --check benchmarks/baselines/BENCH_fast_forward.json
 """
 

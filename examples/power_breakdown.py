@@ -43,17 +43,16 @@ def main() -> None:
     print(f"{'configuration':<42}{'cycles':>9}{'IM accesses':>13}"
           f"{'sync %':>8}")
     rows = [
-        ("full proposed design (ulpmc-bank)",
-         reference_results(huffman_private=True)),
-        ("huffman LUTs shared (DM conflicts)",
-         reference_results(huffman_private=False)),
+        ("full proposed design (ulpmc-bank)", {}),
+        ("huffman LUTs shared (DM conflicts)", {"huffman_private": False}),
         ("no data broadcast (cores desynchronise)",
-         reference_results(huffman_private=False, data_broadcast=False)),
+         {"huffman_private": False, "data_broadcast": False}),
         ("no instruction broadcast (one access/fetch)",
-         reference_results(huffman_private=False, instr_broadcast=False)),
+         {"huffman_private": False, "instr_broadcast": False}),
     ]
-    for label, (__, results) in rows:
-        stats = results["ulpmc-bank"].stats
+    for label, kwargs in rows:
+        __, reference = reference_results("ulpmc-bank", **kwargs)
+        stats = reference.stats
         print(f"{label:<42}{stats.total_cycles:>9}"
               f"{stats.im_bank_accesses:>13}"
               f"{100 * stats.sync_fraction:>8.1f}")

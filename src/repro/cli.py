@@ -57,6 +57,19 @@ from repro.experiments import EXPERIMENTS
 _ARCH_CHOICES = ("mc-ref", "ulpmc-int", "ulpmc-bank", "all")
 
 
+def _add_run_options(parser: argparse.ArgumentParser) -> None:
+    """The engine and manifest options of every simulating subcommand."""
+    parser.add_argument(
+        "--exact", dest="fast_forward", action="store_false",
+        help="simulate on the exact cycle loop instead of the "
+             "fast-forward engine (bit-identical, slower; the oracle "
+             "for cross-checks)")
+    parser.add_argument("--runs-dir", metavar="DIR", default="runs",
+                        help="run-manifest directory (default: runs/)")
+    parser.add_argument("--no-manifest", action="store_true",
+                        help="skip writing the run manifest")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--arch", choices=_ARCH_CHOICES, default="all",
                         help="platform to run (default: all three)")
@@ -64,14 +77,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="ECG block length (paper geometry: 512)")
     parser.add_argument("--measurements", type=int, default=256,
                         help="compressed measurements per block")
-    parser.add_argument(
-        "--fast-forward", action="store_true",
-        help="batch-commit provably conflict-free simulator cycles "
-             "(bit-identical results, several times faster)")
-    parser.add_argument("--runs-dir", metavar="DIR", default="runs",
-                        help="run-manifest directory (default: runs/)")
-    parser.add_argument("--no-manifest", action="store_true",
-                        help="skip writing the run manifest")
+    _add_run_options(parser)
 
 
 def _add_sampling(parser: argparse.ArgumentParser) -> None:
@@ -140,19 +146,8 @@ def cmd_experiment(argv) -> int:
                         help="emit raw CSV instead of formatted text")
     parser.add_argument("--output", metavar="DIR", default=None,
                         help="also write one CSV per experiment into DIR")
-    parser.add_argument(
-        "--fast-forward", action="store_true",
-        help="batch-commit provably conflict-free simulator cycles "
-             "(bit-identical results, several times faster)")
-    parser.add_argument("--runs-dir", metavar="DIR", default="runs",
-                        help="run-manifest directory (default: runs/)")
-    parser.add_argument("--no-manifest", action="store_true",
-                        help="skip writing the run manifest")
+    _add_run_options(parser)
     args = parser.parse_args(argv)
-
-    if args.fast_forward:
-        from repro.platform import set_default_fast_forward
-        set_default_fast_forward(True)
 
     requested = list(EXPERIMENTS) if "all" in args.experiments \
         else args.experiments
@@ -167,7 +162,7 @@ def cmd_experiment(argv) -> int:
 
     for name in requested:
         started = time.perf_counter()
-        result = EXPERIMENTS[name].run()
+        result = EXPERIMENTS[name].run(fast_forward=args.fast_forward)
         wall = time.perf_counter() - started
         print(result.to_csv() if args.csv else result.to_text())
         print()
@@ -554,9 +549,6 @@ def cmd_farm(argv) -> int:
                         help="satisfy shards already in the checkpoint "
                              "without re-simulation; the fleet digest is "
                              "bit-identical to a cold run")
-    parser.add_argument("--exact", action="store_true",
-                        help="cycle-stepped reference mode instead of "
-                             "fast-forward (slow; for cross-checks)")
     parser.add_argument("--no-warm", action="store_true",
                         help="cold-cache mode: workers drop every "
                              "process-level cache before each job "
@@ -567,10 +559,7 @@ def cmd_farm(argv) -> int:
     parser.add_argument("--json", action="store_true",
                         help="emit one JSON line per finished job plus a "
                              "final fleet line instead of the table")
-    parser.add_argument("--runs-dir", metavar="DIR", default="runs",
-                        help="run-manifest directory (default: runs/)")
-    parser.add_argument("--no-manifest", action="store_true",
-                        help="skip writing the farm/fleet manifests")
+    _add_run_options(parser)
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be >= 1")
@@ -588,7 +577,7 @@ def cmd_farm(argv) -> int:
         args.runs, _arches(args.arch), base_seed=base_seed,
         n_samples=args.samples, n_measurements=args.measurements,
         n_blocks=args.blocks, window_cycles=args.window,
-        clock_hz=args.clock_hz, fast_forward=not args.exact)
+        clock_hz=args.clock_hz, fast_forward=args.fast_forward)
     checkpoint = args.checkpoint
     if checkpoint is None and args.resume:
         checkpoint = checkpoint_path(args.runs_dir, "farm",
@@ -707,9 +696,6 @@ def cmd_dse(argv) -> int:
                         metavar="N",
                         help="escalation budget (default: 15%% of the "
                              "sweep)")
-    parser.add_argument("--exact", action="store_true",
-                        help="cycle-stepped simulations instead of "
-                             "fast-forward (slow; for cross-checks)")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="sweep-point cache directory "
                              "(default: RUNS_DIR/dse)")
@@ -724,10 +710,7 @@ def cmd_dse(argv) -> int:
     parser.add_argument("--json", action="store_true",
                         help="emit one JSON line per front point plus a "
                              "final summary line")
-    parser.add_argument("--runs-dir", metavar="DIR", default="runs",
-                        help="run-manifest directory (default: runs/)")
-    parser.add_argument("--no-manifest", action="store_true",
-                        help="skip writing the dse manifest record")
+    _add_run_options(parser)
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error("--workers must be >= 1")
@@ -742,11 +725,6 @@ def cmd_dse(argv) -> int:
     from repro.dse import build_space, run_dse, dse_manifest_record, \
         write_artifact
     from repro.obs.manifest import write_manifest
-    from repro.platform import set_default_fast_forward
-    if not args.exact:
-        # The anchor simulations behind the analytical model are
-        # bit-identical in fast-forward mode and several times faster.
-        set_default_fast_forward(True)
 
     points, rejected = build_space(
         arches=tuple(_arches(args.arch)), cores=cores, im_banks=im_banks,
@@ -771,7 +749,7 @@ def cmd_dse(argv) -> int:
         points, cache_dir=cache_dir, escalate=not args.no_escalate,
         escalate_policy="all" if args.escalate_all else "front",
         max_escalations=args.max_escalations, workers=args.workers,
-        fast_forward=not args.exact, log=log)
+        fast_forward=args.fast_forward, log=log)
 
     front_out = args.front_out if args.front_out is not None \
         else pathlib.Path(args.runs_dir) / "dse" / "pareto_front.json"
@@ -943,18 +921,11 @@ def cmd_faults(argv) -> int:
                         metavar="RATE",
                         help="exit 1 if the silent-data-corruption rate "
                              "exceeds this fraction")
-    parser.add_argument("--exact", action="store_true",
-                        help="cycle-stepped reference mode instead of "
-                             "fast-forward (slow; the campaign digest "
-                             "must not change)")
     parser.add_argument("--json", action="store_true",
                         help="emit one JSON line per classified trial "
                              "plus a final campaign line instead of the "
                              "table")
-    parser.add_argument("--runs-dir", metavar="DIR", default="runs",
-                        help="run-manifest directory (default: runs/)")
-    parser.add_argument("--no-manifest", action="store_true",
-                        help="skip writing the fault manifest record")
+    _add_run_options(parser)
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error("--workers must be >= 1")
@@ -969,7 +940,7 @@ def cmd_faults(argv) -> int:
     specs = build_campaign(
         args.trials, args.arch, campaign_seed=args.campaign_seed,
         n_samples=args.samples, n_measurements=args.measurements,
-        seed=args.seed, fast_forward=not args.exact,
+        seed=args.seed, fast_forward=args.fast_forward,
         watchdog=args.watchdog, max_cycles=args.max_cycles,
         clock_hz=args.clock_hz)
     checkpoint = args.checkpoint

@@ -33,6 +33,7 @@ from repro.dse.escalate import (SIM_VERSION, run_escalations, spec_for,
 from repro.dse.model import MODEL_VERSION, AnalyticalModel, objectives
 from repro.dse.pareto import pareto_front
 from repro.dse.space import DesignPoint
+from repro.errors import ConfigurationError
 
 #: Schema tag of the Pareto-front artifact / digested payload.
 FRONT_SCHEMA = "repro-dse-front/1"
@@ -54,6 +55,7 @@ class DseResult:
     fidelity: dict
     counters: dict
     wall_time_s: float = 0.0
+    fast_forward: bool = True    #: engine of the simulations behind it
 
     def front_payload(self) -> dict:
         """The digested, run-independent description of the outcome."""
@@ -149,9 +151,13 @@ def run_dse(points, *, cache_dir=None, escalate: bool = True,
     if escalate_policy not in ("front", "all"):
         raise ValueError(
             f"unknown escalation policy {escalate_policy!r}")
+    if max_escalations is not None and max_escalations < 0:
+        raise ConfigurationError(
+            f"escalation budget must be >= 0, got {max_escalations}")
     log = log if log is not None else (lambda message: None)
     started = time.perf_counter()
-    model = model if model is not None else AnalyticalModel()
+    model = model if model is not None \
+        else AnalyticalModel(fast_forward=fast_forward)
     cache = SweepCache(cache_dir)
 
     # 1. analytical pass, cache first ---------------------------------------
@@ -290,6 +296,7 @@ def run_dse(points, *, cache_dir=None, escalate: bool = True,
         fidelity=fidelity,
         counters=counters,
         wall_time_s=time.perf_counter() - started,
+        fast_forward=fast_forward,
     )
 
 
@@ -324,5 +331,6 @@ def dse_manifest_record(result: DseResult, name: str = "sweep") -> dict:
         },
         wall_time_s=result.wall_time_s,
         extra={"counters": result.counters,
-               "fidelity": result.fidelity},
+               "fidelity": result.fidelity,
+               "fast_forward": result.fast_forward},
     )

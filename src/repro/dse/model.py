@@ -67,11 +67,12 @@ class AnalyticalModel:
 
     Construction is free; the calibrated reference simulations load
     lazily on first use, so a fully-cached sweep never simulates.
+    ``fast_forward`` is the engine those reference simulations run on.
     """
 
-    def __init__(self):
+    def __init__(self, fast_forward: bool = True):
+        self.fast_forward = fast_forward
         self._cal = None
-        self._anchors: dict[bool, tuple] = {}
         self._stats_cache: dict[tuple, SimulationStats] = {}
 
     # -- anchors ----------------------------------------------------------------
@@ -80,28 +81,26 @@ class AnalyticalModel:
     def cal(self):
         if self._cal is None:
             from repro.power.calibration import calibrated_set
-            self._cal = calibrated_set()
+            self._cal = calibrated_set(fast_forward=self.fast_forward)
         return self._cal
 
-    def _anchor(self, huffman_private: bool):
-        """(built benchmark, reference results) for one LUT mapping."""
-        if huffman_private not in self._anchors:
-            from repro.power.calibration import reference_results
-            self._anchors[huffman_private] = reference_results(
-                huffman_private=huffman_private)
-        return self._anchors[huffman_private]
+    def _anchor(self, arch: str, huffman_private: bool):
+        """(built benchmark, reference result) of one arch and mapping."""
+        from repro.power.calibration import reference_results
+        return reference_results(arch, huffman_private,
+                                 fast_forward=self.fast_forward)
 
     def _program_words(self, huffman_private: bool) -> int:
-        built, _ = self._anchor(huffman_private)
+        built, _ = self._anchor("mc-ref", huffman_private)
         return built.benchmark.program.size_bytes // 3
 
     def _useful_ops_per_core(self, huffman_private: bool) -> float:
         """Per-core useful work: the mc-ref reference instruction count."""
-        _, results = self._anchor(huffman_private)
-        return results["mc-ref"].stats.total_retired / ANCHOR_CORES
+        _, result = self._anchor("mc-ref", huffman_private)
+        return result.stats.total_retired / ANCHOR_CORES
 
     def _block_samples(self, huffman_private: bool) -> int:
-        built, _ = self._anchor(huffman_private)
+        built, _ = self._anchor("mc-ref", huffman_private)
         return built.spec.n_samples
 
     # -- cycle / activity prediction --------------------------------------------
@@ -117,9 +116,9 @@ class AnalyticalModel:
             return self._stats_cache[key]
 
         config = point.arch_config()
-        _, results = self._anchor(point.huffman_private)
-        anchor = results[point.arch].stats
-        anchor_config = results[point.arch].system.config
+        _, reference = self._anchor(point.arch, point.huffman_private)
+        anchor = reference.stats
+        anchor_config = reference.system.config
         program_words = self._program_words(point.huffman_private)
         c = point.n_cores
         share = c / ANCHOR_CORES

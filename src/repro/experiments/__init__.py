@@ -1,7 +1,9 @@
 """One experiment module per paper table/figure.
 
-Every module exposes ``run() -> ExperimentResult`` and registers itself in
-:data:`EXPERIMENTS`; ``repro.cli`` and the pytest benchmarks drive them.
+Every module exposes ``run(fast_forward=True) -> ExperimentResult`` and
+registers itself in :data:`EXPERIMENTS`; ``repro.cli`` and the pytest
+benchmarks drive them.  ``fast_forward=False`` runs the simulations on
+the exact cycle loop (bit-identical, slower).
 
 =========  ==========================================================
 id         reproduces
@@ -37,7 +39,8 @@ from repro.experiments import (
     cycles,
 )
 
-#: Registry: experiment id -> module with a ``run()`` entry point.
+#: Registry: experiment id -> module with a ``run(fast_forward)`` entry
+#: point.
 EXPERIMENTS = {
     "fig3": fig3,
     "fig5": fig5,

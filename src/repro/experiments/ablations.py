@@ -29,8 +29,8 @@ CONFIGS = (
 )
 
 
-def run() -> ExperimentResult:
-    cal = calibrated_set()
+def run(fast_forward: bool = True) -> ExperimentResult:
+    cal = calibrated_set(fast_forward=fast_forward)
     im_energy = cal.energies.im_access
 
     result = ExperimentResult(
@@ -42,8 +42,9 @@ def run() -> ExperimentResult:
     baseline_cycles = None
     im_power = {}
     for label, kwargs in CONFIGS:
-        __, results = reference_results(**kwargs)
-        stats = results["ulpmc-bank"].stats
+        __, reference = reference_results(
+            "ulpmc-bank", fast_forward=fast_forward, **kwargs)
+        stats = reference.stats
         frequency = 8e6 / (cal.ops_per_block / stats.total_cycles)
         power_mw = im_energy * stats.im_bank_accesses \
             / stats.total_cycles * frequency * 1e3

@@ -19,8 +19,8 @@ LITERATURE = (
 )
 
 
-def run() -> ExperimentResult:
-    cal = calibrated_set()
+def run(fast_forward: bool = True) -> ExperimentResult:
+    cal = calibrated_set(fast_forward=fast_forward)
     model = cal.power_model("mc-ref")
     technology = cal.technology
     # Core-only dynamic energy per retired instruction at 1.0 V.

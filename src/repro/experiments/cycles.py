@@ -31,12 +31,19 @@ PAPER_MAX_MOPS = {"mc-ref": 664.5, "ulpmc-int": 662.3,
                   "ulpmc-bank": 636.9}
 
 
-def run() -> ExperimentResult:
-    cal = calibrated_set()
-    __, shared = reference_results(huffman_private=False)
-    __, private = reference_results(huffman_private=True)
-    __, ablation = reference_results(huffman_private=False,
-                                     data_broadcast=False)
+def _runs(fast_forward: bool, **kwargs) -> dict:
+    """{arch: SimulationResult} of one reference configuration."""
+    return {arch: reference_results(arch, fast_forward=fast_forward,
+                                    **kwargs)[1]
+            for arch in ARCHES}
+
+
+def run(fast_forward: bool = True) -> ExperimentResult:
+    cal = calibrated_set(fast_forward=fast_forward)
+    shared = _runs(fast_forward, huffman_private=False)
+    private = _runs(fast_forward)
+    ablation = _runs(fast_forward, huffman_private=False,
+                     data_broadcast=False)
 
     result = ExperimentResult(
         exp_id="cycles",

@@ -15,8 +15,8 @@ PAPER_SHARES = {"cores": 27.0, "dm": 11.0, "dxbar": 3.0, "im": 54.0,
                 "clock": 5.0}
 
 
-def run() -> ExperimentResult:
-    cal = calibrated_set()
+def run(fast_forward: bool = True) -> ExperimentResult:
+    cal = calibrated_set(fast_forward=fast_forward)
     model = cal.power_model("mc-ref")
     # The distribution is frequency- and voltage-independent (all
     # components scale together); evaluate at the Table II point.

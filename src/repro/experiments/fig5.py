@@ -23,15 +23,16 @@ FAMILY = "mc-ref"
 PAPER_SAVING_PCT = 15.5
 
 
-def _build_model(arch: str) -> SynthesisModel:
-    cal = calibrated_set()
+def _build_model(arch: str, fast_forward: bool) -> SynthesisModel:
+    cal = calibrated_set(fast_forward=fast_forward)
     leak_nominal = cal.power_model(arch).total_leakage(cal.technology.v_nom)
     return SynthesisModel(cal.technology, leakage_nominal_w=leak_nominal)
 
 
 def _run_family(exp_id: str, title: str, family: str, arch: str,
-                paper_saving_pct: float) -> ExperimentResult:
-    model = _build_model(arch)
+                paper_saving_pct: float,
+                fast_forward: bool) -> ExperimentResult:
+    model = _build_model(arch, fast_forward)
     periods = DESIGN_POINTS_NS[family]
     result = ExperimentResult(
         exp_id=exp_id,
@@ -66,11 +67,12 @@ def _run_family(exp_id: str, title: str, family: str, arch: str,
     return result
 
 
-def run() -> ExperimentResult:
+def run(fast_forward: bool = True) -> ExperimentResult:
     return _run_family(
         exp_id="fig5",
         title="mc-ref: power vs throughput for various clock constraints",
         family=FAMILY,
         arch="mc-ref",
         paper_saving_pct=PAPER_SAVING_PCT,
+        fast_forward=fast_forward,
     )

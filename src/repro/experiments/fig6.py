@@ -12,7 +12,7 @@ from repro.experiments.fig5 import _run_family
 PAPER_SAVING_PCT = 24.1
 
 
-def run():
+def run(fast_forward: bool = True):
     return _run_family(
         exp_id="fig6",
         title="Proposed design: power vs throughput for various clock "
@@ -20,4 +20,5 @@ def run():
         family="proposed",
         arch="ulpmc-int",
         paper_saving_pct=PAPER_SAVING_PCT,
+        fast_forward=fast_forward,
     )

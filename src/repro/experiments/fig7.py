@@ -31,8 +31,8 @@ PAPER_CHECKS = (
 )
 
 
-def run() -> ExperimentResult:
-    cal = calibrated_set()
+def run(fast_forward: bool = True) -> ExperimentResult:
+    cal = calibrated_set(fast_forward=fast_forward)
     top = min(cal.max_workload(arch) for arch in ARCHES)
     workloads = list(WORKLOADS) + [top]
 

@@ -15,8 +15,8 @@ from repro.power.calibration import calibrated_set
 WORKLOADS_KOPS = (40, 50, 70, 100)
 
 
-def run() -> ExperimentResult:
-    cal = calibrated_set()
+def run(fast_forward: bool = True) -> ExperimentResult:
+    cal = calibrated_set(fast_forward=fast_forward)
     technology = cal.technology
     v_min = technology.v_min
 

@@ -21,8 +21,8 @@ MISSIONS = (
 )
 
 
-def run() -> ExperimentResult:
-    cal = calibrated_set()
+def run(fast_forward: bool = True) -> ExperimentResult:
+    cal = calibrated_set(fast_forward=fast_forward)
     batteries = [Battery.from_preset(CR2032), Battery.from_preset(CR2477)]
 
     result = ExperimentResult(

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 from repro.errors import ConfigurationError
 from repro.experiments.common import Comparison, ExperimentResult
-from repro.kernels.benchmark import BenchmarkSpec, build_benchmark, \
-    verify_result
+from repro.kernels.benchmark import BenchmarkSpec
 from repro.platform.config import build_config
-from repro.platform.multicore import MultiCoreSystem
-from repro.power.calibration import calibrated_set
+from repro.power.calibration import calibrated_set, verified_run
 
 #: Total leads of the reference application.
 TOTAL_LEADS = 8
@@ -33,18 +31,16 @@ CORE_COUNTS = (1, 2, 4, 8)
 BURST_BLOCKS = 256
 
 
-def _simulate(n_cores: int):
-    spec = BenchmarkSpec(n_leads=n_cores, huffman_private=True)
-    built = build_benchmark(spec)
-    config = build_config("ulpmc-bank", n_cores=n_cores)
-    system = MultiCoreSystem(config)
-    result = system.run(built.benchmark)
-    verify_result(built, result)
+def _simulate(n_cores: int, fast_forward: bool):
+    # The 8-core run is calibration's ulpmc-bank private-LUT entry.
+    __, result = verified_run(
+        build_config("ulpmc-bank", n_cores=n_cores),
+        BenchmarkSpec(n_leads=n_cores, huffman_private=True), fast_forward)
     return result.stats
 
 
-def run() -> ExperimentResult:
-    cal = calibrated_set()
+def run(fast_forward: bool = True) -> ExperimentResult:
+    cal = calibrated_set(fast_forward=fast_forward)
     technology = cal.technology
     energies = cal.energies
 
@@ -57,7 +53,7 @@ def run() -> ExperimentResult:
     )
     powers: dict[tuple[str, int], float] = {}
     for n_cores in CORE_COUNTS:
-        stats = _simulate(n_cores)
+        stats = _simulate(n_cores, fast_forward)
         rates = stats.activity_rates()
         cycle_energy = (
             energies.core_instr * rates["core_active"]

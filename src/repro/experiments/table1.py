@@ -15,7 +15,8 @@ PAPER = {
 }
 
 
-def run() -> ExperimentResult:
+def run(fast_forward: bool = True) -> ExperimentResult:
+    # Area needs no simulation; the engine is accepted like every run().
     result = ExperimentResult(
         exp_id="table1",
         title="Area of the architectures (kGE)",

@@ -23,8 +23,8 @@ _PAPER_SAVINGS = {"ulpmc-int": 29.7, "ulpmc-bank": 40.6}
 _COMPONENTS = ("cores", "im", "dm", "dxbar", "ixbar", "clock")
 
 
-def run() -> ExperimentResult:
-    cal = calibrated_set()
+def run(fast_forward: bool = True) -> ExperimentResult:
+    cal = calibrated_set(fast_forward=fast_forward)
     result = ExperimentResult(
         exp_id="table2",
         title="Dynamic power distributions at 8 MOps/s and 1.2 V (mW)",

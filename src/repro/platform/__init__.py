@@ -29,7 +29,6 @@ from repro.platform.multicore import (
     program_cache_clear,
     program_cache_size,
     program_cache_stats,
-    set_default_fast_forward,
 )
 from repro.platform.stats import SimulationStats
 from repro.platform.streaming import StreamReport, run_stream
@@ -59,6 +58,5 @@ __all__ = [
     "program_cache_clear",
     "program_cache_size",
     "program_cache_stats",
-    "set_default_fast_forward",
     "SimulationStats",
 ]

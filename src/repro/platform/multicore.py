@@ -144,18 +144,6 @@ def _fetch_table(im_layout, n_cores: int, program_len: int) -> list:
 #: Instruction words are 24-bit.
 _INSTR_MASK = 0xFFFFFF
 
-#: Process-wide default for ``MultiCoreSystem(..., fast_forward=None)``;
-#: flipped by the CLI's ``--fast-forward`` flag so every experiment
-#: benefits without threading the option through each call site.
-_DEFAULT_FAST_FORWARD = False
-
-
-def set_default_fast_forward(enabled: bool) -> None:
-    """Set the process-wide default for the fast-forward execution mode."""
-    global _DEFAULT_FAST_FORWARD
-    _DEFAULT_FAST_FORWARD = bool(enabled)
-
-
 @dataclass
 class Benchmark:
     """A complete workload: one program image plus initial data."""
@@ -185,20 +173,17 @@ class MultiCoreSystem:
     falling back to the exact cycle-stepped loop whenever a potential
     bank conflict is detected.  Results — architectural state and every
     :class:`SimulationStats` field — are bit-identical in either mode
-    (the differential suite in ``tests/platform`` enforces this).
-    ``None`` defers to the process default (see
-    :func:`set_default_fast_forward`).  The fast path routes lockstep
+    (the differential suite in ``tests/platform`` enforces this), so
+    the fast path is the default and ``fast_forward=False`` selects the
+    exact loop as the oracle.  The fast path routes lockstep
     stretches through cached basic-block translations and loop traces
     (:mod:`repro.tamarisc.blocks`) under the same bit-identity contract.
     """
 
-    def __init__(self, config: ArchConfig | str,
-                 fast_forward: bool | None = None):
+    def __init__(self, config: ArchConfig | str, fast_forward: bool = True):
         if isinstance(config, str):
             config = build_config(config)
         self.config = config
-        if fast_forward is None:
-            fast_forward = _DEFAULT_FAST_FORWARD
         self.fast_forward = bool(fast_forward)
         self._ff_engine: FastForwardEngine | None = None
         self.im_layout = config.im_layout()
@@ -828,7 +813,7 @@ class MultiCoreSystem:
         return stats
 
 
-def build_platform(name_or_config, fast_forward: bool | None = None,
+def build_platform(name_or_config, fast_forward: bool = True,
                    **overrides) -> MultiCoreSystem:
     """Construct a platform by name ("mc-ref", "ulpmc-int", "ulpmc-bank")
     or from an explicit :class:`ArchConfig`."""

@@ -11,7 +11,7 @@ CS + Huffman benchmark on the three simulated platforms, then calibrates:
    around 50 kOps/s at minimum supply) and the 38.8 % gating saving.
 
 Everything downstream (experiments, benchmarks) consumes one cached
-:class:`CalibratedSet`.
+:class:`CalibratedSet` per engine.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from repro.kernels.benchmark import BenchmarkSpec, BuiltBenchmark, \
     build_benchmark, verify_result
-from repro.platform.config import ARCH_NAMES, build_config
+from repro.platform.config import ARCH_NAMES, ArchConfig, build_config
 from repro.platform.multicore import MultiCoreSystem, SimulationResult
 from repro.power.area import AreaModel
 from repro.power.components import (
@@ -41,43 +41,44 @@ FIG7_ANCHOR_WORKLOAD_OPS = 636.9e6
 FIG7_ANCHOR_POWER_W = 397.4e-3
 
 
-def reference_results(huffman_private: bool = True,
-                      data_broadcast: bool = True,
-                      instr_broadcast: bool = True):
-    """Run the full-geometry benchmark on the three platforms (cached).
+@lru_cache(maxsize=32)  # `repro experiment all` reads 14 runs per engine
+def verified_run(config: ArchConfig, spec: BenchmarkSpec,
+                 fast_forward: bool) -> tuple[BuiltBenchmark,
+                                              SimulationResult]:
+    """Simulate one benchmark on one platform, verified bit-exactly.
 
-    Returns ``(built_benchmark, {arch_name: SimulationResult})``.  Every
-    run is verified bit-exactly against the golden Python models before
-    being returned.  The wrapper normalises the arguments so
-    ``reference_results()`` and ``reference_results(huffman_private=True)``
-    share one cache entry — ``lru_cache`` alone would key them
-    separately and simulate the references twice.
+    Returns ``(built_benchmark, SimulationResult)``.  Every reference
+    simulation behind the experiments goes through this one cache, keyed
+    on the full configuration, the benchmark geometry and the engine, so
+    a run two experiments share is simulated once per engine.
     """
-    return _reference_results(bool(huffman_private), bool(data_broadcast),
-                              bool(instr_broadcast))
+    built = build_benchmark(spec)
+    result = MultiCoreSystem(config, fast_forward=fast_forward).run(
+        built.benchmark)
+    verify_result(built, result)
+    return built, result
 
 
-@lru_cache(maxsize=8)
-def _reference_results(huffman_private: bool, data_broadcast: bool,
-                       instr_broadcast: bool):
-    built = build_benchmark(BenchmarkSpec(huffman_private=huffman_private))
-    results: dict[str, SimulationResult] = {}
-    for name in ARCH_NAMES:
-        overrides = {}
-        if not data_broadcast:
-            overrides["data_broadcast"] = False
-        if not instr_broadcast and name != "mc-ref":
-            overrides["instr_broadcast"] = False
-        system = MultiCoreSystem(build_config(name, **overrides))
-        result = system.run(built.benchmark)
-        verify_result(built, result)
-        results[name] = result
-    return built, results
+def reference_results(arch: str, huffman_private: bool = True,
+                      data_broadcast: bool = True,
+                      instr_broadcast: bool = True, *,
+                      fast_forward: bool = True):
+    """The full-geometry reference run of one architecture (cached).
 
-
-# Callers (test fixtures) invalidate through the public name.
-reference_results.cache_clear = _reference_results.cache_clear
-reference_results.cache_info = _reference_results.cache_info
+    Returns ``(built_benchmark, SimulationResult)`` from
+    :func:`verified_run`.  A switched-off broadcast becomes a config
+    override; mc-ref has no instruction broadcast to switch off, so its
+    ``instr_broadcast=False`` query hits the same cache entry as its
+    query with the broadcast on.
+    """
+    overrides = {}
+    if not data_broadcast:
+        overrides["data_broadcast"] = False
+    if not instr_broadcast:
+        overrides["instr_broadcast"] = False
+    return verified_run(build_config(arch, **overrides),
+                        BenchmarkSpec(huffman_private=huffman_private),
+                        fast_forward)
 
 
 @dataclass(frozen=True)
@@ -137,10 +138,19 @@ class CalibratedSet:
             point.frequency_hz, point.voltage, post_layout=post_layout)
 
 
-@lru_cache(maxsize=1)
-def calibrated_set() -> CalibratedSet:
-    """Build the default calibrated model set (cached)."""
-    built, results = reference_results()
+def calibrated_set(fast_forward: bool = True) -> CalibratedSet:
+    """Build the default calibrated model set (cached per engine)."""
+    # ``lru_cache`` keys ``()``, ``(True,)`` and ``fast_forward=True``
+    # apart; one normalised key keeps one set per engine.
+    return _calibrated_set(bool(fast_forward))
+
+
+@lru_cache(maxsize=2)
+def _calibrated_set(fast_forward: bool) -> CalibratedSet:
+    runs = {name: reference_results(name, fast_forward=fast_forward)
+            for name in ARCH_NAMES}
+    built = runs["mc-ref"][0]
+    results = {name: result for name, (__, result) in runs.items()}
     technology = make_technology()
     energies = calibrate_energies(
         results["mc-ref"].stats.activity_rates(),

@@ -225,7 +225,7 @@ def run_on_iss(program: Program, sandbox_seed: int = 0,
 def run_on_platform(program: Program, arch: str = "ulpmc-bank",
                     core: int = 0,
                     sandbox_seed: int = 0,
-                    fast_forward: bool = False) -> CrossCheckResult:
+                    fast_forward: bool = True) -> CrossCheckResult:
     """Execute on the cycle-accurate platform; inspect one core."""
     rng = random.Random(sandbox_seed)
     sandbox = [rng.randrange(0x10000) for __ in range(SANDBOX_WORDS)]

@@ -31,5 +31,6 @@ def small_results(small_built):
     """Simulation results of the small benchmark on all three platforms."""
     results = {}
     for arch in ("mc-ref", "ulpmc-int", "ulpmc-bank"):
-        results[arch] = build_platform(arch).run(small_built.benchmark)
+        results[arch] = build_platform(arch, fast_forward=False).run(
+            small_built.benchmark)
     return results

@@ -42,14 +42,13 @@ print(json.dumps({
 
 _SWEEP_SCRIPT = """
 import json, sys
-from repro.platform import set_default_fast_forward
-set_default_fast_forward(True)
 from repro.dse import build_space, run_dse
 
 points, _ = build_space(arches=("ulpmc-int",), cores=(8,), im_banks=(8,),
                         dm_banks=(16,), mappings=("private-lut",),
                         voltages=(1.2, 0.8))
-result = run_dse(points, cache_dir=sys.argv[1], escalate=False)
+result = run_dse(points, cache_dir=sys.argv[1], escalate=False,
+                 fast_forward=True)
 print(json.dumps({
     "digest": result.digest(),
     "evaluated": result.counters["analytical_evaluated"],

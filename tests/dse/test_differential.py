@@ -67,10 +67,10 @@ def test_predictions_exact_at_the_paper_anchors(by_family):
 
 
 def test_escalated_seeds_reproduce_reference_stats_bit_for_bit(by_family):
-    _, references = reference_results()
     for arch in ARCHES:
+        _, reference = reference_results(arch, fast_forward=False)
         escalated = by_family[(arch, 8)]["stats"]
-        assert escalated == _canonical(references[arch].stats)
+        assert escalated == _canonical(reference.stats)
 
 
 def test_seed_points_rank_in_paper_order(swept):
@@ -105,7 +105,7 @@ def test_escalated_front_reproduces_golden_table1_area():
 def test_escalated_front_reproduces_golden_table2_power(by_family):
     """Table II recomputed from the *escalated* stats, bit-for-bit."""
     golden = _golden("table2")
-    cal = calibrated_set()
+    cal = calibrated_set(fast_forward=False)
     stats = {arch: stats_from_canonical(by_family[(arch, 8)]["stats"])
              for arch in ARCHES}
     ops_per_block = stats["mc-ref"].total_retired

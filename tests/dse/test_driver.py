@@ -93,6 +93,21 @@ def test_unknown_escalation_policy_raises(points):
         run_dse(points, escalate_policy="everything")
 
 
+def test_negative_escalation_budget_rejected(points, tmp_path, capsys):
+    """A negative budget used to slice the families list from the end
+    (``[:-1]`` escalates all but the last) and pass silently."""
+    from repro.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match="escalation budget"):
+        run_dse(points, cache_dir=None, max_escalations=-1)
+    assert cli_main(["dse", "--arch", "mc-ref", "--cores", "8",
+                     "--max-escalations", "-1",
+                     "--runs-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "manifest.jsonl").exists()
+
+
 def test_artifact_round_trips(cold, tmp_path):
     path = write_artifact(cold, tmp_path / "front" / "pareto_front.json")
     document = json.loads(path.read_text(encoding="utf-8"))

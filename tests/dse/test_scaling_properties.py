@@ -64,7 +64,7 @@ def test_power_model_dynamic_power_monotone_at_fixed_frequency(v1, v2):
     clock, dropping the supply strictly drops total dynamic power."""
     lo, hi = sorted((v1, v2))
     assume(hi - lo > 1e-9)
-    model = calibrated_set().power_model("ulpmc-int")
+    model = calibrated_set(fast_forward=False).power_model("ulpmc-int")
     frequency_hz = 8e6
     assert model.dynamic_power(frequency_hz, lo).total \
         < model.dynamic_power(frequency_hz, hi).total
@@ -99,7 +99,7 @@ def test_model_area_never_grows_at_smaller_node(n1, n2):
     from repro.dse import AnalyticalModel, seed_points
 
     smaller, larger = sorted((n1, n2))
-    model = AnalyticalModel()
+    model = AnalyticalModel(fast_forward=False)
     point = seed_points()[1]  # ulpmc-int, paper geometry
     at_small = model.evaluate(dataclasses.replace(point, tech_nm=smaller))
     at_large = model.evaluate(dataclasses.replace(point, tech_nm=larger))
@@ -117,7 +117,7 @@ def test_model_energy_rate_monotone_in_voltage(v1, v2):
 
     lo, hi = sorted((v1, v2))
     assume(hi - lo > 1e-9)
-    model = AnalyticalModel()
+    model = AnalyticalModel(fast_forward=False)
     point = seed_points()[1]
     at_lo = model.evaluate(dataclasses.replace(point, voltage=lo))
     at_hi = model.evaluate(dataclasses.replace(point, voltage=hi))

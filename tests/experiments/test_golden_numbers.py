@@ -28,8 +28,7 @@ import pytest
 
 import repro.platform.fast_forward as ff_engine
 from repro.experiments import EXPERIMENTS
-from repro.platform import set_default_fast_forward
-from repro.power.calibration import calibrated_set, reference_results
+from repro.power import calibration
 
 #: The pinned experiments: paper tables/figures built from simulation.
 GOLDEN_IDS = ("table1", "table2", "fig5", "fig6", "fig7", "fig8")
@@ -37,9 +36,7 @@ GOLDEN_IDS = ("table1", "table2", "fig5", "fig6", "fig7", "fig8")
 #: Execution modes the golden numbers are pinned under.  All three must
 #: reproduce the *same* fixtures bit-for-bit: the fast-forward engine
 #: and its translation-block layer may only change wall-clock time,
-#: never a reproduced quantity.  ``exact`` runs last so the session-wide
-#: ``reference_results`` cache ends up holding the default-mode results
-#: for any later test module.
+#: never a reproduced quantity.
 MODES = {
     "blocks": (True, True),      # (fast_forward, blocks)
     "noblocks": (True, False),   # the engine's test-only switch
@@ -49,16 +46,26 @@ MODES = {
 _active_mode: str | None = None
 
 
+def _clear_reference_caches() -> None:
+    calibration.verified_run.cache_clear()
+    calibration._calibrated_set.cache_clear()
+
+
 def _activate(mode: str) -> None:
-    """Switch the process-wide execution mode, invalidating caches."""
+    """Switch the translation-block constant for ``mode``.
+
+    The engine is an argument of every experiment, so the reference
+    caches keep one entry per engine; ``TRANSLATION_BLOCKS`` is not in
+    their key, so the caches are cleared on entering ``noblocks`` (its
+    runs must simulate) and on leaving it (its results must not serve
+    later tests).
+    """
     global _active_mode
     if mode == _active_mode:
         return
-    fast_forward, blocks = MODES[mode]
-    reference_results.cache_clear()
-    calibrated_set.cache_clear()
-    set_default_fast_forward(fast_forward)
-    ff_engine.TRANSLATION_BLOCKS = blocks
+    if "noblocks" in (mode, _active_mode):
+        _clear_reference_caches()
+    ff_engine.TRANSLATION_BLOCKS = MODES[mode][1]
     _active_mode = mode
 
 
@@ -66,12 +73,9 @@ def _activate(mode: str) -> None:
 def _restore_execution_mode():
     yield
     global _active_mode
-    set_default_fast_forward(False)
+    if _active_mode == "noblocks":
+        _clear_reference_caches()
     ff_engine.TRANSLATION_BLOCKS = True
-    if _active_mode not in (None, "exact"):
-        # don't leave another mode's results in the session-wide cache
-        reference_results.cache_clear()
-        calibrated_set.cache_clear()
     _active_mode = None
 
 #: Relative tolerance for float cells; everything else must match exactly.
@@ -84,9 +88,9 @@ def fixture_path(exp_id: str) -> pathlib.Path:
     return FIXTURE_DIR / f"golden_{exp_id}.json"
 
 
-def snapshot(exp_id: str) -> dict:
+def snapshot(exp_id: str, fast_forward: bool = True) -> dict:
     """Run one experiment and reduce it to its JSON-serialisable core."""
-    result = EXPERIMENTS[exp_id].run()
+    result = EXPERIMENTS[exp_id].run(fast_forward=fast_forward)
     return {
         "exp_id": result.exp_id,
         "title": result.title,
@@ -110,9 +114,8 @@ def assert_cell_equal(golden, measured, where: str) -> None:
 
 
 #: Mode-major parameter order: each mode runs all experiments before
-#: the caches are cleared for the next mode, so the expensive
-#: ``reference_results`` simulations happen once per mode, not once per
-#: (mode, experiment) pair.
+#: the next mode starts, so the expensive reference simulations happen
+#: once per mode, not once per (mode, experiment) pair.
 PARAMS = [(mode, exp_id) for mode in MODES for exp_id in GOLDEN_IDS]
 
 
@@ -127,7 +130,7 @@ def golden_and_current(request):
     with path.open(encoding="utf-8") as handle:
         golden = json.load(handle)
     _activate(mode)
-    return exp_id, golden, snapshot(exp_id)
+    return exp_id, golden, snapshot(exp_id, fast_forward=MODES[mode][0])
 
 
 class TestGoldenNumbers:

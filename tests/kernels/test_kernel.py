@@ -56,13 +56,15 @@ class TestGoldenOnISS:
 class TestMultiCoreGolden:
     @pytest.mark.parametrize("arch", ARCHES)
     def test_all_architectures_bit_exact(self, arch, small_built):
-        result = build_platform(arch).run(small_built.benchmark)
+        result = build_platform(arch, fast_forward=False).run(
+            small_built.benchmark)
         verify_result(small_built, result)
 
     @pytest.mark.parametrize("arch", ARCHES)
     def test_private_lut_variant_bit_exact(self, arch,
                                            small_built_private):
-        result = build_platform(arch).run(small_built_private.benchmark)
+        result = build_platform(arch, fast_forward=False).run(
+            small_built_private.benchmark)
         verify_result(small_built_private, result)
 
     def test_ablations_remain_functionally_correct(self, small_built):
@@ -71,7 +73,8 @@ class TestMultiCoreGolden:
                           {"instr_broadcast": False},
                           {"data_broadcast": False,
                            "instr_broadcast": False}):
-            system = build_platform("ulpmc-bank", **overrides)
+            system = build_platform("ulpmc-bank", fast_forward=False,
+                                    **overrides)
             verify_result(small_built, system.run(small_built.benchmark))
 
 
@@ -98,9 +101,9 @@ class TestPaperNarrative:
 
     def test_private_luts_restore_synchronisation(self, small_built,
                                                   small_built_private):
-        shared = build_platform("ulpmc-bank").run(
+        shared = build_platform("ulpmc-bank", fast_forward=False).run(
             small_built.benchmark).stats
-        private = build_platform("ulpmc-bank").run(
+        private = build_platform("ulpmc-bank", fast_forward=False).run(
             small_built_private.benchmark).stats
         assert private.total_cycles < shared.total_cycles
         assert private.dm_conflict_events < shared.dm_conflict_events

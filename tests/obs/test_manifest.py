@@ -21,7 +21,7 @@ REQUIRED_FIELDS = {
 def run():
     built = build_benchmark(BenchmarkSpec(n_samples=64, n_measurements=32,
                                           huffman_private=True))
-    system = build_platform("ulpmc-bank")
+    system = build_platform("ulpmc-bank", fast_forward=False)
     result = system.run(built.benchmark)
     return system, result
 

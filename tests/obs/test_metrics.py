@@ -65,7 +65,8 @@ class TestPrimitives:
 
 class TestUpdateFromStats:
     def test_imports_every_scalar_field(self, built):
-        stats = build_platform("ulpmc-int").run(built.benchmark).stats
+        stats = build_platform("ulpmc-int", fast_forward=False).run(
+            built.benchmark).stats
         registry = MetricsRegistry()
         registry.update_from_stats(stats)
         assert registry.counter("sim.total_cycles").value \
@@ -90,7 +91,7 @@ class TestProbeMetrics:
         aggregate ``sync_cycles`` counter — plus the tail of cycles in
         which only one core was still running (those never count as
         synchronised)."""
-        system = build_platform("ulpmc-int")
+        system = build_platform("ulpmc-int", fast_forward=False)
         collector = ProbeMetrics.attach(system.probe_bus())
         per_cycle_cores = {}
         system.probe_bus().subscribe(
@@ -110,7 +111,7 @@ class TestProbeMetrics:
         assert histogram.counts[1] == stats.sync_cycles + lone_core_cycles
 
     def test_conflict_burst_lengths_cover_conflict_cycles(self, built):
-        system = build_platform("ulpmc-int")
+        system = build_platform("ulpmc-int", fast_forward=False)
         collector = ProbeMetrics.attach(system.probe_bus())
         conflict_cycles = set()
         system.probe_bus().subscribe(
@@ -124,7 +125,7 @@ class TestProbeMetrics:
         assert histogram.max >= 1
 
     def test_detach(self, built):
-        system = build_platform("mc-ref")
+        system = build_platform("mc-ref", fast_forward=False)
         bus = system.probe_bus()
         collector = ProbeMetrics.attach(bus)
         collector.detach()

@@ -93,7 +93,7 @@ class TestSchema:
                 assert ts_a + dur_a <= ts_b
 
     def test_im_bank_gate_tracks(self, built):
-        system = build_platform("ulpmc-bank")
+        system = build_platform("ulpmc-bank", fast_forward=False)
         recorder = TraceRecorder.attach(system)
         system.run(built.benchmark)
         document = recorder.to_perfetto()
@@ -158,7 +158,7 @@ class TestExactness:
 
 class TestSave:
     def test_save_writes_loadable_json(self, built, tmp_path):
-        system = build_platform("mc-ref")
+        system = build_platform("mc-ref", fast_forward=False)
         recorder = TraceRecorder.attach(system)
         system.run(built.benchmark)
         path = recorder.save(tmp_path / "nested" / "trace.json")

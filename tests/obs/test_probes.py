@@ -133,21 +133,23 @@ class TestEventStream:
         assert sum(committed) == system._ff_engine.fast_cycles
 
     def test_attached_idle_bus_changes_nothing(self, built):
-        plain = build_platform("ulpmc-bank").run(built.benchmark).stats
-        system = build_platform("ulpmc-bank")
+        plain = build_platform("ulpmc-bank", fast_forward=False).run(
+            built.benchmark).stats
+        system = build_platform("ulpmc-bank", fast_forward=False)
         system.probe_bus()  # attached, no subscribers
         assert system.run(built.benchmark).stats == plain
 
     def test_subscribed_run_changes_nothing(self, built):
-        plain = build_platform("ulpmc-bank").run(built.benchmark).stats
-        system = build_platform("ulpmc-bank")
+        plain = build_platform("ulpmc-bank", fast_forward=False).run(
+            built.benchmark).stats
+        system = build_platform("ulpmc-bank", fast_forward=False)
         bus = system.probe_bus()
         for event in EVENTS:
             bus.subscribe(event, lambda *a: None)
         assert system.run(built.benchmark).stats == plain
 
     def test_hooks_unwired_after_run(self, built):
-        system = build_platform("ulpmc-int")
+        system = build_platform("ulpmc-int", fast_forward=False)
         bus = system.probe_bus()
         for event in EVENTS:
             bus.subscribe(event, lambda *a: None)
@@ -163,7 +165,7 @@ class TestBlockDone:
         from repro.platform.streaming import run_stream
 
         series = build_block_series(built.spec, n_blocks=2)
-        system = build_platform("mc-ref")
+        system = build_platform("mc-ref", fast_forward=False)
         done = []
         system.probe_bus().subscribe(
             "block.done", lambda index, stats: done.append((index,

@@ -82,13 +82,14 @@ class TestECGWorkload:
     def test_full_geometry(self, arch):
         """Full 8-lead paper geometry against the calibration reference.
 
-        ``reference_results`` is the lru-cached slow-mode run that every
-        power/energy experiment consumes, so this asserts the experiment
-        pipeline itself is mode-independent.
+        ``reference_results`` is the lru-cached run that every
+        power/energy experiment consumes; its exact-loop entry is the
+        reference side here, so this asserts the experiment pipeline
+        itself is mode-independent.
         """
-        built, slow_by_arch = reference_results()
+        built, slow_result = reference_results(arch, fast_forward=False)
         slow, fast, engine = run_both(arch, built.benchmark,
-                                      slow_result=slow_by_arch[arch])
+                                      slow_result=slow_result)
         verify_result(built, fast)
         assert engine.fast_cycles > 0
         assert_identical(slow, fast)

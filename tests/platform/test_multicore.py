@@ -50,7 +50,7 @@ class TestFunctionalEquivalence:
     @pytest.mark.parametrize("arch", ARCHES)
     def test_results_correct_on_every_architecture(self, arch):
         bench = simple_benchmark()
-        system = build_platform(arch)
+        system = build_platform(arch, fast_forward=False)
         system.run(bench)
         shared_sum = sum(range(10, 18))
         for core in range(8):
@@ -67,7 +67,7 @@ class TestFunctionalEquivalence:
         iss_data.update(bench.data.private[0])
         iss = InstructionSetSimulator(bench.program, data=iss_data)
         iss.run()
-        system = build_platform("ulpmc-bank")
+        system = build_platform("ulpmc-bank", fast_forward=False)
         system.run(bench)
         assert system.read_logical(0, PRIVATE_BASE + 64) \
             == iss.read(PRIVATE_BASE + 64)
@@ -78,39 +78,41 @@ class TestFunctionalEquivalence:
 class TestTiming:
     def test_lockstep_run_has_no_stalls(self):
         bench = simple_benchmark()
-        result = build_platform("mc-ref").run(bench)
+        result = build_platform("mc-ref", fast_forward=False).run(bench)
         assert result.stats.total_stall_cycles == 0
         assert result.stats.sync_cycles == result.stats.total_cycles
 
     def test_instruction_broadcast_collapses_im_accesses(self):
         bench = simple_benchmark()
-        ref = build_platform("mc-ref").run(bench).stats
-        shared = build_platform("ulpmc-int").run(bench).stats
+        ref = build_platform("mc-ref", fast_forward=False).run(bench).stats
+        shared = build_platform("ulpmc-int", fast_forward=False).run(
+            bench).stats
         assert ref.im_bank_accesses == ref.im_fetches
         assert shared.im_bank_accesses * 8 == shared.im_fetches
         assert shared.total_cycles == ref.total_cycles
 
     def test_broadcast_off_serialises_shared_reads(self):
         bench = simple_benchmark()
-        on = build_platform("ulpmc-int").run(bench).stats
-        off = build_platform("ulpmc-int",
+        on = build_platform("ulpmc-int", fast_forward=False).run(bench).stats
+        off = build_platform("ulpmc-int", fast_forward=False,
                              data_broadcast=False).run(bench).stats
         assert off.total_cycles > on.total_cycles
         assert off.dm_bank_accesses > on.dm_bank_accesses
 
     def test_power_gating_state(self):
         bench = simple_benchmark()
-        result = build_platform("ulpmc-bank").run(bench)
+        result = build_platform("ulpmc-bank", fast_forward=False).run(bench)
         assert result.stats.im_banks_gated == 7
         assert result.stats.im_banks_used == 1
-        result = build_platform("ulpmc-int").run(bench)
+        result = build_platform("ulpmc-int", fast_forward=False).run(bench)
         assert result.stats.im_banks_gated == 0
 
 
 class TestStatsConsistency:
     @pytest.mark.parametrize("arch", ARCHES)
     def test_conservation_laws(self, arch, small_built):
-        stats = build_platform(arch).run(small_built.benchmark).stats
+        stats = build_platform(arch, fast_forward=False).run(
+            small_built.benchmark).stats
         # Every core's retired instructions were fetched exactly once.
         assert stats.im_fetches == stats.total_retired
         # Broadcast merging never invents accesses.
@@ -151,23 +153,37 @@ class TestMemory:
             gc.enable()
 
 
+class TestEngineDefault:
+    def test_default_is_the_fast_forward_engine(self):
+        system = build_platform("mc-ref")
+        system.load(simple_benchmark())
+        assert system.fast_forward
+        assert system._ff_engine is not None
+
+    def test_exact_loads_no_engine(self):
+        system = build_platform("mc-ref", fast_forward=False)
+        system.load(simple_benchmark())
+        assert system._ff_engine is None
+
+
 class TestGuards:
     def test_empty_program_rejected(self):
         bench = Benchmark("empty", assemble(""), DataImage())
         with pytest.raises(ConfigurationError):
-            build_platform("mc-ref").load(bench)
+            build_platform("mc-ref", fast_forward=False).load(bench)
 
     def test_runaway_detected(self):
         bench = Benchmark("spin", assemble("loop: bra loop"), DataImage())
         with pytest.raises(SimulationError, match="did not finish"):
-            build_platform("mc-ref").run(bench, max_cycles=1000)
+            build_platform("mc-ref", fast_forward=False).run(
+                bench, max_cycles=1000)
 
     def test_run_without_benchmark_rejected(self):
         with pytest.raises(ConfigurationError, match="no benchmark"):
-            build_platform("mc-ref").run()
+            build_platform("mc-ref", fast_forward=False).run()
 
     def test_program_beyond_private_bank_rejected(self):
         program = assemble("\n".join(["nop"] * 5000))
         bench = Benchmark("big", program, DataImage())
         with pytest.raises(ConfigurationError, match="exceeds"):
-            build_platform("mc-ref").load(bench)
+            build_platform("mc-ref", fast_forward=False).load(bench)

@@ -188,7 +188,7 @@ def assert_matches_reference(arch, benchmark, overrides, fault_specs=None,
         return None if fault_specs is None \
             else FaultSession(fault_specs, watchdog_window=watchdog)
 
-    system = build_platform(arch, **overrides)
+    system = build_platform(arch, fast_forward=False, **overrides)
     expected = outcome(system, lambda: reference_run(
         system, benchmark, faults=session()))
     for fast_forward in (False, True):
@@ -323,7 +323,8 @@ def fetch_stalls(arch, benchmark, overrides=None):
     """``[(cycle, pid), ...]``: the boundaries at which a core waits for
     its instruction fetch (first stalled core of each)."""
     probe = _FetchStallProbe()
-    build_platform(arch, **(overrides or {})).run(benchmark, faults=probe)
+    build_platform(arch, fast_forward=False, **(overrides or {})).run(
+        benchmark, faults=probe)
     return [(cycle, pids[0]) for cycle, pids in probe.stalled]
 
 

@@ -19,7 +19,7 @@ def built():
 
 
 def run_with_banks(built, dm_banks):
-    system = build_platform("ulpmc-int", dm_banks=dm_banks,
+    system = build_platform("ulpmc-int", fast_forward=False, dm_banks=dm_banks,
                             dm_bank_words=32768 // dm_banks)
     result = system.run(built.benchmark)
     verify_result(built, result)
@@ -50,11 +50,13 @@ class TestSharedSplitSensitivity:
     """The compile-time shared/private split (paper Section III-D)."""
 
     def test_wider_shared_section_still_correct(self, built):
-        system = build_platform("ulpmc-int", dm_shared_words_per_bank=1024)
+        system = build_platform("ulpmc-int", fast_forward=False,
+                                dm_shared_words_per_bank=1024)
         verify_result(built, system.run(built.benchmark))
 
     def test_too_small_shared_section_rejected(self, built):
         from repro.errors import SimulationError
-        system = build_platform("ulpmc-int", dm_shared_words_per_bank=32)
+        system = build_platform("ulpmc-int", fast_forward=False,
+                                dm_shared_words_per_bank=32)
         with pytest.raises(SimulationError):
             system.run(built.benchmark)

@@ -4,7 +4,14 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.kernels.benchmark import BenchmarkSpec, build_block_series
+from repro.platform import build_platform
 from repro.platform.streaming import SAMPLE_RATE_HZ, run_stream
+
+
+def exact_stream(arch, series, clock_hz):
+    """``run_stream`` on the exact loop, the engine these tests pin."""
+    return run_stream(arch, series, clock_hz=clock_hz,
+                      system=build_platform(arch, fast_forward=False))
 
 
 @pytest.fixture(scope="module")
@@ -47,13 +54,13 @@ class TestBlockSeries:
 class TestStreaming:
     @pytest.mark.parametrize("arch", ["mc-ref", "ulpmc-bank"])
     def test_every_block_verified(self, arch, series):
-        report = run_stream(arch, series, clock_hz=1e6)
+        report = exact_stream(arch, series, clock_hz=1e6)
         assert len(report.blocks) == 3
         assert report.total_retired > 0
 
     def test_per_block_stats_are_independent(self, series):
         """The stats window resets at each block load."""
-        report = run_stream("ulpmc-bank", series, clock_hz=1e6)
+        report = exact_stream("ulpmc-bank", series, clock_hz=1e6)
         cycles = report.cycles_per_block
         assert max(cycles) < 2 * min(cycles)
         for block in report.blocks:
@@ -62,35 +69,35 @@ class TestStreaming:
     def test_real_time_accounting(self, series):
         spec = series[0].spec
         period = spec.n_samples / SAMPLE_RATE_HZ
-        report = run_stream("ulpmc-bank", series, clock_hz=1e6)
+        report = exact_stream("ulpmc-bank", series, clock_hz=1e6)
         assert report.block_period_s == pytest.approx(period)
         assert report.real_time
         assert 0 < report.utilisation < 1
         # At exactly the minimum real-time clock, utilisation hits 1.
-        tight = run_stream("ulpmc-bank", series,
-                           clock_hz=report.min_real_time_clock_hz)
+        tight = exact_stream("ulpmc-bank", series,
+                             clock_hz=report.min_real_time_clock_hz)
         assert tight.utilisation == pytest.approx(1.0)
 
     def test_too_slow_clock_misses_deadlines(self, series):
-        report = run_stream("ulpmc-bank", series, clock_hz=1e4)
+        report = exact_stream("ulpmc-bank", series, clock_hz=1e4)
         assert not report.real_time
 
     def test_mean_stats(self, series):
-        report = run_stream("ulpmc-int", series, clock_hz=1e6)
+        report = exact_stream("ulpmc-int", series, clock_hz=1e6)
         means = report.mean_stats()
         assert means["cycles"] > 0
         assert 0 < means["sync_fraction"] <= 1
 
     def test_guards(self, series):
         with pytest.raises(ConfigurationError):
-            run_stream("mc-ref", [], clock_hz=1e6)
+            exact_stream("mc-ref", [], clock_hz=1e6)
         with pytest.raises(ConfigurationError):
-            run_stream("mc-ref", series, clock_hz=0)
+            exact_stream("mc-ref", series, clock_hz=0)
 
 
 class TestDeadlineReporting:
     def test_budget_and_per_block_utilisation(self, series):
-        report = run_stream("ulpmc-bank", series, clock_hz=1e6)
+        report = exact_stream("ulpmc-bank", series, clock_hz=1e6)
         assert report.deadline_budget_cycles == pytest.approx(
             1e6 * report.block_period_s)
         for index, cycles in enumerate(report.cycles_per_block):
@@ -98,13 +105,13 @@ class TestDeadlineReporting:
                 cycles / report.deadline_budget_cycles)
 
     def test_fast_clock_misses_nothing(self, series):
-        report = run_stream("ulpmc-bank", series, clock_hz=1e6)
+        report = exact_stream("ulpmc-bank", series, clock_hz=1e6)
         assert report.missed_blocks == []
         assert report.deadline_misses == 0
         assert report.real_time
 
     def test_slow_clock_misses_every_block(self, series):
-        report = run_stream("ulpmc-bank", series, clock_hz=1e4)
+        report = exact_stream("ulpmc-bank", series, clock_hz=1e4)
         assert report.missed_blocks == [0, 1, 2]
         assert report.deadline_misses == len(series)
         assert not report.real_time
@@ -112,23 +119,23 @@ class TestDeadlineReporting:
     def test_threshold_clock_separates_blocks(self, series):
         """A clock between the cheapest and the costliest block misses
         exactly the blocks over budget."""
-        report = run_stream("ulpmc-bank", series, clock_hz=1e6)
+        report = exact_stream("ulpmc-bank", series, clock_hz=1e6)
         cycles = report.cycles_per_block
         if min(cycles) == max(cycles):
             pytest.skip("blocks happen to cost identical cycles")
         threshold_hz = (min(cycles) + 0.5) / report.block_period_s
-        tight = run_stream("ulpmc-bank", series, clock_hz=threshold_hz)
+        tight = exact_stream("ulpmc-bank", series, clock_hz=threshold_hz)
         expected = [index for index, c in enumerate(cycles)
                     if c > min(cycles)]
         assert tight.missed_blocks == expected
 
     def test_deadline_report_text(self, series):
-        slow = run_stream("ulpmc-bank", series, clock_hz=1e4)
+        slow = exact_stream("ulpmc-bank", series, clock_hz=1e4)
         text = slow.deadline_report()
         lines = text.splitlines()
         assert lines[0].startswith("ulpmc-bank @")
         assert len(lines) == len(series) + 2
         assert all("MISS" in line for line in lines[1:-1])
         assert lines[-1].endswith(f"{len(series)}/{len(series)}")
-        ok = run_stream("ulpmc-bank", series, clock_hz=1e6)
+        ok = exact_stream("ulpmc-bank", series, clock_hz=1e6)
         assert "MISS" not in ok.deadline_report()

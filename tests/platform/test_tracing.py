@@ -19,10 +19,10 @@ class TestTraceRun:
         the results still verify bit-exactly."""
         from repro.platform.multicore import SimulationResult
 
-        plain_cycles = build_platform("ulpmc-bank").run(
+        plain_cycles = build_platform("ulpmc-bank", fast_forward=False).run(
             built.benchmark).stats.total_cycles
 
-        traced_system = build_platform("ulpmc-bank")
+        traced_system = build_platform("ulpmc-bank", fast_forward=False)
         trace = trace_run(traced_system, built.benchmark, start=0,
                           length=50)
         assert len(trace) == 50
@@ -34,14 +34,14 @@ class TestTraceRun:
             == plain_cycles
 
     def test_window_selection(self, built):
-        system = build_platform("mc-ref")
+        system = build_platform("mc-ref", fast_forward=False)
         trace = trace_run(system, built.benchmark, start=100, length=10)
         assert [record.cycle for record in trace.cycles] \
             == list(range(100, 110))
 
     def test_lockstep_visible_in_cs_phase(self, built):
         """During CS the cores fetch the same PC (1 distinct group)."""
-        system = build_platform("ulpmc-bank")
+        system = build_platform("ulpmc-bank", fast_forward=False)
         trace = trace_run(system, built.benchmark, start=500, length=100)
         profile = sync_profile(trace)
         assert max(profile) == 1
@@ -49,13 +49,13 @@ class TestTraceRun:
     def test_desync_visible_in_huffman_phase(self, built):
         """Near the end of the run the data-dependent Huffman flow has
         spread the PCs over several groups."""
-        system = build_platform("ulpmc-bank")
+        system = build_platform("ulpmc-bank", fast_forward=False)
         full = trace_run(system, built.benchmark, start=0, length=10**9)
         profile = sync_profile(full)
         assert max(profile[-2000:]) > 1
 
     def test_stall_marks(self, built):
-        system = build_platform("ulpmc-bank")
+        system = build_platform("ulpmc-bank", fast_forward=False)
         full = trace_run(system, built.benchmark, start=0, length=10**9)
         stalls = sum(1 for record in full.cycles
                      for entry in record.cores
@@ -85,8 +85,8 @@ class TestFastForwardTracing:
 
     @pytest.mark.parametrize("arch", ["mc-ref", "ulpmc-int", "ulpmc-bank"])
     def test_trace_identical_across_modes(self, arch, built):
-        slow = trace_run(build_platform(arch), built.benchmark,
-                         start=0, length=10**9)
+        slow = trace_run(build_platform(arch, fast_forward=False),
+                         built.benchmark, start=0, length=10**9)
         fast = trace_run(build_platform(arch, fast_forward=True),
                          built.benchmark, start=0, length=10**9)
         assert slow.cycles == fast.cycles
@@ -94,7 +94,7 @@ class TestFastForwardTracing:
 
 class TestRendering:
     def test_render(self, built):
-        system = build_platform("ulpmc-int")
+        system = build_platform("ulpmc-int", fast_forward=False)
         trace = trace_run(system, built.benchmark, start=0, length=5)
         text = render_trace(trace)
         lines = text.splitlines()
@@ -107,7 +107,7 @@ class TestRendering:
         ``render_trace`` with an IndexError on ``cycles[0]``."""
         from repro.platform.tracing import Trace
 
-        system = build_platform("mc-ref")
+        system = build_platform("mc-ref", fast_forward=False)
         trace = trace_run(system, built.benchmark, start=10**8, length=10)
         assert len(trace) == 0
         text = render_trace(trace)
@@ -129,7 +129,7 @@ class TestSyncProfile:
         assert sync_profile(trace) == [1, 2]
 
     def test_profile_matches_trace_length_when_cores_active(self, built):
-        system = build_platform("ulpmc-bank")
+        system = build_platform("ulpmc-bank", fast_forward=False)
         trace = trace_run(system, built.benchmark, start=0, length=10**9)
         # Every recorded cycle has at least one active core, so nothing
         # is skipped.

@@ -15,7 +15,7 @@ from repro.power.calibration import (
 
 @pytest.fixture(scope="module")
 def cal():
-    return calibrated_set()
+    return calibrated_set(fast_forward=False)
 
 
 class TestAnchors:
@@ -83,7 +83,7 @@ class TestPaperSavings:
 class TestInternalConsistency:
     def test_results_are_verified_and_cached(self, cal):
         assert set(cal.results) == {"mc-ref", "ulpmc-int", "ulpmc-bank"}
-        assert calibrated_set() is cal
+        assert calibrated_set(fast_forward=False) is cal
 
     def test_ops_per_cycle_ordering(self, cal):
         assert cal.ops_per_cycle("mc-ref") >= cal.ops_per_cycle("ulpmc-int")
@@ -94,3 +94,48 @@ class TestInternalConsistency:
         meta = cal.built.benchmark.meta
         assert meta["read_only_bytes"] == 14336
         assert meta["program_bytes"] < 552
+
+
+class TestReferenceCache:
+    """One verified cache, keyed on (config, benchmark spec, engine)."""
+
+    def test_per_arch_query_simulates_only_that_arch(self, monkeypatch):
+        from repro.power import calibration
+
+        simulated = []
+        real = calibration.MultiCoreSystem
+
+        def recording(config, fast_forward):
+            simulated.append(config)
+            return real(config, fast_forward=fast_forward)
+
+        monkeypatch.setattr(calibration, "MultiCoreSystem", recording)
+        # ulpmc-int without instruction broadcast: no experiment reads
+        # it, so this query is a guaranteed miss.
+        calibration.reference_results("ulpmc-int", huffman_private=False,
+                                      instr_broadcast=False)
+        assert [config.name for config in simulated] == ["ulpmc-int"]
+        assert not simulated[0].instr_broadcast
+
+    def test_mcref_without_instr_broadcast_is_the_shared_lut_entry(self):
+        from repro.power.calibration import reference_results, \
+            verified_run
+
+        shared = reference_results("mc-ref", huffman_private=False,
+                                   fast_forward=False)
+        hits = verified_run.cache_info().hits
+        assert reference_results("mc-ref", huffman_private=False,
+                                 instr_broadcast=False,
+                                 fast_forward=False) is shared
+        assert verified_run.cache_info().hits == hits + 1
+
+    def test_one_calibrated_set_per_engine(self, cal):
+        assert calibrated_set(False) is cal
+        assert calibrated_set() is calibrated_set(True) \
+            is calibrated_set(fast_forward=True)
+
+    def test_scaling_eight_cores_is_the_calibration_entry(self, cal):
+        from repro.experiments import scaling
+
+        assert scaling._simulate(8, fast_forward=False) \
+            is cal.results["ulpmc-bank"].stats

@@ -205,7 +205,7 @@ class TestClassification:
         the PC it started with — on both engines alike."""
         spec = replace(SPEC, arch="ulpmc-int")
         probe = _FetchStallProbe()
-        build_platform("ulpmc-int").run(
+        build_platform("ulpmc-int", fast_forward=False).run(
             golden_run(spec).built.benchmark, faults=probe)
         assert probe.found is not None, "no fetch stall on ulpmc-int"
         cycle, pid = probe.found

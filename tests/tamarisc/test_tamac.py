@@ -274,7 +274,7 @@ class TestMultiCoreDeployment:
                 return;
             }
         """)
-        system = build_platform("ulpmc-bank")
+        system = build_platform("ulpmc-bank", fast_forward=False)
         system.run(Benchmark("tamac", compiled.program, DataImage()))
         expected = sum(i * i for i in range(10))
         for core in range(8):

@@ -72,8 +72,7 @@ class TestTrace:
 
     def test_trace_all_arches_fast_forward(self, tmp_path, capsys):
         assert main(["trace", "--samples", "64", "--measurements", "32",
-                     "--fast-forward", "--no-manifest",
-                     "--out-dir", str(tmp_path)]) == 0
+                     "--no-manifest", "--out-dir", str(tmp_path)]) == 0
         names = {path.name for path in tmp_path.iterdir()}
         assert names == {"trace-mc-ref.json", "trace-ulpmc-int.json",
                          "trace-ulpmc-bank.json"}
@@ -85,7 +84,7 @@ class TestProfile:
     def test_profile_prints_registry_and_reconciles(self, tmp_path, capsys):
         from repro.obs import read_manifests
         assert main(["profile", "--arch", "ulpmc-int", "--samples", "64",
-                     "--measurements", "32",
+                     "--measurements", "32", "--exact",
                      "--runs-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "== ulpmc-int (exact" in out
@@ -101,16 +100,15 @@ class TestProfile:
 
     def test_profile_fast_forward(self, capsys):
         assert main(["profile", "--arch", "mc-ref", "--samples", "64",
-                     "--measurements", "32", "--fast-forward",
-                     "--no-manifest"]) == 0
+                     "--measurements", "32", "--no-manifest"]) == 0
         out = capsys.readouterr().out
         assert "== mc-ref (fast-forward" in out
         assert "probe/stats reconciliation ok" in out
 
 
 class TestWatch:
-    ARGS = ["watch", "--arch", "mc-ref", "--fast-forward", "--samples",
-            "64", "--measurements", "32", "--window", "1024"]
+    ARGS = ["watch", "--arch", "mc-ref", "--samples", "64",
+            "--measurements", "32", "--window", "1024"]
 
     def test_json_lines_stream_and_manifest(self, tmp_path, capsys):
         assert main(self.ARGS + ["--json-lines", "--repeat", "1",
@@ -325,6 +323,57 @@ class TestFaults:
         assert "campaign digest: " in out
         for outcome in ("masked", "sdc", "detected", "hang"):
             assert outcome in out
+
+
+class TestEngineFlag:
+    """``--exact`` is the one engine flag; the fast engine is the
+    default, and every simulating subcommand's manifest records which
+    one ran."""
+
+    SMALL = ["--samples", "64", "--measurements", "32"]
+    #: The cheapest manifest-writing invocation of each subcommand.
+    COMMANDS = {
+        "experiment": ["experiment", "table1"],
+        "trace": ["trace", "--arch", "mc-ref", *SMALL],
+        "profile": ["profile", "--arch", "mc-ref", *SMALL],
+        "watch": ["watch", "--arch", "mc-ref", "--repeat", "1",
+                  "--json-lines", *SMALL],
+        "farm": ["farm", "--runs", "1", "--workers", "1", "--arch",
+                 "mc-ref", "--blocks", "1", *SMALL],
+        "dse": ["dse", "--arch", "mc-ref", "--cores", "8", "--im-banks",
+                "8", "--dm-banks", "16", "--mappings", "private-lut",
+                "--voltages", "1.2", "--no-escalate", "--json"],
+        "faults": ["faults", "--trials", "1", "--workers", "1", *SMALL],
+    }
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "table1"], ["trace"], ["profile"], ["watch"]],
+        ids=lambda argv: argv[0])
+    def test_fast_forward_flag_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--fast-forward", "--no-manifest"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --fast-forward" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exact", [False, True],
+                             ids=["default", "exact"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_manifest_records_engine(self, command, exact, tmp_path,
+                                     capsys):
+        argv = self.COMMANDS[command] + ["--runs-dir", str(tmp_path)]
+        if command == "trace":
+            argv += ["--out-dir", str(tmp_path)]
+        assert main(argv + (["--exact"] if exact else [])) == 0
+        records = [json.loads(line) for line in
+                   (tmp_path / "manifest.jsonl").read_text().splitlines()]
+        # A fleet record keys its group on the engine (config); every
+        # other record carries it in ``extra``.
+        engines = [record["extra"]["fast_forward"]
+                   if record["kind"] != "fleet"
+                   else record["config"]["fast_forward"]
+                   for record in records]
+        assert engines and engines == [not exact] * len(records)
 
 
 class TestExitCodes:
