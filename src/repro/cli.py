@@ -70,6 +70,99 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         help="skip writing the run manifest")
 
 
+def _add_pool_options(parser: argparse.ArgumentParser, job: str,
+                      run: str) -> None:
+    """The options of a subcommand that runs jobs on the worker pool
+    (``farm``, ``faults``), plus the run options; ``job`` and ``run``
+    name one unit of work and the whole invocation in the help."""
+    parser.add_argument("--workers", type=int, default=2, metavar="N",
+                        help="worker processes (default: 2)")
+    parser.add_argument("--retries", type=int, default=1, metavar="N",
+                        help=f"requeue a crashed/failed {job} up to N "
+                             "times (default: 1)")
+    parser.add_argument("--timeout", type=float, default=None,
+                        metavar="SECONDS",
+                        help=f"per-{job} wall-clock cap; an overrunning "
+                             f"{job} has its worker killed and is requeued "
+                             "with cause 'timeout'")
+    parser.add_argument("--heartbeat-timeout", type=float, default=None,
+                        metavar="SECONDS",
+                        help="kill a worker whose heartbeat goes silent "
+                             "this long (wedged interpreter) and requeue "
+                             f"its {job} with cause 'heartbeat'")
+    parser.add_argument("--checkpoint", metavar="FILE", default=None,
+                        help=f"append every finished {job} to this "
+                             "checkpoint JSONL (default with --resume: "
+                             f"derived from the {run} under "
+                             "RUNS_DIR/checkpoints/)")
+    parser.add_argument("--resume", action="store_true",
+                        help=f"satisfy {job}s already in the checkpoint "
+                             f"without re-simulation; the {run} digest is "
+                             "bit-identical to a cold run")
+    parser.add_argument("--json", action="store_true",
+                        help=f"emit one JSON line per finished {job} plus "
+                             f"a final {run} line instead of the table")
+    _add_run_options(parser)
+
+
+def _run_pool(args, run, specs, kind: str, identity: dict, label, fields,
+              **options):
+    """Run ``specs`` through ``run`` (``run_farm``/``run_campaign``) with
+    the shared pool options, reporting each job as it finishes.
+
+    Under ``--json`` a job becomes one JSON line: ``fields(job)`` plus
+    its state, attempts and retries.  Otherwise it becomes one status
+    line around ``label(job)``, rewritten in place on a terminal.
+    ``kind`` names the default checkpoint (from ``identity``) and
+    prefixes the status lines.
+    """
+    from repro.farm.checkpoint import checkpoint_path
+    checkpoint = args.checkpoint
+    if checkpoint is None and args.resume:
+        checkpoint = checkpoint_path(args.runs_dir, kind, identity)
+    tty = sys.stdout.isatty() and not args.json
+
+    def on_job(job, done, total):
+        if args.json:
+            payload = {**fields(job), "state": job.state.value,
+                       "attempts": job.attempts, "resumed": job.resumed,
+                       "done": done, "total": total}
+            if job.retries:
+                payload["retries"] = job.retry_summary()
+            if job.result is not None:
+                payload.update(worker_id=job.result.worker_id,
+                               wall_time_s=job.result.wall_time_s)
+            if job.error is not None:
+                payload["error"] = job.error.strip().splitlines()[-1]
+            _emit_json_line(payload)
+            return
+        line = (f"{kind} {done}/{total}  {label(job)}"
+                + (" (resumed)" if job.resumed else "")
+                + (f" ({job.attempts} attempts)"
+                   if job.attempts > 1 else ""))
+        if tty:
+            print(f"\r\x1b[2K{line}", end="", flush=True)
+        else:
+            print(line, flush=True)
+
+    result = run(specs, workers=args.workers, max_retries=args.retries,
+                 job_timeout_s=args.timeout,
+                 heartbeat_timeout_s=args.heartbeat_timeout,
+                 checkpoint=checkpoint, resume=args.resume, on_job=on_job,
+                 **options)
+    if tty:
+        print()
+    return result
+
+
+def _report_failures(jobs, name) -> None:
+    """One stderr line per job that failed for good, ``name(job)`` first."""
+    for job in jobs:
+        error = (job.error or "").strip().splitlines()
+        print(f"{name(job)} FAILED after {job.attempts} attempt(s): "
+              f"{error[-1] if error else 'unknown error'}", file=sys.stderr)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--arch", choices=_ARCH_CHOICES, default="all",
                         help="platform to run (default: all three)")
@@ -506,8 +599,6 @@ def cmd_farm(argv) -> int:
     parser.add_argument("--runs", type=int, default=8, metavar="N",
                         help="number of independent patient runs "
                              "(default: 8)")
-    parser.add_argument("--workers", type=int, default=2, metavar="N",
-                        help="worker processes (default: 2)")
     parser.add_argument("--arch", choices=_ARCH_CHOICES, default="mc-ref",
                         help="platform(s); 'all' cycles the three "
                              "architectures across shards "
@@ -527,28 +618,6 @@ def cmd_farm(argv) -> int:
     parser.add_argument("--seed", type=int, default=None, metavar="BASE",
                         help="fleet base seed; per-shard seeds derive "
                              "deterministically from (seed, shard)")
-    parser.add_argument("--retries", type=int, default=1, metavar="N",
-                        help="requeue a crashed/failed job up to N times "
-                             "(default: 1)")
-    parser.add_argument("--timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-job wall-clock cap; an overrunning job "
-                             "has its worker killed and is requeued with "
-                             "cause 'timeout'")
-    parser.add_argument("--heartbeat-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="kill a worker whose heartbeat goes silent "
-                             "this long (wedged interpreter) and requeue "
-                             "its job with cause 'heartbeat'")
-    parser.add_argument("--checkpoint", metavar="FILE", default=None,
-                        help="append every completed shard to this "
-                             "checkpoint JSONL (default with --resume: "
-                             "derived from the plan under "
-                             "RUNS_DIR/checkpoints/)")
-    parser.add_argument("--resume", action="store_true",
-                        help="satisfy shards already in the checkpoint "
-                             "without re-simulation; the fleet digest is "
-                             "bit-identical to a cold run")
     parser.add_argument("--no-warm", action="store_true",
                         help="cold-cache mode: workers drop every "
                              "process-level cache before each job "
@@ -556,10 +625,7 @@ def cmd_farm(argv) -> int:
     parser.add_argument("--fail-fast", action="store_true",
                         help="cancel the remaining queue after the first "
                              "terminal job failure")
-    parser.add_argument("--json", action="store_true",
-                        help="emit one JSON line per finished job plus a "
-                             "final fleet line instead of the table")
-    _add_run_options(parser)
+    _add_pool_options(parser, "shard", "fleet")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be >= 1")
@@ -567,10 +633,8 @@ def cmd_farm(argv) -> int:
         parser.error("--workers must be >= 1")
 
     from repro.farm import build_plan, run_farm
-    from repro.farm.checkpoint import checkpoint_path
     from repro.farm.fleet import DEFAULT_BASE_SEED, plan_identity, \
         write_fleet_manifests
-    from repro.farm.jobs import JobState
 
     base_seed = args.seed if args.seed is not None else DEFAULT_BASE_SEED
     plan = build_plan(
@@ -578,52 +642,12 @@ def cmd_farm(argv) -> int:
         n_samples=args.samples, n_measurements=args.measurements,
         n_blocks=args.blocks, window_cycles=args.window,
         clock_hz=args.clock_hz, fast_forward=args.fast_forward)
-    checkpoint = args.checkpoint
-    if checkpoint is None and args.resume:
-        checkpoint = checkpoint_path(args.runs_dir, "farm",
-                                     plan_identity(plan, base_seed))
-
-    tty = sys.stdout.isatty()
-
-    def on_job(job, done, total):
-        if args.json:
-            payload = {"type": "job", "job_id": job.job_id,
-                       "shard_index": job.spec.shard_index,
-                       "arch": job.spec.arch, "seed": job.spec.seed,
-                       "state": job.state.value, "attempts": job.attempts,
-                       "resumed": job.resumed,
-                       "done": done, "total": total}
-            if job.retries:
-                payload["retries"] = job.retry_summary()
-            if job.result is not None:
-                payload.update(
-                    stats_digest=job.result.stats_digest,
-                    total_cycles=job.result.stats_summary["total_cycles"],
-                    deadline_misses=job.result.deadline_misses,
-                    worker_id=job.result.worker_id,
-                    wall_time_s=job.result.wall_time_s)
-            if job.error is not None:
-                payload["error"] = job.error.strip().splitlines()[-1]
-            _emit_json_line(payload)
-            return
-        line = (f"farm {done}/{total}  shard {job.spec.shard_index:>3} "
-                f"[{job.spec.arch}] {job.state.value}"
-                + (" (resumed)" if job.resumed else "")
-                + (f" ({job.attempts} attempts)"
-                   if job.attempts > 1 else ""))
-        if tty:
-            print(f"\r\x1b[2K{line}", end="", flush=True)
-        else:
-            print(line, flush=True)
-
-    fleet = run_farm(plan, workers=args.workers, base_seed=base_seed,
-                     max_retries=args.retries, warm=not args.no_warm,
-                     fail_fast=args.fail_fast, on_job=on_job,
-                     job_timeout_s=args.timeout,
-                     heartbeat_timeout_s=args.heartbeat_timeout,
-                     checkpoint=checkpoint, resume=args.resume)
-    if tty and not args.json:
-        print()
+    fleet = _run_pool(
+        args, run_farm, plan, "farm", plan_identity(plan, base_seed),
+        label=lambda job: (f"shard {job.spec.shard_index:>3} "
+                           f"[{job.spec.arch}] {job.state.value}"),
+        fields=_shard_fields, base_seed=base_seed, warm=not args.no_warm,
+        fail_fast=args.fail_fast)
 
     if not args.no_manifest:
         write_fleet_manifests(fleet, directory=args.runs_dir)
@@ -634,14 +658,22 @@ def cmd_farm(argv) -> int:
                          "warm_reports": fleet.warm_reports})
     else:
         print(_farm_summary_table(fleet), flush=True)
-        for job in fleet.failed():
-            error = (job.error or "").strip().splitlines()
-            print(f"shard {job.spec.shard_index} FAILED after "
-                  f"{job.attempts} attempt(s): "
-                  f"{error[-1] if error else 'unknown error'}",
-                  file=sys.stderr)
-    return 1 if any(job.state is JobState.FAILED
-                    for job in fleet.jobs) else 0
+    failed = fleet.failed()
+    _report_failures(failed, lambda job: f"shard {job.spec.shard_index}")
+    return 1 if failed else 0
+
+
+def _shard_fields(job) -> dict:
+    """A fleet shard's ``--json`` progress fields."""
+    fields = {"type": "job", "job_id": job.job_id,
+              "shard_index": job.spec.shard_index, "arch": job.spec.arch,
+              "seed": job.spec.seed}
+    if job.result is not None:
+        fields.update(
+            stats_digest=job.result.stats_digest,
+            total_cycles=job.result.stats_summary["total_cycles"],
+            deadline_misses=job.result.deadline_misses)
+    return fields
 
 
 def _csv_values(parser, option: str, text: str, convert):
@@ -882,11 +914,6 @@ def cmd_faults(argv) -> int:
     parser.add_argument("--measurements", type=int, default=32,
                         help="compressed measurements per block "
                              "(default: 32)")
-    parser.add_argument("--workers", type=int, default=2, metavar="N",
-                        help="worker processes (default: 2)")
-    parser.add_argument("--retries", type=int, default=1, metavar="N",
-                        help="requeue a crashed/failed trial up to N "
-                             "times (default: 1)")
     parser.add_argument("--watchdog", type=int, default=0,
                         metavar="CYCLES",
                         help="sync-watchdog window; 0 derives it from "
@@ -898,42 +925,17 @@ def cmd_faults(argv) -> int:
     parser.add_argument("--clock-hz", type=float, default=1e6,
                         help="node clock for degradation deadline "
                              "budgets (default: 1e6)")
-    parser.add_argument("--timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-trial wall-clock cap; an overrunning "
-                             "trial has its worker killed and is "
-                             "requeued with cause 'timeout'")
-    parser.add_argument("--heartbeat-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="kill a worker whose heartbeat goes silent "
-                             "this long and requeue its trial with "
-                             "cause 'heartbeat'")
-    parser.add_argument("--checkpoint", metavar="FILE", default=None,
-                        help="append every classified trial to this "
-                             "checkpoint JSONL (default with --resume: "
-                             "derived from the campaign under "
-                             "RUNS_DIR/checkpoints/)")
-    parser.add_argument("--resume", action="store_true",
-                        help="satisfy trials already in the checkpoint "
-                             "without re-simulation; the campaign digest "
-                             "is bit-identical to a cold run")
     parser.add_argument("--max-sdc", type=float, default=None,
                         metavar="RATE",
                         help="exit 1 if the silent-data-corruption rate "
                              "exceeds this fraction")
-    parser.add_argument("--json", action="store_true",
-                        help="emit one JSON line per classified trial "
-                             "plus a final campaign line instead of the "
-                             "table")
-    _add_run_options(parser)
+    _add_pool_options(parser, "trial", "campaign")
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error("--workers must be >= 1")
     if args.max_sdc is not None and not 0.0 <= args.max_sdc <= 1.0:
         parser.error("--max-sdc expects a fraction in [0, 1]")
 
-    from repro.farm.checkpoint import checkpoint_path
-    from repro.farm.jobs import JobState
     from repro.resilience import (build_campaign, campaign_identity,
                                   run_campaign, write_campaign_manifest)
 
@@ -943,48 +945,12 @@ def cmd_faults(argv) -> int:
         seed=args.seed, fast_forward=args.fast_forward,
         watchdog=args.watchdog, max_cycles=args.max_cycles,
         clock_hz=args.clock_hz)
-    checkpoint = args.checkpoint
-    if checkpoint is None and args.resume:
-        checkpoint = checkpoint_path(args.runs_dir, "faults",
-                                     campaign_identity(specs))
-
-    tty = sys.stdout.isatty()
-
-    def on_trial(job, done, total):
-        if args.json:
-            payload = {"type": "trial", "trial": job.spec.trial,
-                       "state": job.state.value, "attempts": job.attempts,
-                       "resumed": job.resumed, "done": done,
-                       "total": total}
-            if job.retries:
-                payload["retries"] = job.retry_summary()
-            if job.result is not None:
-                payload.update(outcome=job.result.outcome,
-                               fault=list(job.result.fault),
-                               cycles=job.result.cycles,
-                               worker_id=job.result.worker_id,
-                               wall_time_s=job.result.wall_time_s)
-            if job.error is not None:
-                payload["error"] = job.error.strip().splitlines()[-1]
-            _emit_json_line(payload)
-            return
-        outcome = job.result.outcome if job.result is not None \
-            else job.state.value
-        line = (f"faults {done}/{total}  trial {job.spec.trial:>3} "
-                f"{outcome}"
-                + (" (resumed)" if job.resumed else ""))
-        if tty:
-            print(f"\r\x1b[2K{line}", end="", flush=True)
-        else:
-            print(line, flush=True)
-
-    campaign = run_campaign(
-        specs, workers=args.workers, max_retries=args.retries,
-        on_trial=on_trial, job_timeout_s=args.timeout,
-        heartbeat_timeout_s=args.heartbeat_timeout,
-        checkpoint=checkpoint, resume=args.resume)
-    if tty and not args.json:
-        print()
+    campaign = _run_pool(
+        args, run_campaign, specs, "faults", campaign_identity(specs),
+        label=lambda job: f"trial {job.spec.trial:>3} " + (
+            job.result.outcome if job.result is not None
+            else job.state.value),
+        fields=_trial_fields)
 
     if not args.no_manifest:
         write_campaign_manifest(campaign, directory=args.runs_dir)
@@ -1001,19 +967,25 @@ def cmd_faults(argv) -> int:
                          "wall_time_s": campaign.wall_time_s})
     else:
         print(_faults_summary_table(campaign), flush=True)
-    for job in campaign.failed():
-        error = (job.error or "").strip().splitlines()
-        print(f"trial {job.spec.trial} FAILED after {job.attempts} "
-              f"attempt(s): {error[-1] if error else 'unknown error'}",
-              file=sys.stderr)
-    if any(job.state is JobState.FAILED for job in campaign.jobs) \
-            or not campaign.ok:
+    _report_failures(campaign.failed(),
+                     lambda job: f"trial {job.spec.trial}")
+    if not campaign.ok:
         return 1
     if args.max_sdc is not None and sdc_rate > args.max_sdc:
         print(f"SDC rate {sdc_rate:.1%} exceeds --max-sdc "
               f"{args.max_sdc:.1%}", file=sys.stderr)
         return 1
     return 0
+
+
+def _trial_fields(job) -> dict:
+    """A fault trial's ``--json`` progress fields."""
+    fields = {"type": "trial", "trial": job.spec.trial}
+    if job.result is not None:
+        fields.update(outcome=job.result.outcome,
+                      fault=list(job.result.fault),
+                      cycles=job.result.cycles)
+    return fields
 
 
 def cmd_regress(argv) -> int:

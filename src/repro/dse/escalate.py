@@ -120,8 +120,7 @@ def stats_from_canonical(payload: dict) -> SimulationStats:
     return SimulationStats(cores=cores, **fields)
 
 
-def run_escalations(specs: dict, workers: int = 1,
-                    on_progress=None) -> dict:
+def run_escalations(specs: dict, workers: int = 1) -> dict:
     """Simulate ``{key: DseSimSpec}`` on the farm; ``{key: DseSimResult}``.
 
     Raises :class:`RuntimeError` listing every job that stayed failed
@@ -129,30 +128,15 @@ def run_escalations(specs: dict, workers: int = 1,
     loud stop, because downstream fidelity numbers would silently
     compare against holes.
     """
-    from repro.farm.jobs import FarmScheduler, JobState
+    from repro.farm.jobs import JobState, run_jobs
 
-    if not specs:
-        return {}
-    with FarmScheduler(workers=workers, warm=True) as farm:
-        by_job = {farm.submit(spec): key for key, spec in specs.items()}
-        done = 0
-        results = {}
-        failures = []
-        while farm.outstanding:
-            for job in farm.poll(timeout=0.05):
-                key = by_job[job.job_id]
-                if job.state is JobState.DONE:
-                    results[key] = job.result
-                else:
-                    failures.append(
-                        f"{key}: {job.state.value}"
-                        + (f" ({job.error.strip().splitlines()[-1]})"
-                           if job.error else ""))
-                done += 1
-                if on_progress is not None:
-                    on_progress(done, len(specs), key)
+    jobs = dict(zip(specs, run_jobs(list(specs.values()),
+                                    workers=workers).jobs))
+    failures = [f"{key}: {job.state.value}"
+                + (f" ({job.error.strip().splitlines()[-1]})"
+                   if job.error else "")
+                for key, job in jobs.items()
+                if job.state is not JobState.DONE]
     if failures:
-        raise RuntimeError(
-            "escalation failed for "
-            + "; ".join(str(failure) for failure in failures))
-    return results
+        raise RuntimeError("escalation failed for " + "; ".join(failures))
+    return {key: job.result for key, job in jobs.items()}

@@ -12,9 +12,10 @@ with p50/p99 cycle budgets and deadline-miss rates.
 Layers, bottom up:
 
 * :mod:`repro.farm.jobs` — the job model (:class:`FarmJobSpec`,
-  deterministic per-shard seeds) and the :class:`FarmScheduler`
-  (submit/poll/cancel, bounded in-flight jobs, crash detection with
-  bounded requeue).
+  deterministic per-shard seeds), the :class:`FarmScheduler`
+  (submit/poll/cancel, bounded in-flight jobs, one channel per worker,
+  crash detection with bounded requeue) and ``run_jobs``, the
+  checkpointed driver fleets, fault campaigns and escalations share.
 * :mod:`repro.farm.worker` — the worker runtime: warms the caches once
   per process, then executes jobs back to back, shipping a compact
   :class:`JobResult` (digests, window dicts, cache counters) home.

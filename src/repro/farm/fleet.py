@@ -2,8 +2,8 @@
 
 One farm invocation evaluates a *fleet*: N patients (shards), each an
 independent :class:`~repro.farm.jobs.FarmJobSpec`.  This module builds
-the plans, runs them through a :class:`~repro.farm.jobs.FarmScheduler`,
-and reduces the per-run results to fleet-level numbers:
+the plans, runs them through :func:`~repro.farm.jobs.run_jobs`, and
+reduces the per-run results to fleet-level numbers:
 
 * the per-run window streams merge via
   :func:`repro.obs.telemetry.merge_window_lists` into one fleet window
@@ -22,12 +22,10 @@ exactly like any other run kind.
 
 from __future__ import annotations
 
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.farm.checkpoint import Checkpoint, spec_key
-from repro.farm.jobs import FarmJob, FarmJobSpec, FarmScheduler, JobState, \
+from repro.farm.jobs import FarmJob, FarmJobSpec, JobState, run_jobs, \
     shard_seed
 from repro.farm.worker import JobResult
 from repro.obs.manifest import manifest_record, stats_digest, write_manifest
@@ -245,7 +243,6 @@ def run_farm(plan, workers: int = 2, *,
              base_seed: int = DEFAULT_BASE_SEED,
              max_retries: int = 1, warm: bool = True,
              fail_fast: bool = False, on_job=None,
-             start_method: str | None = None,
              job_timeout_s: float | None = None,
              heartbeat_timeout_s: float | None = None,
              checkpoint=None, resume: bool = False) -> FleetResult:
@@ -265,57 +262,17 @@ def run_farm(plan, workers: int = 2, *,
     plan = list(plan)
     if not plan:
         raise ConfigurationError("empty farm plan")
-    started = time.perf_counter()
-    store = Checkpoint(checkpoint) if checkpoint is not None else None
-    prior = store.load() if store is not None and resume else {}
-    resumed_jobs: list[FarmJob] = []
-    todo: list[FarmJobSpec] = []
-    for index, spec in enumerate(plan):
-        payload = prior.get(spec_key(spec))
-        if payload is not None:
-            resumed_jobs.append(FarmJob(
-                job_id=-(index + 1), spec=spec, state=JobState.DONE,
-                result=JobResult.from_dict(payload), resumed=True))
-        else:
-            todo.append(spec)
-
-    done_count = [0]
-
-    def _notify(job, total=len(plan)):
-        done_count[0] += 1
-        if job.state is JobState.DONE and store is not None \
-                and not job.resumed:
-            store.append(spec_key(job.spec), asdict(job.result))
-        if on_job is not None:
-            on_job(job, done_count[0], total)
-
-    for job in resumed_jobs:
-        _notify(job)
-
-    jobs: list[FarmJob] = []
-    warm_reports: list[dict] = []
-    crashes = timeouts = 0
-    if todo:  # a fully-resumed fleet never spawns a worker
-        with FarmScheduler(workers=workers, max_retries=max_retries,
-                           warm=warm, fail_fast=fail_fast,
-                           start_method=start_method,
-                           job_timeout_s=job_timeout_s,
-                           heartbeat_timeout_s=heartbeat_timeout_s) \
-                as scheduler:
-            scheduler.listeners.append(_notify)
-            for spec in todo:
-                scheduler.submit(spec)
-            jobs = scheduler.run_until_complete()
-            warm_reports = scheduler.warm_reports()
-            crashes = scheduler.crashes
-            timeouts = scheduler.timeouts
-    all_jobs = sorted(resumed_jobs + jobs,
-                      key=lambda job: job.spec.shard_index)
+    batch = run_jobs(plan, workers=workers, load=JobResult.from_dict,
+                     checkpoint=checkpoint, resume=resume, on_job=on_job,
+                     max_retries=max_retries, warm=warm,
+                     fail_fast=fail_fast, job_timeout_s=job_timeout_s,
+                     heartbeat_timeout_s=heartbeat_timeout_s)
     return FleetResult(
-        jobs=all_jobs, plan=plan, base_seed=base_seed, workers=workers,
-        warm=warm, wall_time_s=time.perf_counter() - started,
-        warm_reports=warm_reports, crashes=crashes, timeouts=timeouts,
-        resumed=len(resumed_jobs))
+        jobs=sorted(batch.jobs, key=lambda job: job.spec.shard_index),
+        plan=plan, base_seed=base_seed, workers=workers, warm=warm,
+        wall_time_s=batch.wall_time_s, warm_reports=batch.warm_reports,
+        crashes=batch.crashes, timeouts=batch.timeouts,
+        resumed=batch.resumed)
 
 
 def write_fleet_manifests(fleet: FleetResult, directory=None) -> None:

@@ -1,4 +1,4 @@
-"""Farm job model and process-pool scheduler.
+"""Farm job model, process-pool scheduler and checkpointed job driver.
 
 A *job* is one independent patient run: a :class:`FarmJobSpec` naming
 the workload seed, architecture, geometry and telemetry window
@@ -10,22 +10,30 @@ simulated quantity a job produces is a pure function of its spec
 how many workers run them or in which order.
 
 The :class:`FarmScheduler` owns a pool of worker processes
-(:mod:`repro.farm.worker`), each fed through its own pipe so a crash is
-attributable to exactly one in-flight job.  The loop is
+(:mod:`repro.farm.worker`).  Each worker has one duplex pipe, its
+*channel*: jobs go out on it, and the worker's ``ready`` report, its
+heartbeats and its results come back on it.  A crash is therefore
+attributable to exactly one in-flight job, and a worker that dies
+mid-message breaks only its own channel.  The loop is
 submit/poll/cancel:
 
 * ``submit()`` queues a spec; at most one job is in flight per worker
-  (dispatch happens only to an idle, live worker), the rest wait in the
+  (dispatch happens only to an idle worker), the rest wait in the
   scheduler's own queue — in-flight work is bounded by the pool size,
   never by how fast the caller submits.
-* ``poll()`` drains finished results without blocking;
-  ``run_until_complete()`` loops it with liveness checks.
-* A worker that dies mid-job (OOM kill, segfault, ``os._exit``) is
-  detected via ``Process.is_alive()``; its job is marked failed and
-  requeued up to ``max_retries`` times, and a replacement worker is
-  spawned so the pool never shrinks.
+* ``poll()`` waits on every channel at once, up to its timeout, and
+  drains what arrived; ``run_until_complete()`` loops it.
+* A worker that dies (OOM kill, segfault, ``os._exit``) is detected on
+  its channel: EOF, or a message cut short.  Nothing polls
+  ``Process.is_alive()``.  The job it was running is requeued up to
+  ``max_retries`` times, and a replacement worker is spawned so the
+  pool never shrinks.
 * ``cancel()`` withdraws a queued job; ``fail_fast`` cancels the rest
   of the queue after the first terminal failure.
+
+:func:`run_jobs` drives one pool through a list of specs with
+checkpoint/resume; fleets, fault campaigns and design-space escalations
+all run through it.
 """
 
 from __future__ import annotations
@@ -33,11 +41,12 @@ from __future__ import annotations
 import enum
 import hashlib
 import multiprocessing
-import queue as queue_module
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from multiprocessing.connection import wait
 
 from repro.errors import ConfigurationError
+from repro.farm.checkpoint import Checkpoint, spec_key
 
 #: Retry cap default: one requeue after a crash, then the job fails
 #: terminally (a deterministic crasher would otherwise loop forever).
@@ -70,8 +79,10 @@ class FarmJobSpec:
 
     ``fault`` is a test hook executed inside the worker: ``"raise"``
     fails the job with an exception (reported failure), ``"exit"``
-    kills the worker process outright (crash path).  Production specs
-    leave it ``None``.
+    kills the worker process outright (crash path); ``"hang"``,
+    ``"wedge"`` and ``"exit-mid-send"`` are the worker's own hooks (see
+    :func:`repro.farm.worker.worker_main`).  Production specs leave it
+    ``None``.
     """
 
     shard_index: int
@@ -144,41 +155,30 @@ class FarmJob:
 
 
 class _Worker:
-    """One pool member: process + its private job pipe."""
+    """One pool member: process plus the scheduler's end of its channel."""
 
-    def __init__(self, ctx, worker_id: int, result_queue, warm: bool,
-                 heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL):
+    def __init__(self, ctx, worker_id: int, warm: bool,
+                 heartbeat_interval: float, inherited):
         from repro.farm.worker import worker_main
         self.worker_id = worker_id
-        parent_conn, child_conn = ctx.Pipe()
-        self.conn = parent_conn
+        self.conn, child_conn = ctx.Pipe()
         self.job: FarmJob | None = None
-        self.ready = False
         self.warm_info: dict | None = None
         self.job_started: float | None = None
         self.last_beat = time.monotonic()
         self.process = ctx.Process(
             target=worker_main,
-            args=(worker_id, child_conn, result_queue, warm,
+            args=(worker_id, child_conn, (self.conn, *inherited), warm,
                   heartbeat_interval),
             daemon=True)
         self.process.start()
         child_conn.close()
 
-    def send(self, spec: FarmJobSpec | None) -> None:
-        self.conn.send(spec)
-
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
     def kill(self) -> None:
-        """Hard-stop a hung worker (SIGKILL; it holds no locks we
-        need — results travel through the queue, manifests are written
-        by the scheduler process only)."""
-        try:
-            self.process.kill()
-        except (OSError, AttributeError):  # pragma: no cover
-            self.process.terminate()
+        """Hard-stop the worker (SIGKILL).  Nothing the scheduler needs
+        dies with it: the worker's channel is its own, and manifests and
+        checkpoints are written by the scheduler process only."""
+        self.process.kill()
         self.process.join(1.0)
 
     def close(self) -> None:
@@ -206,7 +206,6 @@ class FarmScheduler:
     def __init__(self, workers: int = 2,
                  max_retries: int = DEFAULT_MAX_RETRIES,
                  warm: bool = True, fail_fast: bool = False,
-                 start_method: str | None = None,
                  job_timeout_s: float | None = None,
                  heartbeat_timeout_s: float | None = None,
                  heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL,
@@ -219,18 +218,11 @@ class FarmScheduler:
             raise ConfigurationError("job_timeout_s must be positive")
         if heartbeat_timeout_s is not None and heartbeat_timeout_s <= 0:
             raise ConfigurationError("heartbeat_timeout_s must be positive")
-        methods = multiprocessing.get_all_start_methods()
-        if start_method is None:
-            # fork inherits the parent's warm caches for free; fall
-            # back to spawn elsewhere (workers then warm themselves).
-            start_method = "fork" if "fork" in methods else "spawn"
-        elif start_method not in methods:
-            raise ConfigurationError(
-                f"start method {start_method!r} not available "
-                f"(have {methods})")
-        self._ctx = multiprocessing.get_context(start_method)
-        self.start_method = start_method
-        self.n_workers = workers
+        # fork inherits the parent's warm caches for free; fall back to
+        # spawn elsewhere (workers then warm themselves).
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn")
         self.max_retries = max_retries
         self.warm = warm
         self.fail_fast = fail_fast
@@ -244,14 +236,28 @@ class FarmScheduler:
         self.timeouts = 0              # workers killed (timeout/heartbeat)
         self._pending: list[int] = []  # job ids awaiting dispatch
         self._next_id = 0
-        self._results = self._ctx.Queue()
-        self._workers = [self._spawn(i) for i in range(workers)]
-        self._next_worker_id = workers
+        self._workers: list[_Worker] = []
+        self._next_worker_id = 0
+        for _ in range(workers):
+            self._workers.append(self._spawn())
         self._closed = False
 
-    def _spawn(self, worker_id: int) -> _Worker:
-        return _Worker(self._ctx, worker_id, self._results, self.warm,
-                       self.heartbeat_interval_s)
+    def _spawn(self) -> _Worker:
+        # A forked worker inherits the scheduler's end of every open
+        # channel and closes them, so only this process holds them and
+        # its death is EOF on every worker's channel.
+        inherited = [worker.conn for worker in self._workers
+                     if not worker.conn.closed]
+        worker = _Worker(self._ctx, self._next_worker_id, self.warm,
+                         self.heartbeat_interval_s, inherited)
+        self._next_worker_id += 1
+        return worker
+
+    def _replace(self, worker: _Worker) -> None:
+        """Stop ``worker`` and spawn its successor in its pool slot."""
+        worker.kill()
+        worker.close()
+        self._workers[self._workers.index(worker)] = self._spawn()
 
     # -- submission --------------------------------------------------------
 
@@ -282,20 +288,16 @@ class FarmScheduler:
     def outstanding(self) -> int:
         return sum(1 for job in self.jobs.values() if not job.terminal)
 
-    @property
-    def in_flight(self) -> int:
-        return sum(1 for worker in self._workers if worker.job is not None)
-
     def poll(self, timeout: float = 0.0) -> list[FarmJob]:
-        """One scheduler tick: dispatch, drain results, detect crashes.
+        """One scheduler tick: dispatch, read the channels, enforce the
+        job and heartbeat timeouts.
 
         Returns the jobs that reached a terminal state during this
-        call; never blocks longer than ``timeout``.
+        call; waits at most ``timeout`` for a message.
         """
         self._dispatch()
         finished = self._drain(timeout)
         finished.extend(self._check_health())
-        finished.extend(self._reap_crashes())
         if self.fail_fast and any(job.state is JobState.FAILED
                                   for job in finished):
             for job_id in list(self._pending):
@@ -323,7 +325,7 @@ class FarmScheduler:
         for worker in self._workers:
             if not self._pending:
                 return
-            if worker.job is not None or not worker.alive():
+            if worker.job is not None:
                 continue
             # First pending job past its backoff window (submission
             # order otherwise preserved).
@@ -343,60 +345,51 @@ class FarmScheduler:
             worker.job_started = now
             worker.last_beat = now
             try:
-                worker.send((job.job_id, job.spec, job.attempts))
-            except (OSError, BrokenPipeError):
-                worker.job = None
-                worker.job_started = None
-                self._handle_crash(worker, job)
+                worker.conn.send((job.job_id, job.spec, job.attempts))
+            except OSError:
+                pass  # dead worker: _drain reads its EOF, requeues the job
 
     def _drain(self, timeout: float) -> list[FarmJob]:
+        """Wait up to ``timeout`` for any channel, then read every message
+        that has arrived.  EOF, or a message cut short by the sender's
+        death, means that worker crashed."""
         finished = []
-        deadline = time.monotonic() + timeout
-        while True:
-            remaining = deadline - time.monotonic()
+        workers = {worker.conn: worker for worker in self._workers}
+        for conn in wait(list(workers), timeout):
+            worker = workers[conn]
             try:
-                message = self._results.get(
-                    timeout=max(0.0, remaining)) \
-                    if timeout > 0 else self._results.get_nowait()
-            except queue_module.Empty:
-                break
-            finished.extend(self._on_message(message))
-            timeout = 0  # drain whatever else is ready, non-blocking
+                while conn.poll():
+                    finished.extend(self._on_message(worker, *conn.recv()))
+            except (EOFError, OSError):
+                finished.extend(self._on_crash(worker))
         return finished
 
-    def _on_message(self, message) -> list[FarmJob]:
-        kind, worker_id, payload = message
-        worker = self._worker_by_id(worker_id)
+    def _on_message(self, worker: _Worker, kind: str,
+                    payload) -> list[FarmJob]:
         if kind == "ready":
-            if worker is not None:
-                worker.ready = True
-                worker.warm_info = payload
+            worker.warm_info = payload
             return []
         if kind == "beat":
-            if worker is not None:
-                worker.last_beat = time.monotonic()
+            worker.last_beat = time.monotonic()
             return []
-        job_id, body = payload
-        job = self.jobs.get(job_id)
-        if job is None or job.terminal:
-            return []
-        if worker is not None and worker.job is job:
-            worker.job = None
-            worker.job_started = None
+        job, worker.job, worker.job_started = worker.job, None, None
         if kind == "done":
-            job.result = body
+            job.result = payload
             self._finish(job, JobState.DONE)
-        else:  # "failed": in-worker exception — retry like a crash
-            job.error = body
-            if not self._requeue(job, "error"):
-                self._finish(job, JobState.FAILED)
-        return [job] if job.terminal else []
+            return [job]
+        # "failed": in-worker exception — retry like a crash
+        return self._retry(job, "error", payload)
 
-    def _worker_by_id(self, worker_id: int) -> _Worker | None:
-        for worker in self._workers:
-            if worker.worker_id == worker_id:
-                return worker
-        return None
+    def _on_crash(self, worker: _Worker) -> list[FarmJob]:
+        """Respawn a worker whose channel broke; requeue its job.  An
+        idle worker that dies is replaced without counting a crash."""
+        job = worker.job
+        self._replace(worker)
+        if job is None:
+            return []
+        self.crashes += 1
+        return self._retry(job, "crash", job.error or (
+            f"worker {job.worker_id} died while running job {job.job_id}"))
 
     def _check_health(self) -> list[FarmJob]:
         """Kill workers whose job overran its wall-clock cap or whose
@@ -406,13 +399,11 @@ class FarmScheduler:
             return []
         finished = []
         now = time.monotonic()
-        for index, worker in enumerate(self._workers):
+        for worker in list(self._workers):
             job = worker.job
-            if job is None or not worker.alive():
+            if job is None:
                 continue
-            cause = None
             if self.job_timeout_s is not None \
-                    and worker.job_started is not None \
                     and now - worker.job_started >= self.job_timeout_s:
                 cause = "timeout"
                 detail = (f"job {job.job_id} exceeded its "
@@ -424,58 +415,33 @@ class FarmScheduler:
                 detail = (f"worker {worker.worker_id} sent no heartbeat "
                           f"for {self.heartbeat_timeout_s:g}s while "
                           f"running job {job.job_id}")
-            if cause is None:
+            else:
                 continue
             self.timeouts += 1
-            worker.job = None
-            worker.job_started = None
-            worker.kill()
-            worker.close()
-            self._workers[index] = self._spawn(self._next_worker_id)
-            self._next_worker_id += 1
-            job.error = detail
-            if not self._requeue(job, cause):
-                self._finish(job, JobState.FAILED)
-                finished.append(job)
+            self._replace(worker)
+            finished.extend(self._retry(job, cause, detail))
         return finished
 
-    def _reap_crashes(self) -> list[FarmJob]:
-        finished = []
-        for index, worker in enumerate(self._workers):
-            if worker.alive():
-                continue
-            job, worker.job = worker.job, None
-            worker.close()
-            self._workers[index] = self._spawn(self._next_worker_id)
-            self._next_worker_id += 1
-            if job is not None and not job.terminal:
-                self.crashes += 1
-                finished.extend(self._handle_crash(None, job))
-        return finished
-
-    def _handle_crash(self, worker, job: FarmJob) -> list[FarmJob]:
-        job.error = job.error or \
-            f"worker {job.worker_id} died while running job {job.job_id}"
-        if self._requeue(job, "crash"):
-            return []
-        self._finish(job, JobState.FAILED)
-        return [job]
-
-    def _requeue(self, job: FarmJob, cause: str) -> bool:
+    def _retry(self, job: FarmJob, cause: str, error: str) -> list[FarmJob]:
+        """Record a failed attempt and requeue ``job`` after its backoff,
+        or fail it once ``max_retries`` are used up.  Returns the job if
+        it is now terminal."""
+        job.error = error
         backoff = self.backoff_base_s * (2 ** (job.attempts - 1))
         job.retries.append({
             "attempt": job.attempts,
             "cause": cause,
-            "error": job.error,
+            "error": error,
             "backoff_s": backoff,
         })
         if job.attempts > self.max_retries:
-            return False
+            self._finish(job, JobState.FAILED)
+            return [job]
         job.state = JobState.PENDING
         job.worker_id = None
         job.not_before = time.monotonic() + backoff
         self._pending.append(job.job_id)
-        return True
+        return []
 
     def _finish(self, job: FarmJob, state: JobState) -> None:
         job.state = state
@@ -486,30 +452,89 @@ class FarmScheduler:
     # -- lifecycle ---------------------------------------------------------
 
     def shutdown(self, timeout: float = 5.0) -> None:
-        """Stop every worker (idempotent)."""
+        """Stop every worker (idempotent): closing a channel is the
+        worker's signal to exit."""
         if self._closed:
             return
         self._closed = True
         for worker in self._workers:
-            try:
-                worker.send(None)
-            except (OSError, BrokenPipeError):
-                pass
+            worker.close()
         deadline = time.monotonic() + timeout
         for worker in self._workers:
             worker.process.join(max(0.0, deadline - time.monotonic()))
             if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(1.0)
-            worker.close()
-        self._results.close()
-        self._results.join_thread()
+                worker.kill()
 
     def __enter__(self) -> "FarmScheduler":
         return self
 
     def __exit__(self, *exc) -> None:
         self.shutdown()
+
+
+@dataclass
+class JobBatch:
+    """What :func:`run_jobs` returns."""
+
+    jobs: list[FarmJob]            # plan order
+    warm_reports: list[dict]
+    crashes: int                   # workers lost mid-job
+    timeouts: int                  # workers killed (timeout/heartbeat)
+    resumed: int                   # jobs satisfied from the checkpoint
+    wall_time_s: float
+
+
+def run_jobs(specs, *, workers: int = 2, load=None, checkpoint=None,
+             resume: bool = False, on_job=None, **options) -> JobBatch:
+    """Run ``specs`` to completion on one :class:`FarmScheduler`.
+
+    ``checkpoint`` (a path) appends every job that finishes ``DONE`` to
+    an atomic checkpoint JSONL, keyed by its spec.  With ``resume=True``
+    specs already recorded there become ``resumed`` jobs whose result is
+    ``load(payload)``, with no simulation; only the rest reach the pool,
+    and when nothing is left no worker starts.  ``on_job(job, done,
+    total)`` fires as each job turns terminal, resumed ones first.
+    ``options`` are the scheduler's keyword arguments.
+    """
+    started = time.perf_counter()
+    store = Checkpoint(checkpoint) if checkpoint is not None else None
+    prior = store.load() if store is not None and resume else {}
+    done = 0
+
+    def finished(job: FarmJob) -> None:
+        nonlocal done
+        done += 1
+        if job.state is JobState.DONE and store is not None \
+                and not job.resumed:
+            store.append(spec_key(job.spec), asdict(job.result))
+        if on_job is not None:
+            on_job(job, done, len(specs))
+
+    jobs: list[FarmJob | None] = []
+    for index, spec in enumerate(specs):
+        payload = prior.get(spec_key(spec))
+        jobs.append(None if payload is None else FarmJob(
+            job_id=-(index + 1), spec=spec, state=JobState.DONE,
+            result=load(payload), resumed=True))
+    resumed = [job for job in jobs if job is not None]
+    for job in resumed:
+        finished(job)
+    warm_reports: list[dict] = []
+    crashes = timeouts = 0
+    if len(resumed) < len(specs):
+        with FarmScheduler(workers=workers, **options) as scheduler:
+            scheduler.listeners.append(finished)
+            submitted = {scheduler.submit(spec): index
+                         for index, spec in enumerate(specs)
+                         if jobs[index] is None}
+            scheduler.run_until_complete()
+            for job_id, index in submitted.items():
+                jobs[index] = scheduler.jobs[job_id]
+            warm_reports = scheduler.warm_reports()
+            crashes, timeouts = scheduler.crashes, scheduler.timeouts
+    return JobBatch(jobs=jobs, warm_reports=warm_reports, crashes=crashes,
+                    timeouts=timeouts, resumed=len(resumed),
+                    wall_time_s=time.perf_counter() - started)
 
 
 def respec(spec: FarmJobSpec, **overrides) -> FarmJobSpec:

@@ -28,6 +28,7 @@ which is the single manifest writer.
 from __future__ import annotations
 
 import os
+import struct
 import threading
 import time
 import traceback
@@ -212,10 +213,16 @@ def execute_job(job_id: int, spec, worker_id: int = 0) -> JobResult:
     )
 
 
-def worker_main(worker_id: int, conn, result_queue, warm: bool,
+def worker_main(worker_id: int, conn, inherited, warm: bool,
                 heartbeat_interval: float = 0.1) -> None:
-    """Process entry point: warm, then serve jobs until the ``None``
-    sentinel (or a closed pipe) arrives.
+    """Process entry point: warm, then serve jobs until the channel
+    closes.
+
+    ``conn`` is this worker's end of its channel, the duplex pipe every
+    message to and from the scheduler travels on.  ``inherited`` are the
+    scheduler's ends of the channels open when this worker started: a
+    forked worker holds copies of them, and closes them first, so that
+    only the scheduler keeps them and the scheduler's death is EOF here.
 
     Specs may carry their own payload: a spec with a ``run_in_worker``
     method (e.g. the design-space explorer's escalation jobs) executes
@@ -223,73 +230,73 @@ def worker_main(worker_id: int, conn, result_queue, warm: bool,
     ``farm_warm = False`` skips the ECG warm-up run — its geometry
     would not benefit from warming the default program image.
 
-    A daemon sidecar thread posts ``("beat", worker_id, job_id)`` while
-    a job runs.  Pure-Python hangs keep beating (the GIL still yields),
-    so the scheduler catches them with the job wall-clock timeout; a
-    wedged interpreter (or a deliberately silenced sidecar) stops
-    beating and trips the heartbeat timeout instead.
+    A daemon sidecar thread sends ``("beat", None)`` on the channel
+    while a job runs.  Pure-Python hangs keep beating (the GIL still
+    yields), so the scheduler catches them with the job wall-clock
+    timeout; a wedged interpreter (or a deliberately silenced sidecar)
+    stops beating and trips the heartbeat timeout instead.  Both threads
+    send under one lock, so a worker that dies mid-message breaks only
+    its own channel.  A send that fails means the scheduler is gone, and
+    the worker exits quietly.
     """
-    warm_info = {"worker_id": worker_id, "warm": warm}
-    beat_state = {"job": None, "stop": False}
+    for end in inherited:
+        end.close()
+    lock = threading.Lock()
+    beating = threading.Event()
 
-    def _beat():
-        while not beat_state["stop"]:
-            time.sleep(heartbeat_interval)
-            job = beat_state["job"]
-            if job is None:
-                continue
-            try:
-                result_queue.put(("beat", worker_id, job))
-            except Exception:  # queue torn down: scheduler is gone
-                return
-
-    threading.Thread(target=_beat, daemon=True).start()
-    try:
-        jobs_seen = 0
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                return
-            if message is None:
-                return
-            job_id, spec, attempt = message
-            beat_state["job"] = job_id  # beat through warm-up too
-            if jobs_seen == 0:
-                if warm and getattr(spec, "farm_warm", True):
-                    warm_info.update(warm_worker(spec))
-                result_queue.put(("ready", worker_id, dict(warm_info)))
-            jobs_seen += 1
-            if not warm:
-                clear_caches()
-            # Hang-injection test hooks, first attempt only so the
-            # requeued retry completes: "hang" spins while beating
-            # (caught by the job timeout), "wedge" mutes the sidecar
-            # and stalls (caught by the heartbeat timeout).
-            fault = getattr(spec, "fault", None)
-            if fault == "hang" and attempt <= 1:
-                while True:
-                    time.sleep(heartbeat_interval)
-                    result_queue.put(("beat", worker_id, job_id))
-            if fault == "wedge" and attempt <= 1:
-                beat_state["job"] = None
-                time.sleep(3600)
-            try:
-                runner = getattr(spec, "run_in_worker", None)
-                if runner is not None:
-                    result = runner(job_id, worker_id=worker_id)
-                else:
-                    result = execute_job(job_id, spec, worker_id=worker_id)
-            except BaseException:
-                result_queue.put(("failed", worker_id,
-                                  (job_id, traceback.format_exc())))
-                continue
-            finally:
-                beat_state["job"] = None
-            result_queue.put(("done", worker_id, (job_id, result)))
-    finally:
-        beat_state["stop"] = True
+    def send(kind: str, payload=None) -> None:
         try:
-            conn.close()
-        except OSError:
-            pass
+            with lock:
+                conn.send((kind, payload))
+        except OSError:  # the scheduler is gone
+            os._exit(0)
+
+    def beat() -> None:
+        while True:
+            time.sleep(heartbeat_interval)
+            if beating.is_set():
+                send("beat")
+
+    threading.Thread(target=beat, daemon=True).start()
+    warm_info = {"worker_id": worker_id, "warm": warm}
+    jobs_seen = 0
+    while True:
+        try:
+            job_id, spec, attempt = conn.recv()
+        except (EOFError, OSError):
+            return  # channel closed: shutdown, or the scheduler died
+        beating.set()  # beat through warm-up too
+        if jobs_seen == 0:
+            if warm and getattr(spec, "farm_warm", True):
+                warm_info.update(warm_worker(spec))
+            send("ready", dict(warm_info))
+        jobs_seen += 1
+        if not warm:
+            clear_caches()
+        # Failure-injection test hooks, first attempt only so the
+        # requeued retry completes: "hang" stalls while the sidecar
+        # beats (caught by the job timeout), "wedge" mutes the sidecar
+        # and stalls (caught by the heartbeat timeout), "exit-mid-send"
+        # dies holding the send lock after half a message.
+        fault = getattr(spec, "fault", None)
+        if attempt <= 1 and fault in ("hang", "wedge"):
+            if fault == "wedge":
+                beating.clear()
+            time.sleep(3600)
+        if attempt <= 1 and fault == "exit-mid-send":
+            with lock:
+                # A length header promising 64 bytes, then 3 of them.
+                os.write(conn.fileno(), struct.pack("!i", 64) + b"cut")
+                os._exit(17)
+        try:
+            runner = getattr(spec, "run_in_worker", None)
+            if runner is not None:
+                result = runner(job_id, worker_id=worker_id)
+            else:
+                result = execute_job(job_id, spec, worker_id=worker_id)
+        except BaseException:
+            beating.clear()
+            send("failed", traceback.format_exc())
+            continue
+        beating.clear()
+        send("done", result)

@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 from repro.errors import (ConfigurationError, CycleLimitError, HangError,
                           SimulationError, TrapError)
-from repro.farm.checkpoint import Checkpoint, spec_key
-from repro.farm.jobs import FarmJob, FarmScheduler, JobState
+from repro.farm.jobs import FarmJob, JobState, run_jobs
 from repro.obs.manifest import _digest, manifest_record, write_manifest
 from repro.resilience.faults import (FaultSession, FaultSpec, draw_fault,
                                      trial_seed)
@@ -449,8 +448,7 @@ class CampaignResult:
 
 
 def run_campaign(specs, workers: int = 2, *, max_retries: int = 1,
-                 warm: bool = True, on_trial=None,
-                 start_method: str | None = None,
+                 warm: bool = True, on_job=None,
                  job_timeout_s: float | None = None,
                  heartbeat_timeout_s: float | None = None,
                  checkpoint=None, resume: bool = False) -> CampaignResult:
@@ -463,56 +461,17 @@ def run_campaign(specs, workers: int = 2, *, max_retries: int = 1,
     specs = list(specs)
     if not specs:
         raise ConfigurationError("empty campaign")
-    started = time.perf_counter()
-    store = Checkpoint(checkpoint) if checkpoint is not None else None
-    prior = store.load() if store is not None and resume else {}
-    resumed_jobs: list[FarmJob] = []
-    todo: list[FaultTrialSpec] = []
-    for index, spec in enumerate(specs):
-        payload = prior.get(spec_key(spec))
-        if payload is not None:
-            resumed_jobs.append(FarmJob(
-                job_id=-(index + 1), spec=spec, state=JobState.DONE,
-                result=FaultTrialResult.from_dict(payload), resumed=True))
-        else:
-            todo.append(spec)
-
-    done_count = [0]
-
-    def _notify(job, total=len(specs)):
-        done_count[0] += 1
-        if job.state is JobState.DONE and store is not None \
-                and not job.resumed:
-            store.append(spec_key(job.spec), asdict(job.result))
-        if on_trial is not None:
-            on_trial(job, done_count[0], total)
-
-    for job in resumed_jobs:
-        _notify(job)
-
-    jobs: list[FarmJob] = []
-    crashes = timeouts = 0
-    if todo:
-        with FarmScheduler(workers=workers, max_retries=max_retries,
-                           warm=warm, start_method=start_method,
-                           job_timeout_s=job_timeout_s,
-                           heartbeat_timeout_s=heartbeat_timeout_s) \
-                as scheduler:
-            scheduler.listeners.append(_notify)
-            for spec in todo:
-                scheduler.submit(spec)
-            jobs = scheduler.run_until_complete()
-            crashes = scheduler.crashes
-            timeouts = scheduler.timeouts
-    all_jobs = sorted(resumed_jobs + jobs,
-                      key=lambda job: job.spec.trial)
-    results = sorted((job.result for job in all_jobs
-                      if job.state is JobState.DONE),
-                     key=lambda result: result.trial)
+    batch = run_jobs(specs, workers=workers, load=FaultTrialResult.from_dict,
+                     checkpoint=checkpoint, resume=resume, on_job=on_job,
+                     max_retries=max_retries, warm=warm,
+                     job_timeout_s=job_timeout_s,
+                     heartbeat_timeout_s=heartbeat_timeout_s)
+    jobs = sorted(batch.jobs, key=lambda job: job.spec.trial)
     return CampaignResult(
-        results=results, jobs=all_jobs, specs=specs, workers=workers,
-        wall_time_s=time.perf_counter() - started, crashes=crashes,
-        timeouts=timeouts, resumed=len(resumed_jobs))
+        results=[job.result for job in jobs if job.state is JobState.DONE],
+        jobs=jobs, specs=specs, workers=workers,
+        wall_time_s=batch.wall_time_s, crashes=batch.crashes,
+        timeouts=batch.timeouts, resumed=batch.resumed)
 
 
 def write_campaign_manifest(campaign: CampaignResult,

@@ -107,8 +107,6 @@ class TestScheduler:
             FarmScheduler(workers=0)
         with pytest.raises(ConfigurationError):
             FarmScheduler(workers=1, max_retries=-1)
-        with pytest.raises(ConfigurationError):
-            FarmScheduler(workers=1, start_method="not-a-method")
 
     def test_cancel_withdraws_pending_only(self):
         with FarmScheduler(workers=1) as farm:

@@ -1,12 +1,14 @@
-"""Hang-proof farm contracts: timeouts, heartbeats, checkpoint/resume.
+"""Hang-proof farm contracts: timeouts, heartbeats, channels, resume.
 
 Two kill channels, distinguished in the job record: the per-job
 wall-clock timeout catches pure-Python hangs (the worker keeps beating,
 the job never finishes), the heartbeat timeout catches wedged
 interpreters (the sidecar stops beating entirely).  Both requeue the
-job with exponential backoff and the cause attributed.  Checkpoints
-make an interrupted fleet resumable with zero recomputation and a
-bit-identical digest — including after SIGKILL of the whole driver.
+job with exponential backoff and the cause attributed.  Each worker
+talks to the scheduler on its own channel, so one that dies mid-message
+costs nothing but its own job.  Checkpoints make an interrupted fleet
+resumable with zero recomputation and a bit-identical digest —
+including after SIGKILL of the driver, which takes its workers with it.
 """
 
 import os
@@ -108,6 +110,59 @@ class TestTimeouts:
             FarmScheduler(heartbeat_timeout_s=-1)
 
 
+class TestChannels:
+    #: How late a poll may return past its timeout (a respawn forks).
+    SLACK_S = 2.0
+
+    def test_worker_dying_mid_send_loses_nothing_else(self):
+        """A worker that dies halfway through a message, holding its
+        send lock, breaks only its own channel: its job fails as a
+        crash, every other job completes, and no poll blocks on the
+        truncated message."""
+        def overran(signum, frame):
+            raise TimeoutError("poll() blocked past its timeout")
+
+        previous = signal.signal(signal.SIGALRM, overran)
+        try:
+            with FarmScheduler(workers=2, max_retries=0,
+                               warm=False) as farm:
+                hook = farm.submit(QuickSpec(fault="exit-mid-send"))
+                others = [farm.submit(QuickSpec(shard_index=index))
+                          for index in range(1, 5)]
+                deadline = time.monotonic() + 30
+                while farm.outstanding:
+                    assert time.monotonic() < deadline, \
+                        "jobs stopped completing"
+                    signal.setitimer(signal.ITIMER_REAL,
+                                     0.05 + self.SLACK_S)
+                    started = time.monotonic()
+                    farm.poll(timeout=0.05)
+                    elapsed = time.monotonic() - started
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                    assert elapsed < 0.05 + self.SLACK_S
+                assert farm.crashes == 1
+                jobs = farm.jobs
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert jobs[hook].state is JobState.FAILED
+        assert [entry["cause"] for entry in jobs[hook].retries] == ["crash"]
+        assert [jobs[job_id].state for job_id in others] \
+            == [JobState.DONE] * 4
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` still runs; a zombie awaiting its reaper does not."""
+    try:
+        os.kill(pid, 0)
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except ProcessLookupError:
+        return False
+    except FileNotFoundError:
+        return not os.path.isdir("/proc")  # no procfs: kill(0) decides
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 class TestRetryAccountingInManifests:
     def test_heartbeat_retry_lands_in_farm_record(self, tmp_path):
         """The farm manifest record carries attempts, cause and the
@@ -179,36 +234,57 @@ class TestCheckpoint:
             == [r.stats_digest for r in cold.completed()]
 
     def test_sigkill_mid_fleet_then_resume_bit_identical(self, tmp_path):
-        """Kill the whole driver process mid-fleet; the resume must
-        pick up the checkpointed shards and reproduce the digest of an
-        uninterrupted run."""
+        """SIGKILL the driver alone mid-fleet: its workers exit with it,
+        and the resume picks up the checkpointed shards and reproduces
+        the digest of an uninterrupted run."""
         plan = small_plan(6)
         checkpoint = tmp_path / "fleet.jsonl"
+        pids = tmp_path / "pids"
         reference = run_farm(plan, workers=1)
         assert reference.ok
 
+        # The driver records its pool after each shard, so the pids are
+        # known before the kill.
         script = (
-            "import sys; sys.path.insert(0, {src!r})\n"
+            "import multiprocessing, pathlib, sys\n"
+            "sys.path.insert(0, {src!r})\n"
             "from repro.farm import build_plan, run_farm\n"
+            "def record(job, done, total):\n"
+            "    pids = [p.pid for p in multiprocessing.active_children()]\n"
+            "    staged = pathlib.Path({pids!r} + '.tmp')\n"
+            "    staged.write_text(' '.join(map(str, pids)))\n"
+            "    staged.replace({pids!r})\n"
             "plan = build_plan(6, ['mc-ref'], n_samples=64, "
             "n_measurements=32, n_blocks=1, window_cycles=4096)\n"
-            "run_farm(plan, workers=1, checkpoint={checkpoint!r})\n"
-        ).format(src=str(REPO_ROOT / "src"), checkpoint=str(checkpoint))
-        # Own process group: the kill takes the driver's worker with
-        # it, as a crash of the whole job would (a lone SIGKILL to the
-        # driver leaves the worker orphaned, blocked on its queue).
-        process = subprocess.Popen([sys.executable, "-c", script],
-                                   cwd=str(REPO_ROOT),
-                                   start_new_session=True)
+            "run_farm(plan, workers=2, checkpoint={checkpoint!r}, "
+            "on_job=record)\n"
+        ).format(src=str(REPO_ROOT / "src"), checkpoint=str(checkpoint),
+                 pids=str(pids))
+        stderr = tmp_path / "stderr"
+        with open(stderr, "w", encoding="utf-8") as handle:
+            process = subprocess.Popen([sys.executable, "-c", script],
+                                       cwd=str(REPO_ROOT), stderr=handle)
         # Wait for at least one shard to checkpoint, then SIGKILL.
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
-            if checkpoint.exists() \
-                    and checkpoint.read_text().strip():
+            if pids.exists() and pids.read_text().strip():
                 break
             time.sleep(0.05)
-        os.killpg(process.pid, signal.SIGKILL)
+        workers = [int(pid) for pid in pids.read_text().split()]
+        process.send_signal(signal.SIGKILL)
         process.wait(timeout=10)
+        try:
+            assert len(workers) == 2
+            deadline = time.monotonic() + 5
+            while any(map(_running, workers)) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in workers if _running(pid)], \
+                "a worker outlived its killed driver"
+        finally:
+            for pid in filter(_running, workers):
+                os.kill(pid, signal.SIGKILL)
+        assert "Traceback" not in stderr.read_text(), "a worker left noisily"
 
         prior = Checkpoint(checkpoint).load()
         assert prior, "driver was killed before any shard checkpointed"
