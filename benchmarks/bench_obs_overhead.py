@@ -7,21 +7,14 @@ Two questions, one per acceptance criterion:
   all?  This is the price every user pays for the instrumentation
   sites; the budget is <2 % (CI fails the quick run above 5 % to leave
   headroom for runner noise).
-* **Subscribed cost** — the slowdown with the full metrics collector
-  attached, i.e. what ``repro profile`` costs.  The batched ring-buffer
-  delivery path measures 3-9 % on a quiet machine in both execution
-  modes, and the gate holds it under 15 %.  Before timing anything the
-  script also verifies that batched and per-event delivery produce
-  bit-identical metric registries on every platform/mode — speed that
-  changes the numbers would be worthless.
-
-  Subscribed overheads are measured against a *matched* bare run with
-  the loop-trace layer disabled: a per-event subscriber needs the
-  per-cycle-shaped event stream, which loop traces do not produce, so
-  an observed run takes the block/cycle paths regardless of delivery
-  cost.  Dividing by a traced bare run would charge the whole
-  trace-layer speedup to the subscriber; that ratio belongs to
-  ``bench_fast_forward.py``, not this gate.
+* **Subscribed cost** — the slowdown with the metrics registry
+  attached, i.e. what ``repro profile`` costs.  The run loops fold its
+  histograms into a sink on the bus, which is not a per-event
+  subscriber, so a profiled run keeps its blocks and loop traces and
+  is measured against the traced bare run.  Before timing anything the
+  script verifies that the folded histograms equal the per-event
+  reference fold (``tests/obs/metrics_reference.py``) on every
+  platform/mode — speed that changes the numbers would be worthless.
 * **Watch cost** — the slowdown with a
   :class:`~repro.obs.telemetry.WindowedAggregator` subscribed, i.e.
   what ``repro watch`` costs per run.  Windows are differences of the
@@ -51,30 +44,29 @@ import pathlib
 import statistics
 import sys
 import time
-from unittest import mock
 
-_SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-if _SRC.is_dir() and str(_SRC) not in sys.path:  # direct script invocation
-    sys.path.insert(0, str(_SRC))
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+for _path in (_ROOT / "src", _ROOT):  # direct script invocation
+    if _path.is_dir() and str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 from repro.kernels import BenchmarkSpec, build_benchmark
 from repro.obs import ProbeMetrics, WindowedAggregator
 from repro.obs.telemetry import DEFAULT_WINDOW_CYCLES
 from repro.platform import ARCH_NAMES, build_platform
-from repro.platform import fast_forward as ff_engine
+from tests.obs.metrics_reference import ReferenceMetrics, histograms
 
 #: Maximum tolerated attached-but-idle slowdown in the CI quick run.
 #: The design target is 2 %; the gate leaves headroom for shared-runner
 #: timing noise.
 FAIL_THRESHOLD = 0.05
 
-#: Maximum tolerated slowdown with the full metrics collector
-#: subscribed.  Against the matched (trace-free) denominator the
-#: batched delivery path measures 3-9 % on a quiet machine; the gate
-#: roughly doubles the quiet ceiling for runner noise, the same margin
-#: the original 10 % gate gave the pre-translation-block cost of
-#: 2-5 %.
-SUBSCRIBED_THRESHOLD = 0.15
+#: Maximum tolerated slowdown with the metrics registry attached,
+#: against the traced bare run.  The cells read 1-5 % on a shared
+#: 2-CPU host (the exact loop folds a sync group every cycle, the
+#: engine mostly per block or trace entry); the gate keeps ~2x
+#: headroom over that for runner noise.
+SUBSCRIBED_THRESHOLD = 0.10
 
 #: Maximum tolerated slowdown with the windowed telemetry aggregator
 #: (``repro watch``) subscribed, against the traced bare run.
@@ -96,8 +88,7 @@ MIN_SAMPLE_S = 0.25
 
 
 def _time_run(built, arch: str, fast_forward: bool, attach_bus: bool,
-              subscribe: str | None, inner: int,
-              traces: bool = True) -> float:
+              subscribe: str | None, inner: int) -> float:
     system = build_platform(arch, fast_forward=fast_forward)
     if attach_bus:
         bus = system.probe_bus()
@@ -106,20 +97,17 @@ def _time_run(built, arch: str, fast_forward: bool, attach_bus: bool,
         elif subscribe == "watch":
             WindowedAggregator.attach(bus,
                                       window_cycles=WATCH_WINDOW_CYCLES)
-    # ``traces=False`` is the engine's test-only trace-free setting.
-    with mock.patch.object(ff_engine, "LOOP_TRACES", traces):
-        started = time.perf_counter()
-        for _ in range(inner):
-            system.run(built.benchmark)
-        return (time.perf_counter() - started) / inner
+    started = time.perf_counter()
+    for _ in range(inner):
+        system.run(built.benchmark)
+    return (time.perf_counter() - started) / inner
 
 
 def measure(built, arch: str, fast_forward: bool, repeats: int) -> dict:
-    """Paired timing of bare / matched / idle / subscribed / watch.
+    """Paired timing of bare / idle / subscribed / watch.
 
-    ``bare`` is the untouched default configuration (idle and watch
-    denominator); ``matched`` is bare with the loop-trace layer off
-    (subscribed denominator — see the module docstring).  Each round
+    ``bare`` is the untouched default configuration, the denominator of
+    every other variant.  Each round
     samples every variant once, starting from a rotated position so
     sustained frequency decay within a round does not systematically
     tax whichever variant always samples last, and yields one ratio per
@@ -133,12 +121,10 @@ def measure(built, arch: str, fast_forward: bool, repeats: int) -> dict:
     inner = max(1, round(MIN_SAMPLE_S / max(calibration, 1e-9)))
     variants = {
         "bare": dict(attach_bus=False, subscribe=None),
-        "matched": dict(attach_bus=False, subscribe=None, traces=False),
         "idle": dict(attach_bus=True, subscribe=None),
         "subscribed": dict(attach_bus=True, subscribe="metrics"),
         "watch": dict(attach_bus=True, subscribe="watch"),
     }
-    pairs = {"idle": "bare", "subscribed": "matched", "watch": "bare"}
     order = list(variants)
     streams = {name: [] for name in order}
     for repeat in range(repeats):
@@ -150,37 +136,38 @@ def measure(built, arch: str, fast_forward: bool, repeats: int) -> dict:
            "mode": "fast-forward" if fast_forward else "exact"}
     for name in order:
         row[f"{name}_s"] = min(streams[name])
-    for name, base in pairs.items():
+    for name in order[1:]:
         row[f"{name}_overhead"] = statistics.median(
             sample / reference for sample, reference
-            in zip(streams[name], streams[base])) - 1.0
+            in zip(streams[name], streams["bare"])) - 1.0
     return row
 
 
 def verify_identity(built) -> list[str]:
-    """Batched and per-event delivery must agree bit-for-bit.
+    """The folded registry must equal the per-event reference fold.
 
-    Runs the workload once per platform/mode under each delivery mode
-    and diffs the finished metric registries.  Returns human-readable
+    Runs the workload once per platform/mode with only the metrics
+    sink attached (the timed configuration) and once with the
+    reference fold, and diffs the histograms.  Returns human-readable
     mismatch descriptions; empty means identical everywhere.
     """
     mismatches = []
     for arch in ARCH_NAMES:
         for fast_forward in (False, True):
-            snaps = {}
-            for batched in (True, False):
-                system = build_platform(arch, fast_forward=fast_forward)
-                bus = system.probe_bus()
-                collector = ProbeMetrics.attach(bus, batched=batched)
-                system.run(built.benchmark)
-                snaps[batched] = collector.finish().snapshot()
-            if snaps[True] != snaps[False]:
-                diverging = sorted(
-                    name for name in set(snaps[True]) | set(snaps[False])
-                    if snaps[True].get(name) != snaps[False].get(name))
+            system = build_platform(arch, fast_forward=fast_forward)
+            reference = ReferenceMetrics(system.probe_bus())
+            system.run(built.benchmark)
+            expected = reference.finish()
+            system = build_platform(arch, fast_forward=fast_forward)
+            collector = ProbeMetrics.attach(system.probe_bus())
+            system.run(built.benchmark)
+            folded = histograms(collector)
+            if folded != expected:
+                diverging = sorted(name for name in expected
+                                   if folded[name] != expected[name])
                 mode = "fast-forward" if fast_forward else "exact"
                 mismatches.append(
-                    f"{arch} ({mode}): batched != per-event on "
+                    f"{arch} ({mode}): folded != per-event reference on "
                     f"{', '.join(diverging)}")
     return mismatches
 
@@ -219,7 +206,8 @@ def main(argv=None) -> int:
         print(f"FAIL: {mismatch}", file=sys.stderr)
     if mismatches:
         return 1  # timing a wrong answer is pointless
-    print("identity: batched == per-event metrics on every platform/mode")
+    print("identity: folded == per-event reference metrics on every "
+          "platform/mode")
 
     rows = [measure(built, arch, fast_forward, repeats)
             for arch in ARCH_NAMES for fast_forward in (False, True)]

@@ -173,18 +173,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     _add_run_options(parser)
 
 
-def _add_sampling(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--sample", metavar="EVENT=N", action="append", default=[],
-        help="deliver only every N-th occurrence of EVENT (repeatable; "
-             "exact occurrence counters are kept, but derived metrics "
-             "become approximate, so the probe/stats cross-check is "
-             "skipped)")
-
-
-def _apply_sampling(bus, parser, pairs) -> bool:
-    """Install ``EVENT=N`` policies; True if any event is decimated."""
-    sampled = False
+def _apply_sampling(bus, parser, pairs) -> None:
+    """Install ``EVENT=N`` delivery policies on ``bus``."""
     for pair in pairs:
         event, _, every = pair.partition("=")
         try:
@@ -199,8 +189,6 @@ def _apply_sampling(bus, parser, pairs) -> bool:
             bus.set_sampling(event, rate)
         except ConfigurationError as exc:
             parser.error(str(exc))
-        sampled = sampled or rate > 1
-    return sampled
 
 
 def _arches(name: str) -> list[str]:
@@ -279,7 +267,10 @@ def cmd_trace(argv) -> int:
         description="Run the ECG benchmark with the Perfetto trace "
                     "recorder attached; the JSON opens in ui.perfetto.dev.")
     _add_common(parser)
-    _add_sampling(parser)
+    parser.add_argument(
+        "--sample", metavar="EVENT=N", action="append", default=[],
+        help="record only every N-th occurrence of EVENT in the trace "
+             "(repeatable; the metrics registry is unaffected)")
     parser.add_argument("--out-dir", metavar="DIR", default="runs",
                         help="directory for trace-<arch>.json "
                              "(default: runs/)")
@@ -295,20 +286,19 @@ def cmd_trace(argv) -> int:
         started = time.perf_counter()
         system = build_platform(arch, fast_forward=args.fast_forward)
         bus = system.probe_bus()
-        sampled = _apply_sampling(bus, parser, args.sample)
+        _apply_sampling(bus, parser, args.sample)
         recorder = TraceRecorder.attach(system)
         metrics = ProbeMetrics.attach(bus)
         result = system.run(built.benchmark)
         verify_result(built, result)
         wall = time.perf_counter() - started
-        if sampled:
-            metrics.finish()  # decimated metrics can't reconcile exactly
-        else:
-            mismatches = metrics.verify_against(result.stats)
-            if mismatches:
-                print(f"{arch}: probe/stats mismatch: {mismatches}",
-                      file=sys.stderr)
-                return 1
+        mismatches = metrics.verify_against(result.stats)
+        if mismatches:
+            print(f"{arch}: probe/stats mismatch: {mismatches}",
+                  file=sys.stderr)
+            return 1
+        registry = metrics.registry
+        registry.update_from_stats(result.stats)
         path = recorder.save(
             pathlib.Path(args.out_dir) / f"trace-{arch}.json")
         print(f"{arch}: {result.stats.total_cycles} cycles, "
@@ -318,8 +308,7 @@ def cmd_trace(argv) -> int:
             write_manifest(manifest_record(
                 "trace", built.benchmark.name, arch=arch,
                 config=system.config, stats=result.stats,
-                event_summary=metrics.registry.snapshot(),
-                wall_time_s=wall,
+                event_summary=registry.snapshot(), wall_time_s=wall,
                 extra={"trace_file": str(path),
                        "fast_forward": args.fast_forward,
                        "blocks": system.block_summary(),
@@ -336,12 +325,6 @@ def cmd_profile(argv) -> int:
         description="Run the ECG benchmark with the metrics registry "
                     "attached and print counters and histograms.")
     _add_common(parser)
-    _add_sampling(parser)
-    parser.add_argument(
-        "--unbatched", action="store_true",
-        help="deliver every probe event through its own callback "
-             "instead of the batched ring-buffer path (slower; useful "
-             "for cross-checking the two delivery modes)")
     args = parser.parse_args(argv)
 
     from repro.kernels import verify_result
@@ -352,26 +335,21 @@ def cmd_profile(argv) -> int:
     for arch in _arches(args.arch):
         started = time.perf_counter()
         system = build_platform(arch, fast_forward=args.fast_forward)
-        bus = system.probe_bus()
-        sampled = _apply_sampling(bus, parser, args.sample)
-        metrics = ProbeMetrics.attach(bus, batched=not args.unbatched)
+        metrics = ProbeMetrics.attach(system.probe_bus())
         result = system.run(built.benchmark)
         verify_result(built, result)
         wall = time.perf_counter() - started
-        registry = metrics.finish()
+        registry = metrics.registry
         registry.update_from_stats(result.stats)
         print(f"== {arch} ({'fast-forward' if args.fast_forward else 'exact'}"
               f", {wall:.2f} s) ==")
         print(registry.render())
-        if sampled:
-            print("probe/stats reconciliation skipped (sampling active)")
-        else:
-            mismatches = metrics.verify_against(result.stats)
-            if mismatches:
-                print(f"probe/stats RECONCILIATION FAILED: {mismatches}",
-                      file=sys.stderr)
-                return 1
-            print("probe/stats reconciliation ok")
+        mismatches = metrics.verify_against(result.stats)
+        if mismatches:
+            print(f"probe/stats RECONCILIATION FAILED: {mismatches}",
+                  file=sys.stderr)
+            return 1
+        print("probe/stats reconciliation ok")
         print()
         if not args.no_manifest:
             write_manifest(manifest_record(
@@ -379,8 +357,7 @@ def cmd_profile(argv) -> int:
                 config=system.config, stats=result.stats,
                 event_summary=registry.snapshot(), wall_time_s=wall,
                 extra={"fast_forward": args.fast_forward,
-                       "blocks": system.block_summary(),
-                       "batched": not args.unbatched},
+                       "blocks": system.block_summary()},
             ), directory=args.runs_dir)
     return 0
 

@@ -133,6 +133,12 @@ class Crossbar:
         #: width)`` per >=2-way merge.
         self.probe_conflict = None
         self.probe_broadcast = None
+        #: The metrics sink's ``{width: count}`` histogram of this
+        #: crossbar's broadcasts while one is attached (``None``
+        #: otherwise).  A histogram does not depend on the order banks
+        #: are served in, so unlike the probes it leaves resolve on its
+        #: cheap bank order.
+        self.widths = None
 
     def stage(self, port: int, bank: int, offset: int) -> None:
         """Stage ``port``'s request for ``(bank, offset)``; it waits in
@@ -232,6 +238,8 @@ class Crossbar:
                     stats.broadcasts += 1
                     stats.broadcast_savings += count - 1
                     delivered += count - 1
+                    if self.widths is not None:
+                        self.widths[count] = self.widths.get(count, 0) + 1
                     if self.probe_broadcast is not None:
                         self.probe_broadcast(bank, count)
                     readers[bank] = r ^ won

@@ -11,9 +11,10 @@ measurement substrate.  It has four layers, each usable on its own:
   to a handful of pre-hoisted boolean checks (<2 % overhead, enforced by
   ``benchmarks/bench_obs_overhead.py``).
 * :mod:`repro.obs.metrics` — a **metrics registry** of counters, gauges
-  and histograms, plus :class:`~repro.obs.metrics.ProbeMetrics`, a bus
-  subscriber that derives conflict-burst-length and sync-group-size
-  histograms and reconciles its counters against
+  and histograms, plus :class:`~repro.obs.metrics.ProbeMetrics`, the
+  bus's metrics sink: the run loops fold conflict-burst-length,
+  sync-group-size and broadcast-width histograms into it, and it
+  reconciles their totals against
   :class:`~repro.platform.stats.SimulationStats`.
 * :mod:`repro.obs.perfetto` — **Chrome trace-event / Perfetto JSON
   export**: one track per core (run/stall/halted slices), per-IM-bank
@@ -58,12 +59,8 @@ from repro.obs.metrics import (
 from repro.obs.perfetto import TraceRecorder
 from repro.obs.probes import (
     EVENTS,
-    PC_BITS,
-    PC_MASK,
-    EventRing,
+    METRIC_HISTOGRAMS,
     ProbeBus,
-    pack_cycle_pc,
-    unpack_cycle_pc,
 )
 from repro.obs.regress import (
     Finding,
@@ -79,10 +76,8 @@ from repro.obs.telemetry import (
 
 __all__ = [
     "EVENTS",
-    "PC_BITS",
-    "PC_MASK",
+    "METRIC_HISTOGRAMS",
     "ConfigurationError",
-    "EventRing",
     "Finding",
     "ProbeBus",
     "RegressionReport",
@@ -98,11 +93,9 @@ __all__ = [
     "git_revision",
     "manifest_record",
     "merge_window_lists",
-    "pack_cycle_pc",
     "read_manifests",
     "run_regression",
     "stats_digest",
     "summaries_digest",
-    "unpack_cycle_pc",
     "write_manifest",
 ]

@@ -1,11 +1,12 @@
-"""Metrics registry: counters, gauges and histograms over probe events.
+"""Metrics registry: counters, gauges and histograms of a run.
 
 :class:`MetricsRegistry` is a small name-spaced store of metric
-primitives.  :class:`ProbeMetrics` subscribes a registry to a
-:class:`~repro.obs.probes.ProbeBus` and derives the quantities the
-aggregate :class:`~repro.platform.stats.SimulationStats` cannot express:
+primitives.  :class:`ProbeMetrics` hangs a sink on a
+:class:`~repro.obs.probes.ProbeBus` (its ``metrics`` attribute) into
+which the run loops fold the quantities the aggregate
+:class:`~repro.platform.stats.SimulationStats` cannot express:
 
-* ``sync_group_size`` — per-cycle number of distinct PCs among active
+* ``sync_group_size`` — per-cycle number of distinct PCs among running
   cores (1 = full lockstep, the precondition for instruction broadcast);
 * ``conflict_burst_length`` — lengths of runs of consecutive cycles that
   contained at least one crossbar conflict (clustered conflicts starve
@@ -13,11 +14,15 @@ aggregate :class:`~repro.platform.stats.SimulationStats` cannot express:
 * ``im_broadcast_width`` / ``dm_broadcast_width`` — how many cores each
   broadcast actually served.
 
+The sink is not a per-event subscriber, so a profiled run keeps the
+fast-forward engine's blocks and loop traces: they add their lockstep
+cycles as constants.
+
 The registry *subsumes* ``SimulationStats``:
 :meth:`MetricsRegistry.update_from_stats` imports every scalar field as
-a counter, and :meth:`ProbeMetrics.verify_against` cross-checks the
-probe-derived counters against the simulator's own accounting — the
-reconciliation the test-suite and ``repro profile`` rely on.
+a counter, and :meth:`ProbeMetrics.verify_against` reconciles the
+histogram totals with the simulator's own accounting — the check the
+test-suite and ``repro profile`` rely on.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from repro.obs.probes import PC_BITS, PC_MASK, pack_cycle_pc
+from repro.errors import ConfigurationError
 
 
 @dataclass
@@ -193,63 +198,26 @@ class MetricsRegistry:
 
 
 class ProbeMetrics:
-    """Bus subscriber deriving histograms and cross-checkable counters.
+    """The metrics sink of one bus, and the registry it fills.
 
-    Subscribe with :meth:`attach` (or construct and call
-    :meth:`subscribe`), run the workload, then call :meth:`finish` to
-    flush the trailing cycle/burst before reading the registry.
-
-    Two delivery modes, bit-identical in every metric they produce (the
-    property suite in ``tests/obs/test_probe_properties.py`` asserts
-    this over random event schedules):
-
-    * ``batched=True`` (default) — the hot events accumulate in the
-      bus's typed ring buffers and are consumed by bulk drains: counters
-      advance by batch length, histograms by tallied batches, and the
-      sync-group/conflict-burst reductions run vectorised over NumPy
-      arrays.  This is what keeps always-on profiling under the 10 %
-      budget of ``bench_obs_overhead.py``.
-    * ``batched=False`` — one callback per occurrence, the fully
-      general (and slower) path; also the reference the property tests
-      compare against.
+    Attach with :meth:`attach` (or construct and call :meth:`subscribe`)
+    before the run; the run loops fold the four histograms directly and
+    close every run's trailing conflict burst, so the registry is
+    complete when :meth:`~repro.platform.multicore.MultiCoreSystem.run`
+    returns.  The sink's only event subscription is the snapshot event
+    ``block.done`` (``probe.blocks_done``), so it never makes a run
+    observed.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None):
         self.registry = registry if registry is not None \
             else MetricsRegistry()
         reg = self.registry
-        self.retired = reg.counter(
-            "probe.retired", "core.retire events observed")
-        self.stalls = reg.counter(
-            "probe.stall_cycles", "core.stall events observed")
-        self.ixbar_conflicts = reg.counter(
-            "probe.ixbar_conflicts", "I-Xbar bank-cycles with a conflict")
-        self.dxbar_conflicts = reg.counter(
-            "probe.dxbar_conflicts", "D-Xbar bank-cycles with a conflict")
-        self.im_broadcasts = reg.counter(
-            "probe.im_broadcasts", "IM accesses serving >= 2 cores")
-        self.dm_broadcasts = reg.counter(
-            "probe.dm_broadcasts", "DM accesses serving >= 2 cores")
-        self.mmu_private = reg.counter(
-            "probe.mmu_private", "private-window translations")
-        self.mmu_shared = reg.counter(
-            "probe.mmu_shared", "shared-window translations")
-        self.ff_stretches = reg.counter(
-            "probe.ff_stretches", "fast-forward stretches (>= 1 cycle)")
-        self.ff_cycles = reg.counter(
-            "probe.ff_cycles", "cycles batch-committed by fast-forward")
-        self.ff_block_entries = reg.counter(
-            "probe.ff_block_entries", "translation-block executions")
-        self.ff_block_compiles = reg.counter(
-            "probe.ff_block_compiles", "translation blocks compiled")
-        self.ff_block_cycles = reg.counter(
-            "probe.ff_block_cycles",
-            "cycles committed via translation blocks")
         self.blocks = reg.counter(
             "probe.blocks_done", "streamed blocks completed")
         self.sync_groups = reg.histogram(
             "sync_group_size",
-            "per-cycle distinct PCs among active cores (1 = lockstep)")
+            "per-cycle distinct PCs among running cores (1 = lockstep)")
         self.conflict_bursts = reg.histogram(
             "conflict_burst_length",
             "lengths of consecutive-cycle conflict runs")
@@ -257,303 +225,62 @@ class ProbeMetrics:
             "im_broadcast_width", "cores served per IM broadcast")
         self.dm_bc_width = reg.histogram(
             "dm_broadcast_width", "cores served per DM broadcast")
-        # per-cycle reduction state (carry across batches in batched
-        # mode: _cycle/_cycle_pcs is the still-open sync group,
-        # _burst_last/_burst_len the still-open conflict run)
-        self._cycle = None
-        self._cycle_pcs: set[int] = set()
-        self._burst_last = None
-        self._burst_len = 0
-        # batched-mode staging: packed (cycle, pc) and conflict-cycle
-        # arrays parked by drains until the post-flush consolidation
-        self._pending_active: list = []
-        self._pending_conflicts: list = []
         self._bus = None
-        self._batched = False
 
     # -- wiring ------------------------------------------------------------
 
     @classmethod
-    def attach(cls, bus, registry: MetricsRegistry | None = None,
-               batched: bool = True) -> "ProbeMetrics":
+    def attach(cls, bus,
+               registry: MetricsRegistry | None = None) -> "ProbeMetrics":
         collector = cls(registry)
-        collector.subscribe(bus, batched=batched)
+        collector.subscribe(bus)
         return collector
 
-    def subscribe(self, bus, batched: bool = True) -> None:
+    def subscribe(self, bus) -> None:
+        if bus.metrics is not None:
+            raise ConfigurationError("the probe bus already has a metrics "
+                                     "sink; detach it first")
+        bus.metrics = (self.sync_groups.counts, self.conflict_bursts.counts,
+                       self.im_bc_width.counts, self.dm_bc_width.counts)
+        bus.subscribe("block.done", self._on_block)
         self._bus = bus
-        self._batched = batched
-        if batched:
-            self._handlers = {
-                "ff.exit": self._on_ff_exit,
-                "ff.block": self._on_ff_block,
-                "block.done": self._on_block,
-            }
-            self._batch_handlers = {
-                "core.retire": self._drain_retire,
-                "core.stall": self._drain_stall,
-                "ixbar.conflict": self._drain_ixbar_conflict,
-                "dxbar.conflict": self._drain_dxbar_conflict,
-                "im.broadcast": self._drain_im_broadcast,
-                "dm.broadcast": self._drain_dm_broadcast,
-                "mmu.translate": self._drain_translate,
-            }
-            for event, drain in self._batch_handlers.items():
-                bus.subscribe_batch(event, drain)
-            bus.subscribe_flush(self._consolidate)
-        else:
-            self._handlers = {
-                "core.retire": self._on_retire,
-                "core.stall": self._on_stall,
-                "ixbar.conflict": self._on_ixbar_conflict,
-                "dxbar.conflict": self._on_dxbar_conflict,
-                "im.broadcast": self._on_im_broadcast,
-                "dm.broadcast": self._on_dm_broadcast,
-                "mmu.translate": self._on_translate,
-                "ff.exit": self._on_ff_exit,
-                "ff.block": self._on_ff_block,
-                "block.done": self._on_block,
-            }
-            self._batch_handlers = {}
-        for event, handler in self._handlers.items():
-            bus.subscribe(event, handler)
 
     def detach(self) -> None:
         if self._bus is not None:
-            for event, handler in self._handlers.items():
-                self._bus.unsubscribe(event, handler)
-            for event, drain in self._batch_handlers.items():
-                self._bus.unsubscribe_batch(event, drain)
-            if self._batched:
-                self._bus.unsubscribe_flush(self._consolidate)
+            self._bus.unsubscribe("block.done", self._on_block)
+            self._bus.metrics = None
             self._bus = None
-
-    def finish(self) -> MetricsRegistry:
-        """Flush the trailing cycle group and conflict burst."""
-        if self._batched and self._bus is not None:
-            self._bus.flush()
-        self._consolidate()
-        if self._cycle is not None:
-            self.sync_groups.observe(len(self._cycle_pcs))
-            self._cycle = None
-            self._cycle_pcs = set()
-        if self._burst_len:
-            self.conflict_bursts.observe(self._burst_len)
-            self._burst_last = None
-            self._burst_len = 0
-        return self.registry
-
-    # -- handlers ----------------------------------------------------------
-
-    def _on_active(self, cycle, pc) -> None:
-        if cycle != self._cycle:
-            if self._cycle is not None:
-                self.sync_groups.observe(len(self._cycle_pcs))
-            self._cycle = cycle
-            self._cycle_pcs = {pc}
-        else:
-            self._cycle_pcs.add(pc)
-
-    def _on_retire(self, cycle, pid, pc) -> None:
-        self.retired.inc()
-        self._on_active(cycle, pc)
-
-    def _on_stall(self, cycle, pid, pc) -> None:
-        self.stalls.inc()
-        self._on_active(cycle, pc)
-
-    def _on_conflict(self, cycle) -> None:
-        last = self._burst_last
-        if last == cycle:
-            return  # several banks conflicting in one cycle: one burst cycle
-        if last is not None and cycle == last + 1:
-            self._burst_len += 1
-        else:
-            if self._burst_len:
-                self.conflict_bursts.observe(self._burst_len)
-            self._burst_len = 1
-        self._burst_last = cycle
-
-    def _on_ixbar_conflict(self, cycle, bank, masters) -> None:
-        self.ixbar_conflicts.inc()
-        self._on_conflict(cycle)
-
-    def _on_dxbar_conflict(self, cycle, bank, masters) -> None:
-        self.dxbar_conflicts.inc()
-        self._on_conflict(cycle)
-
-    def _on_im_broadcast(self, cycle, bank, width) -> None:
-        self.im_broadcasts.inc()
-        self.im_bc_width.observe(width)
-
-    def _on_dm_broadcast(self, cycle, bank, width) -> None:
-        self.dm_broadcasts.inc()
-        self.dm_bc_width.observe(width)
-
-    def _on_translate(self, cycle, pid, logical, bank, offset,
-                      private) -> None:
-        (self.mmu_private if private else self.mmu_shared).inc()
-
-    def _on_ff_exit(self, cycle, fast_cycles) -> None:
-        if fast_cycles:
-            self.ff_stretches.inc()
-            self.ff_cycles.inc(fast_cycles)
-
-    def _on_ff_block(self, cycle, entries, compiled, block_cycles) -> None:
-        self.ff_block_entries.inc(entries)
-        self.ff_block_compiles.inc(compiled)
-        self.ff_block_cycles.inc(block_cycles)
 
     def _on_block(self, index, stats) -> None:
         self.blocks.inc()
 
-    # -- batched drains ----------------------------------------------------
-
-    def _drain_retire(self, ring) -> None:
-        packed, count = ring.compact()
-        self.retired.inc(count)
-        self._pending_active.append(packed)
-
-    def _drain_stall(self, ring) -> None:
-        packed, count = ring.compact()
-        self.stalls.inc(count)
-        self._pending_active.append(packed)
-
-    def _drain_ixbar_conflict(self, ring) -> None:
-        self.ixbar_conflicts.inc(len(ring.data))
-        self._pending_conflicts.append(ring.as_array())
-
-    def _drain_dxbar_conflict(self, ring) -> None:
-        self.dxbar_conflicts.inc(len(ring.data))
-        self._pending_conflicts.append(ring.as_array())
-
-    def _drain_im_broadcast(self, ring) -> None:
-        self.im_broadcasts.inc(len(ring.data))
-        self._tally(ring.data, self.im_bc_width)
-
-    def _drain_dm_broadcast(self, ring) -> None:
-        self.dm_broadcasts.inc(len(ring.data))
-        self._tally(ring.data, self.dm_bc_width)
-
-    @staticmethod
-    def _tally(widths, histogram) -> None:
-        import numpy as np
-
-        for width, count in enumerate(np.bincount(np.fromiter(
-                widths, dtype=np.int64, count=len(widths))).tolist()):
-            if count:
-                histogram.observe(width, count)
-
-    def _drain_translate(self, ring) -> None:
-        private = sum(ring.data)
-        self.mmu_private.inc(private)
-        self.mmu_shared.inc(len(ring.data) - private)
-
-    def _consolidate(self) -> None:
-        """Post-flush reduction of the staged retire/stall/conflict batches.
-
-        Cycle numbers are non-decreasing across a run (the platform's
-        emission order), so every cycle except the latest one staged is
-        complete and can be folded into the histograms; the latest cycle
-        (and the trailing conflict run) stays open as carry state, which
-        :meth:`finish` closes — exactly the roll-over the per-event
-        handlers perform one occurrence at a time.
-        """
-        import numpy as np
-
-        # np.unique is avoided throughout: its quicksort degrades badly
-        # on the nearly-sorted arrays the rings produce (measured 25x
-        # slower than a radix sort here); a stable sort + boolean-mask
-        # dedup computes the same thing.
-        def sorted_unique(arrays):
-            merged = arrays[0] if len(arrays) == 1 \
-                else np.concatenate(arrays)
-            merged = np.sort(merged, kind="stable")
-            if merged.size:
-                merged = merged[
-                    np.concatenate(([True], merged[1:] != merged[:-1]))]
-            return merged
-
-        if self._pending_active:
-            arrays = self._pending_active
-            self._pending_active = []
-            if self._cycle is not None:
-                # Re-stage the open sync group so it merges uniformly.
-                arrays.append(np.asarray(
-                    [pack_cycle_pc(self._cycle, pc)
-                     for pc in self._cycle_pcs], dtype=np.int64))
-            packed = sorted_unique(arrays)
-            cycles = packed >> PC_BITS
-            starts = np.concatenate(
-                ([0], np.flatnonzero(cycles[1:] != cycles[:-1]) + 1))
-            group_sizes = np.diff(np.concatenate((starts, [cycles.size])))
-            self._cycle = int(cycles[-1])
-            tail = int(group_sizes[-1])
-            self._cycle_pcs = set(
-                (packed[-tail:] & PC_MASK).tolist())
-            if group_sizes.size > 1:
-                for size, count in enumerate(
-                        np.bincount(group_sizes[:-1]).tolist()):
-                    if count:
-                        self.sync_groups.observe(size, count)
-
-        if self._pending_conflicts:
-            arrays = self._pending_conflicts
-            self._pending_conflicts = []
-            cycles = sorted_unique(arrays)
-            if self._burst_last is not None \
-                    and cycles.size and int(cycles[0]) == self._burst_last:
-                cycles = cycles[1:]  # same cycle, other crossbar: one burst
-            if cycles.size:
-                # Split the sorted conflict cycles into runs of
-                # consecutive integers; all but the trailing run are
-                # complete bursts.
-                bounds = np.concatenate(
-                    ([0], np.flatnonzero(np.diff(cycles) != 1) + 1,
-                     [cycles.size]))
-                lengths = np.diff(bounds)
-                extends = self._burst_last is not None \
-                    and int(cycles[0]) == self._burst_last + 1
-                if self._burst_len and not extends:
-                    self.conflict_bursts.observe(self._burst_len)
-                    self._burst_len = 0
-                for index, length in enumerate(lengths):
-                    length = int(length)
-                    if index == 0 and extends:
-                        length += self._burst_len
-                    if index == len(lengths) - 1:
-                        self._burst_len = length
-                    else:
-                        self.conflict_bursts.observe(length)
-                self._burst_last = int(cycles[-1])
-
     # -- reconciliation ----------------------------------------------------
 
     def verify_against(self, stats) -> list[tuple[str, int, int]]:
-        """Cross-check probe counters against ``SimulationStats``.
+        """Reconcile the histogram totals of one run with its stats.
 
-        Returns the list of ``(name, probe_value, stats_value)``
-        mismatches — empty when the probe stream and the simulator's own
-        accounting agree (the differential suite asserts this in both
-        execution modes).
+        One sync group per cycle; at least one size-1 group per
+        lockstep cycle (``sync_cycles`` leaves out cycles with a single
+        running core); one width entry per broadcast, and the widths
+        minus one sum to the broadcast savings.  Returns the list of
+        ``(name, metric_value, stats_value)`` mismatches — empty when
+        the fold and the simulator's own accounting agree.
         """
-        self.finish()
+        im, dm = self.im_bc_width, self.dm_bc_width
         checks = [
-            ("retired", self.retired.value, stats.total_retired),
-            ("stall_cycles", self.stalls.value, stats.total_stall_cycles),
-            ("ixbar_conflicts", self.ixbar_conflicts.value,
-             stats.im_conflict_events),
-            ("dxbar_conflicts", self.dxbar_conflicts.value,
-             stats.dm_conflict_events),
-            ("im_broadcasts", self.im_broadcasts.value, stats.im_broadcasts),
-            ("dm_broadcasts", self.dm_broadcasts.value, stats.dm_broadcasts),
-            ("im_broadcast_savings", self.im_bc_width.total
-             - self.im_bc_width.count, stats.im_broadcast_savings),
-            ("dm_broadcast_savings", self.dm_bc_width.total
-             - self.dm_bc_width.count, stats.dm_broadcast_savings),
-            ("mmu_private", self.mmu_private.value,
-             stats.dm_private_accesses),
-            ("mmu_shared", self.mmu_shared.value, stats.dm_shared_accesses),
+            ("sync_groups", self.sync_groups.count, stats.total_cycles),
+            ("im_broadcasts", im.count, stats.im_broadcasts),
+            ("dm_broadcasts", dm.count, stats.dm_broadcasts),
+            ("im_broadcast_savings", im.total - im.count,
+             stats.im_broadcast_savings),
+            ("dm_broadcast_savings", dm.total - dm.count,
+             stats.dm_broadcast_savings),
         ]
-        return [(name, probe, reference) for name, probe, reference in checks
-                if probe != reference]
+        mismatches = [(name, metric, reference)
+                      for name, metric, reference in checks
+                      if metric != reference]
+        lockstep = self.sync_groups.counts.get(1, 0)
+        if lockstep < stats.sync_cycles:
+            mismatches.append(("lockstep_groups", lockstep,
+                               stats.sync_cycles))
+        return mismatches

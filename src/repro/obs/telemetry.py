@@ -309,8 +309,7 @@ class WindowedAggregator:
 
     def finish(self) -> list[WindowSummary]:
         """The closed windows (the run loops close the final partial
-        window themselves via the ``final`` boundary; this exists for
-        symmetry with :meth:`ProbeMetrics.finish`)."""
+        window themselves via the ``final`` boundary)."""
         return self.windows
 
     # -- events ------------------------------------------------------------
@@ -361,9 +360,10 @@ class WindowedAggregator:
     def totals(self) -> dict:
         """Whole-stream sums over all closed windows.
 
-        Bit-equal to the corresponding whole-run metrics-registry
-        counters (the telemetry property suite asserts this): windowing
-        partitions the event stream, it never resamples it.
+        Bit-equal to the whole-run ``SimulationStats`` counters and the
+        metrics registry's histogram totals (the telemetry property
+        suite asserts this): windowing partitions the run, it never
+        resamples it.
         """
         out = dict.fromkeys(COUNTER_FIELDS, 0)
         for window in self.windows:

@@ -43,6 +43,7 @@ freely.
 from __future__ import annotations
 
 import weakref
+from operator import attrgetter
 
 from repro.errors import CycleLimitError, SimulationError
 from repro.memory.layout import IMOrganization, PRIVATE_BASE
@@ -50,6 +51,9 @@ from repro.tamarisc import blocks as tblocks
 
 #: Sentinel distinguishing "no cached verdict" from "block unusable".
 _UNSET = object()
+
+#: A core's PC (the metrics sink's sync groups count distinct ones).
+_pc_of = attrgetter("pc")
 
 #: Test-only switches for the engine's two translation tiers, read once
 #: per engine (when ``MultiCoreSystem.load`` builds it).
@@ -77,17 +81,6 @@ TRACE_SPLIT_NUM, TRACE_SPLIT_DEN = 15, 16
 #: roughly every dozen iterations still leave a large win; the bailed
 #: iteration is rolled back and replayed exactly).
 TRACE_CHAIN_NUM, TRACE_CHAIN_DEN = 7, 8
-
-
-def emit_translate(bus, ring_append, cycle, pid, logical, bank, offset):
-    """Emit one ``mmu.translate`` event (to the ring when the bus grants
-    its raw-append fast path)."""
-    private = logical >= PRIVATE_BASE
-    if ring_append is not None:
-        ring_append(private)
-    else:
-        bus.emit("mmu.translate", cycle, pid, logical, bank, offset,
-                 private)
 
 
 class FastForwardEngine:
@@ -431,9 +424,11 @@ class FastForwardEngine:
         # probed run sees the identical event stream in either execution
         # mode (the trace/metric differential tests enforce this).  All
         # flags are hoisted once per stretch; runs without a per-event
-        # subscriber pay only these local-boolean checks.  Hot events
-        # take the raw-append ring fast path (ap_* bound list.append)
-        # when the bus grants it, per-event emit otherwise.
+        # subscriber pay only these local-boolean checks.  A metrics
+        # sink (ProbeBus.metrics) gets blocks and traces as constants
+        # and every other cycle's broadcasts and sync group one entry
+        # each, except the multi-core lockstep ones: the cycle loop
+        # adds the run's sync_cycles to size 1 when it returns.
         bus = system.probes
         observing = bus is not None and bus.observed
         p_retire = observing and bus.wants("core.retire")
@@ -441,37 +436,13 @@ class FastForwardEngine:
         p_im_bc = observing and bus.wants("im.broadcast")
         p_dm_bc = observing and bus.wants("dm.broadcast")
         p_ff = observing and bus.wants("ff.exit")
-        p_ffb = observing and bus.wants("ff.block")
-        ap_retire = ap_mmu = ap_im_bc = ap_dm_bc = mmu_data = None
         emit = bus.emit if observing else None
-        mk_retire = rt_data = rt_ring = im_bc_data = None
-        emit_retire = emit_mmu = False  # per-event emit() fallbacks
-        seg_stride = 0  # forces a fresh ring mark on the first commit
-        if observing:
-            if p_retire:
-                rt_ring = bus.batch("core.retire")
-                if rt_ring is not None:
-                    ap_retire = rt_ring.data.append
-                    mk_retire = rt_ring.marks.append
-                    rt_data = rt_ring.data
-                else:
-                    emit_retire = True
-            if p_mmu:
-                ring = bus.batch("mmu.translate")
-                if ring is not None:
-                    ap_mmu = ring.data.append
-                    mmu_data = ring.data
-                else:
-                    emit_mmu = True
-            if p_im_bc:
-                ring = bus.batch("im.broadcast")
-                ap_im_bc = ring.data.append if ring is not None else None
-                im_bc_data = ring.data if ring is not None else None
-            if p_dm_bc:
-                ring = bus.batch("dm.broadcast")
-                ap_dm_bc = ring.data.append if ring is not None else None
-            if bus.wants("ff.enter"):
-                bus.emit("ff.enter", cycle)
+        if observing and bus.wants("ff.enter"):
+            bus.emit("ff.enter", cycle)
+        sink = bus.metrics if bus is not None else None
+        groups = im_width = dm_width = None
+        if sink is not None:
+            groups, _, im_width, dm_width = sink
         entered_at = cycle
 
         # Local stat accumulators, flushed on every exit path.
@@ -512,9 +483,6 @@ class FastForwardEngine:
         # layer's per-call arm report (iterations per arm, last
         # committed arm) for fetch-transition accounting.
         bacc = [0, 0, 0, 0, 0, 0, -1, -1, 0, 0, 0]
-        entries_before = self.block_entries
-        compiled_before = self.blocks_compiled
-        bcycles_before = self.block_cycles
 
         run_list = sorted(running)
         run_cores = [cores[pid] for pid in run_list]
@@ -578,6 +546,8 @@ class FastForwardEngine:
                                 and cycle + trec[1] <= cap:
                             self.trace_entries += 1
                             trec[4] += 1
+                            if sink is not None:
+                                dm_before = bacc[2]
                             j = trec[0](run_cores, mmu_t, mmu_p, mmu_s,
                                         dlast, dtrans, bacc,
                                         cap - cycle)
@@ -587,6 +557,15 @@ class FastForwardEngine:
                                 self.trace_cycles += j
                                 if n_run > 1:
                                     sync_cycles += j
+                                    # Every shared read of the trace
+                                    # is one n_run-wide DM broadcast.
+                                    if sink is not None \
+                                            and bacc[2] != dm_before:
+                                        dm_width[n_run] = \
+                                            dm_width.get(n_run, 0) \
+                                            + bacc[2] - dm_before
+                                elif sink is not None:
+                                    groups[1] = groups.get(1, 0) + j
                                 im_del += j * n_run
                                 if trec[2] is None:  # private I-banks
                                     im_acc += j * n_run
@@ -601,6 +580,9 @@ class FastForwardEngine:
                                     if n_run > 1:
                                         im_bc += j
                                         im_sv += j * (n_run - 1)
+                                        if sink is not None:
+                                            im_width[n_run] = \
+                                                im_width.get(n_run, 0) + j
                                     # Per-arm iteration counts (and
                                     # the last arm run) reported by
                                     # the generated code; fetch-bank
@@ -676,14 +658,13 @@ class FastForwardEngine:
                                 if observing:
                                     j = rec[3](run_cores, mmu_t, mmu_p,
                                                mmu_s, dlast, dtrans,
-                                               bacc, cycle, emit,
-                                               mmu_data, emit_mmu,
-                                               ap_dm_bc, p_dm_bc)
+                                               bacc, cycle, emit, p_mmu,
+                                               p_dm_bc, dm_width)
                                 else:
                                     j = rec[2](run_cores, mmu_t, mmu_p,
                                                mmu_s, dlast, dtrans,
-                                               bacc,
-                                               cap - cycle)
+                                               bacc, cap - cycle,
+                                               dm_width)
                             except SimulationError as exc:
                                 # Address fault at block offset
                                 # bacc[6]: the generated code already
@@ -700,28 +681,15 @@ class FastForwardEngine:
                                 self.block_cycles += j
                                 if n_run > 1:
                                     sync_cycles += j
-                                if observing:
-                                    if ap_retire is not None:
-                                        # Blocks are lockstep stretches
-                                        # with consecutive fetch PCs:
-                                        # continue (or open) an RLE
-                                        # segment and bulk-append.
-                                        if seg_stride != -n_run:
-                                            mk_retire(cycle_before)
-                                            mk_retire(len(rt_data))
-                                            mk_retire(-n_run)
-                                            rt_ring.rle = True
-                                            seg_stride = -n_run
-                                        rt_data.extend(
-                                            range(first_pc,
-                                                  first_pc + j))
-                                    elif emit_retire:
-                                        for t in range(j):
-                                            cy = cycle_before + t
-                                            pc_t = first_pc + t
-                                            for pid in run_list:
-                                                bus.emit("core.retire",
-                                                         cy, pid, pc_t)
+                                elif sink is not None:
+                                    groups[1] = groups.get(1, 0) + j
+                                if p_retire:
+                                    for t in range(j):
+                                        cy = cycle_before + t
+                                        pc_t = first_pc + t
+                                        for pid in run_list:
+                                            bus.emit("core.retire", cy,
+                                                     pid, pc_t)
                                 im_del += j * n_run
                                 fb_seq = rec[5]
                                 if fb_seq is None:  # private I-banks
@@ -737,16 +705,15 @@ class FastForwardEngine:
                                     if n_run > 1:
                                         im_bc += j
                                         im_sv += j * (n_run - 1)
+                                        if sink is not None:
+                                            im_width[n_run] = \
+                                                im_width.get(n_run, 0) + j
                                         if p_im_bc:
-                                            if ap_im_bc is not None:
-                                                im_bc_data.extend(
-                                                    (n_run,) * j)
-                                            else:
-                                                for t in range(j):
-                                                    bus.emit(
-                                                        "im.broadcast",
-                                                        cycle_before + t,
-                                                        fb_seq[t], n_run)
+                                            for t in range(j):
+                                                bus.emit(
+                                                    "im.broadcast",
+                                                    cycle_before + t,
+                                                    fb_seq[t], n_run)
                                     if j <= total:
                                         internal = rec[6][j - 1]
                                         fbj = fb_seq[j - 1]
@@ -775,21 +742,11 @@ class FastForwardEngine:
                                         if delta:
                                             itrans[pid] += delta
                                         ilast[pid] = fbj
-                                # Flush cadence (timing-only): match
-                                # the per-cycle path's 16k-cycle bound.
-                                if observing and \
-                                        (cycle_before >> 14) != \
-                                        (cycle >> 14):
-                                    bus.flush()
-                                    seg_stride = 0
                             if raise_exc is not None:
                                 raise raise_exc
                             if cycle == edge:
                                 # Emit before any conflict return hands
                                 # control back to the exact loop.
-                                if observing:
-                                    bus.flush()
-                                    seg_stride = 0
                                 system._emit_window(
                                     bus, cycle, False, sync_cycles,
                                     core_stats, im_bc, im_sv,
@@ -876,8 +833,8 @@ class FastForwardEngine:
                         dr_bank[pid] = rb
                         dr_off[pid] = ro
                         if p_mmu:
-                            emit_translate(bus, ap_mmu, cycle, pid, ra,
-                                           rb, ro)
+                            bus.emit("mmu.translate", cycle, pid, ra, rb,
+                                     ro, ra >= PRIVATE_BASE)
                         dm_count += 1
                         entry = dm_map.get(rb)
                         if entry is None:
@@ -907,8 +864,8 @@ class FastForwardEngine:
                         dw_bank[pid] = wb
                         dw_off[pid] = wo
                         if p_mmu:
-                            emit_translate(bus, ap_mmu, cycle, pid, wa,
-                                           wb, wo)
+                            bus.emit("mmu.translate", cycle, pid, wa, wb,
+                                     wo, wa >= PRIVATE_BASE)
                         dm_count += 1
                         if wb in dm_map:
                             conflict = True  # writes never merge
@@ -958,36 +915,18 @@ class FastForwardEngine:
                 # ---- commit the proven conflict-free cycle ----
                 cycle += 1
                 self.fast_cycles += 1
-                if observing:
-                    if not (cycle & 0x3FFF):
-                        bus.flush()  # bound ring memory on long stretches
-                        seg_stride = 0
-                    if ap_retire is not None:
-                        # Every committed cycle retires exactly the
-                        # n_run cores of run_list, so one mark covers
-                        # the whole segment until n_run (or the
-                        # lockstep/free-running mode) changes.  In
-                        # lockstep all cores share first_pc: store it
-                        # once as a run-length segment (stride -n_run);
-                        # otherwise store each core's pc (stride n_run).
-                        if lockstep:
-                            if seg_stride != -n_run:
-                                mk_retire(cycle - 1)
-                                mk_retire(len(rt_data))
-                                mk_retire(-n_run)
-                                rt_ring.rle = True
-                                seg_stride = -n_run
-                            ap_retire(first_pc)
-                        else:
-                            if seg_stride != n_run:
-                                mk_retire(cycle - 1)
-                                mk_retire(len(rt_data))
-                                mk_retire(n_run)
-                                seg_stride = n_run
-                            for c in run_cores:
-                                ap_retire(c.pc)
                 if lockstep and n_run > 1:
                     sync_cycles += 1
+                elif sink is not None:
+                    # One core, or distinct PCs (a shared IM committed
+                    # one offset per bank, so its banks count them).
+                    if lockstep:
+                        size = 1
+                    elif im_map is None:
+                        size = len(set(map(_pc_of, run_cores)))
+                    else:
+                        size = len(im_map)
+                    groups[size] = groups.get(size, 0) + 1
 
                 im_del += n_run
                 if im_private:
@@ -1002,12 +941,10 @@ class FastForwardEngine:
                     if n_run > 1:
                         im_bc += 1
                         im_sv += n_run - 1
+                        if sink is not None:
+                            im_width[n_run] = im_width.get(n_run, 0) + 1
                         if p_im_bc:
-                            if ap_im_bc is not None:
-                                ap_im_bc(n_run)
-                            else:
-                                bus.emit("im.broadcast", cycle - 1,
-                                         fb, n_run)
+                            bus.emit("im.broadcast", cycle - 1, fb, n_run)
                     for pid in run_list:
                         last = ilast[pid]
                         if last is not None and last != fb:
@@ -1020,12 +957,11 @@ class FastForwardEngine:
                         if count > 1:
                             im_bc += 1
                             im_sv += count - 1
+                            if sink is not None:
+                                im_width[count] = im_width.get(count, 0) + 1
                             if p_im_bc:
-                                if ap_im_bc is not None:
-                                    ap_im_bc(count)
-                                else:
-                                    bus.emit("im.broadcast", cycle - 1,
-                                             bank_id, count)
+                                bus.emit("im.broadcast", cycle - 1,
+                                         bank_id, count)
                     for pid in run_list:
                         bank = im_bank[pid]
                         last = ilast[pid]
@@ -1041,17 +977,16 @@ class FastForwardEngine:
                         if count > 1:
                             dm_bc += 1
                             dm_sv += count - 1
+                            if sink is not None:
+                                dm_width[count] = dm_width.get(count, 0) + 1
                             if p_dm_bc:
-                                if ap_dm_bc is not None:
-                                    ap_dm_bc(count)
-                                else:
-                                    bus.emit("dm.broadcast", cycle - 1,
-                                             bank_id, count)
+                                bus.emit("dm.broadcast", cycle - 1,
+                                         bank_id, count)
 
                 halted_any = False
                 for pid in run_list:
                     core = cores[pid]
-                    if emit_retire:
+                    if p_retire:
                         bus.emit("core.retire", cycle - 1, pid, core.pc)
                     rb = dr_bank[pid]
                     if rb >= 0:
@@ -1083,9 +1018,6 @@ class FastForwardEngine:
                                 if not cores[pid].halted]
                     run_cores = [cores[pid] for pid in run_list]
                 if cycle == edge:
-                    if observing:
-                        bus.flush()
-                        seg_stride = 0
                     system._emit_window(
                         bus, cycle, False, sync_cycles, core_stats,
                         im_bc, im_sv, dm_bc + bacc[2], dm_sv + bacc[3],
@@ -1102,16 +1034,8 @@ class FastForwardEngine:
             dm_sv += bacc[3]
             dreads += bacc[4]
             dwrites += bacc[5]
-            # No flush here: rings are shared with the cycle-stepped
-            # loop and survive mode transitions; flushing every stretch
-            # would pay the vectorised-drain fixed cost per fallback.
             if p_ff:
                 bus.emit("ff.exit", cycle, cycle - entered_at)
-            if p_ffb and self.block_entries > entries_before:
-                bus.emit("ff.block", cycle,
-                         self.block_entries - entries_before,
-                         self.blocks_compiled - compiled_before,
-                         self.block_cycles - bcycles_before)
             ix = system.ixbar.stats
             ix.bank_accesses += im_acc
             ix.deliveries += im_del

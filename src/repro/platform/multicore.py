@@ -46,7 +46,7 @@ from repro.memory.banked_memory import BankedMemory
 from repro.memory.layout import PRIVATE_BASE, IMOrganization
 from repro.memory.mmu import MMU
 from repro.platform.config import ArchConfig, build_config
-from repro.platform.fast_forward import FastForwardEngine, emit_translate
+from repro.platform.fast_forward import FastForwardEngine
 from repro.platform.stats import CoreStats, SimulationStats
 from repro.tamarisc.blocks import image_hash
 from repro.tamarisc.cpu import Core
@@ -368,61 +368,30 @@ class MultiCoreSystem:
         # common case; telemetry windows only read counter snapshots)
         # this costs one attribute load and the per-cycle/per-event
         # local-boolean checks below — measured <2 % end-to-end by
-        # benchmarks/bench_obs_overhead.py.  For each hot event the bus
-        # either grants the raw-append ring fast path (batch-only
-        # subscribers: ap_* is a bound list.append) or falls back to
-        # per-event emit; both are hoisted once per run.
-        #
-        # Ring marks (see EventRing) are written lazily: a cycle with no
-        # retire (stall) event writes no retire (stall) mark.  In a
-        # lockstep cycle every retiring or stalling core shares the one
-        # fetch PC, so the cycle stores a single item under a run-length
-        # mark (stride -count) that consecutive lockstep cycles with
-        # the same count extend without a new mark; other cycles open a
-        # stride-0 mark at their first event.  ``*_open`` is the cycle
-        # of the open stride-0 mark, ``*_next``/``*_stride`` the cycle
-        # and stride that would extend the open run-length mark.  A
-        # flush empties the ring, so it closes both; a fast-forward
-        # stretch (which writes its own marks) moves the clock past
-        # them.
+        # benchmarks/bench_obs_overhead.py.  A metrics sink (see
+        # ProbeBus.metrics) folds every cycle's sync group and conflict
+        # verdict here, and the crossbars count the broadcast widths
+        # into it (Crossbar.widths).
         bus = self.probes
         observing = bus is not None and bus.observed
+        sink = bus.metrics if bus is not None else None
         p_retire = p_stall = p_mmu = False
-        ap_retire = ap_stall = mk_retire = mk_stall = ap_mmu = None
-        rt_ring = st_ring = rt_data = st_data = None
-        rt_open = rt_next = st_open = st_next = -1
-        rt_stride = st_stride = 0
-        n_retire = n_stall = 0  # this lockstep cycle's run-length counts
-        rt_rle = st_rle = False
-        now = sync_pc = 0
+        now = 0
         # Telemetry windowing (repro.obs.telemetry): at every multiple
         # of ``win`` committed cycles emit a snapshot of the cumulative
         # counters; the fast-forward engine emits the edges it commits.
         win = bus.window_cycles if bus is not None else 0
         p_win = win > 0 and bus.wants("telemetry.window")
         if observing:
-            self._wire_xbar_probes(bus)
             p_retire = bus.wants("core.retire")
             p_stall = bus.wants("core.stall")
-            if p_retire:
-                ring = bus.batch("core.retire")
-                if ring is not None:
-                    rt_ring = ring
-                    ap_retire = ring.data.append
-                    mk_retire = ring.marks.extend
-                    rt_data = ring.data
-            if p_stall:
-                ring = bus.batch("core.stall")
-                if ring is not None:
-                    st_ring = ring
-                    ap_stall = ring.data.append
-                    mk_stall = ring.marks.extend
-                    st_data = ring.data
             p_mmu = bus.wants("mmu.translate")
-            if p_mmu:
-                ring = bus.batch("mmu.translate")
-                if ring is not None:
-                    ap_mmu = ring.data.append
+            self._wire_xbar_probes(bus)
+        if sink is not None:
+            groups, bursts, ixbar.widths, dxbar.widths = sink
+            ix_stats, dx_stats = ixbar.stats, dxbar.stats
+            conflicts = ix_stats.conflict_events + dx_stats.conflict_events
+            burst = burst_end = 0  # the open conflict run: length, cycle
 
         cycle = 0
         sync_cycles = 0
@@ -497,9 +466,6 @@ class MultiCoreSystem:
                         f"within {max_cycles} cycles on {self.config.name}")
                 cycle += 1
                 if observing:
-                    if not (cycle & 0x3FFF):
-                        bus.flush()  # bound ring memory on long runs
-                        rt_open = rt_next = st_open = st_next = -1
                     now = cycle - 1
                     bus.now = now
 
@@ -544,9 +510,10 @@ class MultiCoreSystem:
                                     dr_bank[pid] = dread % dbn
                                     dr_off[pid] = dread // dbn
                                 if p_mmu:
-                                    emit_translate(bus, ap_mmu, now, pid,
-                                                   dread, dr_bank[pid],
-                                                   dr_off[pid])
+                                    bus.emit("mmu.translate", now, pid,
+                                             dread, dr_bank[pid],
+                                             dr_off[pid],
+                                             dread >= PRIVATE_BASE)
                             if dwrite is None:
                                 dw_bank[pid] = -1
                             else:
@@ -564,9 +531,10 @@ class MultiCoreSystem:
                                     dw_bank[pid] = dwrite % dbn
                                     dw_off[pid] = dwrite // dbn
                                 if p_mmu:
-                                    emit_translate(bus, ap_mmu, now, pid,
-                                                   dwrite, dw_bank[pid],
-                                                   dw_off[pid])
+                                    bus.emit("mmu.translate", now, pid,
+                                             dwrite, dw_bank[pid],
+                                             dw_off[pid],
+                                             dwrite >= PRIVATE_BASE)
                         bank, i_read_at[pid] = fetch_loc[pid][pc]
                         i_readers[bank] |= bit
                         i_new |= 1 << bank
@@ -595,15 +563,24 @@ class MultiCoreSystem:
                 # no fetch).
                 if w_if == run_mask and run_mask & (run_mask - 1) \
                         and fetch_pc.count(
-                            sync_pc := fetch_pc[(run_mask & -run_mask)
-                                                .bit_length() - 1]) \
-                        == len(running):
+                            fetch_pc[(run_mask & -run_mask).bit_length()
+                                     - 1]) == len(running):
                     sync_cycles += 1
-                    if observing:
-                        rt_rle = ap_retire is not None
-                        st_rle = ap_stall is not None
-                elif observing:
-                    rt_rle = st_rle = False
+                elif sink is not None:
+                    # Sync group (the lockstep cycles fold into size 1
+                    # when the run ends): a running core counts at its
+                    # latched fetch PC (-1 marks the others), except a
+                    # stuck one at an instruction boundary, at its PC.
+                    free = run_mask & ~(w_if | w_dr | w_dw | stuck_mid)
+                    if free:
+                        pcs = {cores[pid].pc if free >> pid & 1
+                               else fetch_pc[pid]
+                               for pid in bits_of(run_mask)}
+                    else:
+                        pcs = set(fetch_pc)
+                        pcs.discard(-1)
+                    size = len(pcs)
+                    groups[size] = groups.get(size, 0) + 1
 
                 # ---- arbitrate, then commit the fully granted cores ----
                 granted = i_resolve()[0]
@@ -617,6 +594,17 @@ class MultiCoreSystem:
                 done = granted & ~waiting
                 if done:
                     last_progress = cycle
+                if sink is not None:
+                    seen = ix_stats.conflict_events + dx_stats.conflict_events
+                    if seen != conflicts:
+                        conflicts = seen
+                        if burst and burst_end == cycle - 1:
+                            burst += 1
+                        else:
+                            if burst:
+                                bursts[burst] = bursts.get(burst, 0) + 1
+                            burst = 1
+                        burst_end = cycle
                 # Commits in PID order (data reads happen at commit).
                 # A per-event stall subscriber walks the other running
                 # cores too, in the same order.
@@ -625,29 +613,12 @@ class MultiCoreSystem:
                     if not done & bit:
                         # Stalled on its in-flight instruction, or (stuck
                         # at a boundary) on the one at its PC.
-                        if st_rle:
-                            n_stall += 1
-                            continue
-                        pc = fetch_pc[pid] if (waiting | stuck_mid) & bit \
-                            else cores[pid].pc
-                        if ap_stall is not None:
-                            if st_open != now:
-                                mk_stall((now, len(st_data), 0))
-                                st_open = now
-                            ap_stall(pc)
-                        else:
-                            bus.emit("core.stall", now, pid, pc)
+                        bus.emit("core.stall", now, pid,
+                                 fetch_pc[pid] if (waiting | stuck_mid) & bit
+                                 else cores[pid].pc)
                         continue
                     if p_retire:
-                        if rt_rle:
-                            n_retire += 1
-                        elif ap_retire is not None:
-                            if rt_open != now:
-                                mk_retire((now, len(rt_data), 0))
-                                rt_open = now
-                            ap_retire(fetch_pc[pid])
-                        else:
-                            bus.emit("core.retire", now, pid, fetch_pc[pid])
+                        bus.emit("core.retire", now, pid, fetch_pc[pid])
                     core = cores[pid]
                     bank = dr_bank[pid]
                     if bank >= 0:
@@ -667,55 +638,29 @@ class MultiCoreSystem:
                         fetch_pc[pid] = -1
                     else:
                         starting |= bit
-                if n_retire:
-                    if rt_stride != -n_retire or rt_next != now:
-                        mk_retire((now, len(rt_data), -n_retire))
-                        rt_ring.rle = True
-                        rt_stride = -n_retire
-                    rt_next = now + 1
-                    ap_retire(sync_pc)
-                    n_retire = 0
-                if n_stall:
-                    if st_stride != -n_stall or st_next != now:
-                        mk_stall((now, len(st_data), -n_stall))
-                        st_ring.rle = True
-                        st_stride = -n_stall
-                    st_next = now + 1
-                    ap_stall(sync_pc)
-                    n_stall = 0
                 if watchdog and cycle - last_progress >= watchdog:
                     raise HangError(
                         f"sync watchdog: no core retired for {watchdog} "
                         f"cycles (cycle {cycle}) on {self.config.name}")
                 if p_win and not cycle % win:
-                    if observing:
-                        bus.flush()
-                        rt_open = rt_next = st_open = st_next = -1
                     self._emit_window(bus, cycle, False, sync_cycles,
                                       core_stats)
         finally:
             self._dreads_committed += dreads
             self._dwrites_committed += dwrites
             if observing:
-                # A commit that raised mid-cycle leaves that cycle's
-                # run-length events uncommitted to the ring.
-                if n_retire:
-                    mk_retire((now, len(rt_data), -n_retire))
-                    rt_ring.rle = True
-                    ap_retire(sync_pc)
-                if n_stall:
-                    mk_stall((now, len(st_data), -n_stall))
-                    st_ring.rle = True
-                    ap_stall(sync_pc)
                 ixbar.probe_conflict = ixbar.probe_broadcast = None
                 dxbar.probe_conflict = dxbar.probe_broadcast = None
-                bus.flush()
+            if sink is not None:
+                ixbar.widths = dxbar.widths = None
+                if sync_cycles:  # both engines' multi-core lockstep
+                    groups[1] = groups.get(1, 0) + sync_cycles
+                if burst:  # runs never join
+                    bursts[burst] = bursts.get(burst, 0) + 1
 
         if p_win:
             # Final (possibly partial) window; doubles as the run
-            # separator for streaming consumers.  The finally block
-            # above already flushed any rings, so every ring event
-            # precedes it.
+            # separator for streaming consumers.
             self._emit_window(bus, cycle, True, sync_cycles, core_stats)
         else:
             self._settle_stalls(core_stats, cycle)
@@ -732,17 +677,11 @@ class MultiCoreSystem:
                 (self.ixbar, "ixbar.conflict", "im.broadcast"),
                 (self.dxbar, "dxbar.conflict", "dm.broadcast")):
             if bus.wants(conflict):
-                ring = bus.batch(conflict)
                 xbar.probe_conflict = (
-                    lambda bank, masters, _ap=ring.data.append:
-                    _ap(bus.now)) if ring is not None else (
                     lambda bank, masters, _event=conflict:
                     bus.emit(_event, bus.now, bank, masters_of(masters)))
             if bus.wants(broadcast):
-                ring = bus.batch(broadcast)
                 xbar.probe_broadcast = (
-                    lambda bank, width, _ap=ring.data.append:
-                    _ap(width)) if ring is not None else (
                     lambda bank, width, _event=broadcast:
                     bus.emit(_event, bus.now, bank, width))
 

@@ -526,16 +526,20 @@ def _generate_source(block: Block, env: tuple) -> str:
 
     ``env`` is ``(pwc, pwb, swb, shared_words, dm_banks, data_broadcast)``
     — exactly the geometry the engine's per-cycle preview consults.
+    Both variants take ``_dmw``, the metrics sink's DM broadcast-width
+    histogram (``None`` when no sink is attached); the observed one
+    also emits the per-cycle ``mmu.translate``/``dm.broadcast`` events
+    (``_emm``/``_pdb``) through ``_emit``.
     """
     fast = _generate_variant(block, env, observed=False)
     obs = _generate_variant(block, env, observed=True)
     lines = ["def _build(_layout, _cb, _sto, _rbs, _ros, _wbs, _wos,"
              " _drb, _dro, _dwb, _dwo):"]
     lines.append("    def _run_fast(_cores, _mt, _mp, _ms, _dlast, _dtr,"
-                 " _acc, _maxj):")
+                 " _acc, _maxj, _dmw):")
     lines.extend("        " + line for line in fast)
     lines.append("    def _run_obs(_cores, _mt, _mp, _ms, _dlast, _dtr,"
-                 " _acc, _c0, _emit, _mml, _emm, _apd, _pdb):")
+                 " _acc, _c0, _emit, _emm, _pdb, _dmw):")
     lines.extend("        " + line for line in obs)
     lines.append("    return _run_fast, _run_obs")
     return "\n".join(lines) + "\n"
@@ -564,22 +568,8 @@ def _generate_variant(block: Block, env: tuple, observed: bool) -> list[str]:
         base = 1
     else:
         base = 0
-        mem_ports = {int(handlers[t].reads_mem) + int(handlers[t].writes_mem)
-                     for t in range(n_body)
-                     if handlers[t].preview is not None}
-        if mem_ports:
+        if any(handlers[t].preview is not None for t in range(n_body)):
             writer.add(0, "_n = len(_cores)")
-        if observed and mem_ports - {0}:
-            # ``mmu.translate`` ring (``_mml``, None unless batched): a
-            # step appends its private flags in one go — a single
-            # extend when every translation was private (see
-            # _emit_mmu_flags).  ``_prv(offset)`` is ``offset >= swb``.
-            writer.add(0, "if _mml is not None:")
-            writer.add(1, "_apm = _mml.append")
-            writer.add(1, f"_prv = ({env[2]}).__le__")
-            writer.add(1, "_tp1 = (True,) * _n")
-            if 2 in mem_ports:
-                writer.add(1, "_tp2 = _tp1 + _tp1")
 
     inner = _Writer()
     position = 0
@@ -645,21 +635,6 @@ def _raise_fixup_lines(block: Block, offset: int, loop: bool) -> list[str]:
     return out
 
 
-def _emit_mmu_flags(writer: _Writer, indent: int, swb: int, reads: bool,
-                    writes: bool, cores: str) -> None:
-    """Append the ``mmu.translate`` private flags of the first
-    ``cores`` cores of this step, in translation order (per core: read,
-    then write).  A physical offset is private iff it is at least
-    ``swb``: private sections sit above every bank's shared words."""
-    writer.add(indent, "_x = 0")
-    writer.add(indent, f"while _x < {cores}:")
-    if reads:
-        writer.add(indent + 1, f"_apm(_ros[_x] >= {swb})")
-    if writes:
-        writer.add(indent + 1, f"_apm(_wos[_x] >= {swb})")
-    writer.add(indent + 1, "_x += 1")
-
-
 def _emit_translate(writer: _Writer, indent: int, block: Block, env: tuple,
                     offset: int, kind: str, observed: bool,
                     loop: bool) -> None:
@@ -667,10 +642,7 @@ def _emit_translate(writer: _Writer, indent: int, block: Block, env: tuple,
 
     ``kind`` is ``'r'`` or ``'w'``; reads use ``_ra``/``_rb``/``_ro``
     and fill ``_rbs``/``_ros``, writes likewise.  The observed variant
-    appends the step's ``mmu.translate`` ring flags after the whole
-    step (see :func:`_emit_mem_step`); an address fault appends those
-    of the translations before it first, so the ring holds exactly
-    what per-translation appends would have left.
+    emits each translation's ``mmu.translate`` event.
     """
     pwc, pwb, swb, shared_words, dbn, _bcast = env
     addr = f"_{kind}a"
@@ -679,15 +651,6 @@ def _emit_translate(writer: _Writer, indent: int, block: Block, env: tuple,
     dest_b = "_rbs" if kind == "r" else "_wbs"
     dest_o = "_ros" if kind == "r" else "_wos"
     fixup = _raise_fixup_lines(block, offset, loop)
-    if observed:
-        handler = block.handlers[offset]
-        flags = _Writer()
-        flags.add(0, "if _mml is not None:")
-        _emit_mmu_flags(flags, 1, swb, handler.reads_mem,
-                        handler.writes_mem, "_i")
-        if kind == "w" and handler.reads_mem:
-            flags.add(1, f"_apm(_ros[_i] >= {swb})")
-        fixup = fixup + flags.lines
     writer.add(indent, "_mt[_p] += 1")
     writer.add(indent, f"if {addr} >= {PRIVATE_BASE}:")
     writer.add(indent + 1, "_mp[_p] += 1")
@@ -769,16 +732,6 @@ def _emit_mem_step(writer: _Writer, block: Block, env: tuple, offset: int,
     if writes:
         _emit_translate(writer, 1, block, env, offset, "w", observed, loop)
     writer.add(1, "_i += 1")
-    if observed:
-        writer.add(0, "if _mml is not None:")
-        writer.add(1, "if _allp:")
-        writer.add(2, f"_mml.extend(_tp{int(reads) + int(writes)})")
-        writer.add(1, "else:")
-        if reads and writes:
-            _emit_mmu_flags(writer, 2, env[2], reads, writes, "_n")
-        else:
-            writer.add(2, f"_mml.extend(map(_prv, "
-                          f"{'_ros' if reads else '_wos'}[:_n]))")
 
     # ---- verdict: replicate the engine's per-cycle conflict proof ----
     # Private banks are disjoint across cores and private offsets
@@ -864,16 +817,17 @@ def _emit_mem_step(writer: _Writer, block: Block, env: tuple, offset: int,
         writer.add(1, "_acc[0] += _n")
 
     if broadcast_loop:
-        # Same-address read merges: broadcast counters + probe events.
+        # Same-address read merges: broadcast counters, the metrics
+        # sink's width histogram and probe events.
         writer.add(1, "for _b2, _e in _map.items():")
         writer.add(2, "_w = _e[1]")
         writer.add(2, "if _w > 1:")
         writer.add(3, "_acc[2] += 1")
         writer.add(3, "_acc[3] += _w - 1")
+        writer.add(3, "if _dmw is not None:")
+        writer.add(4, "_dmw[_w] = _dmw.get(_w, 0) + 1")
         if observed:
-            writer.add(3, "if _apd is not None:")
-            writer.add(4, "_apd(_w)")
-            writer.add(3, "elif _pdb:")
+            writer.add(3, "if _pdb:")
             writer.add(4, '_emit("dm.broadcast", _cy, _b2, _w)')
 
     # ---- phase B: commit every core ----

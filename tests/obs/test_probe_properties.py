@@ -1,19 +1,8 @@
-"""Property tests for the batched probe-delivery path.
+"""Property test for sampled per-event delivery.
 
-Three invariants, each over hypothesis-generated inputs rather than the
-fixed workloads the rest of the suite runs:
-
-* **Delivery-mode identity** — a :class:`ProbeMetrics` collector fed
-  through batched ring drains produces a bit-identical registry to one
-  fed per-event, for *any* monotonic event schedule, including
-  schedules with flushes at adversarial points (mid-cycle, mid-burst).
-* **Ring reconstruction** — ``EventRing.as_array`` / ``compact`` invert
-  every mark protocol the run loops write (per-cycle exact marks,
-  positive-stride fast-forward segments, negative-stride RLE lockstep
-  segments), against a straightforward pure-Python model.
-* **Sampling** — ``set_sampling(event, N)`` delivers exactly the
-  occurrences at indices ``0, N, 2N, ...`` while counting every
-  occurrence, and disables the raw-ring fast path.
+``set_sampling(event, N)`` delivers exactly the occurrences at indices
+``0, N, 2N, ...`` while counting every occurrence, over
+hypothesis-generated rates and stream lengths.
 """
 
 import math
@@ -21,106 +10,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import EventRing, PC_BITS, ProbeBus, ProbeMetrics
-
-#: Events with a batch schema, i.e. the ones with two delivery paths.
-BATCHED_EVENTS = ("core.retire", "core.stall", "ixbar.conflict",
-                  "dxbar.conflict", "im.broadcast", "dm.broadcast",
-                  "mmu.translate")
-
-# One schedule step: advance the clock 0-3 cycles, emit one event with
-# small argument values, optionally flush the bus afterwards.
-_STEP = st.tuples(st.integers(0, 3), st.sampled_from(BATCHED_EVENTS),
-                  st.integers(0, 7), st.integers(0, 1023), st.booleans(),
-                  st.booleans())
-_SCHEDULES = st.lists(_STEP, max_size=120)
-
-
-def _emit(bus, event, cycle, unit, value, flag) -> None:
-    if event in ("core.retire", "core.stall"):
-        bus.emit(event, cycle, unit, value)
-    elif event in ("ixbar.conflict", "dxbar.conflict"):
-        bus.emit(event, cycle, unit, [0, 1])
-    elif event in ("im.broadcast", "dm.broadcast"):
-        bus.emit(event, cycle, unit, 2 + value % 7)
-    else:
-        bus.emit(event, cycle, unit, value, unit, value % 64, flag)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_SCHEDULES)
-def test_batched_equals_unbatched(schedule):
-    """Same schedule, both delivery modes, bit-identical registries."""
-    batched_bus, unbatched_bus = ProbeBus(), ProbeBus()
-    batched = ProbeMetrics.attach(batched_bus, batched=True)
-    unbatched = ProbeMetrics.attach(unbatched_bus, batched=False)
-    cycle = 0
-    for advance, event, unit, value, flag, flush in schedule:
-        cycle += advance
-        _emit(batched_bus, event, cycle, unit, value, flag)
-        _emit(unbatched_bus, event, cycle, unit, value, flag)
-        if flush:
-            batched_bus.flush()  # no-op on the unbatched bus
-    assert batched.finish().snapshot() == unbatched.finish().snapshot()
-
-
-@st.composite
-def _ring_with_model(draw):
-    """An EventRing written like the run loops write it, plus the
-    packed occurrence list it must reconstruct."""
-    ring = EventRing("core.retire")
-    expected = []
-    cycle = 0
-    for __ in range(draw(st.integers(0, 6))):
-        cycle += draw(st.integers(1, 5))
-        kind = draw(st.sampled_from(("exact", "stride", "rle")))
-        n_cycles = draw(st.integers(1, 3))
-        if kind == "exact":
-            # Cycle-stepped loop: one stride-0 mark per cycle, any
-            # number of events (including none) per cycle.
-            for __ in range(n_cycles):
-                ring.marks += [cycle, len(ring.data), 0]
-                for pc in draw(st.lists(st.integers(0, 1023),
-                                        max_size=4)):
-                    ring.data.append(pc)
-                    expected.append((cycle << PC_BITS) | pc)
-                cycle += 1
-        elif kind == "stride":
-            # Fast-forward segment: k events per consecutive cycle.
-            k = draw(st.integers(1, 4))
-            ring.marks += [cycle, len(ring.data), k]
-            for __ in range(n_cycles):
-                for pc in draw(st.lists(st.integers(0, 1023),
-                                        min_size=k, max_size=k)):
-                    ring.data.append(pc)
-                    expected.append((cycle << PC_BITS) | pc)
-                cycle += 1
-        else:
-            # Lockstep RLE segment: one shared pc per cycle, each
-            # standing for r identical occurrences.
-            r = draw(st.integers(1, 4))
-            ring.marks += [cycle, len(ring.data), -r]
-            ring.rle = True
-            for __ in range(n_cycles):
-                pc = draw(st.integers(0, 1023))
-                ring.data.append(pc)
-                expected += [(cycle << PC_BITS) | pc] * r
-                cycle += 1
-    return ring, expected
-
-
-@settings(max_examples=80, deadline=None)
-@given(_ring_with_model())
-def test_ring_reconstruction(ring_and_model):
-    """as_array/compact/len invert every writer protocol."""
-    ring, expected = ring_and_model
-    assert ring.as_array().tolist() == expected
-    packed, count = ring.compact()
-    assert count == len(expected)
-    # compact() may skip RLE expansion but must cover every distinct
-    # (cycle, pc) pair — the contract the sync-group dedup relies on.
-    assert set(packed.tolist()) == set(expected)
-    assert len(ring) == len(expected)
+from repro.obs import ProbeBus
 
 
 @settings(max_examples=80, deadline=None)
@@ -142,29 +32,3 @@ def test_sampling_drops_exactly_expected_events(every, total):
     else:
         # every=1 removes the policy entirely.
         assert bus.sampling("core.retire") == 1
-
-
-def test_sampling_disables_raw_ring_grant():
-    """A sampled event must route through emit(), not the raw ring."""
-    bus = ProbeBus()
-    bus.subscribe_batch("core.retire", lambda ring: None)
-    assert bus.batch("core.retire") is not None
-    bus.set_sampling("core.retire", 4)
-    assert bus.batch("core.retire") is None
-    bus.set_sampling("core.retire", 1)
-    assert bus.batch("core.retire") is not None
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 10), st.integers(0, 60))
-def test_sampled_batched_counters_follow_delivery(every, total):
-    """Ring-fed counters see the decimated stream; the bus keeps the
-    exact total on the side."""
-    bus = ProbeBus()
-    metrics = ProbeMetrics.attach(bus, batched=True)
-    bus.set_sampling("core.retire", every)
-    for index in range(total):
-        bus.emit("core.retire", index, 0, 7)
-    metrics.finish()
-    assert metrics.retired.value == math.ceil(total / every)
-    assert bus.occurrences("core.retire") == total

@@ -9,7 +9,7 @@ docstring of :mod:`repro.obs.telemetry`):
   digest (``test_window_oracle.py`` also pins it to a fold of the
   per-event stream).
 * **Partition, not resample** — summing the windows reproduces the
-  whole-run totals exactly: the metrics-registry counters, the
+  whole-run totals exactly: the metrics-registry histogram totals, the
   :class:`~repro.platform.stats.SimulationStats` fields and the
   per-core retire/stall counts.
 
@@ -25,7 +25,8 @@ import pytest
 import repro.platform.fast_forward as ff_engine
 from repro.errors import ConfigurationError
 from repro.kernels import BenchmarkSpec, build_benchmark
-from repro.obs import ProbeMetrics, WindowedAggregator, summaries_digest
+from repro.obs import (ProbeMetrics, TraceRecorder, WindowedAggregator,
+                       summaries_digest)
 from repro.obs.telemetry import COUNTER_FIELDS, WindowSummary, \
     merge_window_lists, percentile
 from repro.platform import build_platform
@@ -113,8 +114,11 @@ class TestEngineTiers:
                    for outcome in report.blocks) > 0
 
     def test_probe_metrics_run_stays_trace_free(self, built):
+        """What ``repro trace`` attaches: the metrics sink alone keeps
+        traces, the Perfetto recorder beside it turns them off."""
         system = build_platform("ulpmc-bank", fast_forward=True)
         ProbeMetrics.attach(system.probe_bus())
+        TraceRecorder.attach(system)
         system.run(built.benchmark)
         summary = system.block_summary()
         assert summary["block_cycles"] > 0
@@ -124,15 +128,14 @@ class TestEngineTiers:
 class TestPartition:
     @pytest.fixture(scope="class", params=["exact", "blocks"])
     def run(self, built, request):
-        # The metrics collector and the aggregator ride the same bus:
-        # both batch-drain the same rings, so agreement is end-to-end.
+        # The metrics sink and the aggregator ride the same bus, and
+        # neither observes it: the blocks mode runs loop traces.
         system = build_platform("ulpmc-bank",
                                 fast_forward=MODES[request.param][0])
         bus = system.probe_bus()
         collector = ProbeMetrics.attach(bus)
         aggregator = WindowedAggregator.attach(bus, window_cycles=WINDOW)
         result = system.run(built.benchmark)
-        collector.finish()
         aggregator.detach()
         return aggregator, collector, result
 
@@ -140,14 +143,14 @@ class TestPartition:
         aggregator, collector, _ = run
         totals = aggregator.totals()
         snapshot = collector.registry.snapshot()
-        assert totals["retired"] == snapshot["probe.retired"]
-        assert totals["stalls"] == snapshot["probe.stall_cycles"]
-        assert totals["ixbar_conflicts"] == snapshot["probe.ixbar_conflicts"]
-        assert totals["dxbar_conflicts"] == snapshot["probe.dxbar_conflicts"]
-        assert totals["im_broadcasts"] == snapshot["probe.im_broadcasts"]
-        assert totals["dm_broadcasts"] == snapshot["probe.dm_broadcasts"]
-        assert totals["mmu_private"] == snapshot["probe.mmu_private"]
-        assert totals["mmu_shared"] == snapshot["probe.mmu_shared"]
+        groups = snapshot["sync_group_size"]
+        assert totals["cycles"] == groups["count"]
+        assert totals["sync_cycles"] <= groups["buckets"].get("1", 0)
+        for side in ("im", "dm"):
+            widths = snapshot[f"{side}_broadcast_width"]
+            assert totals[f"{side}_broadcasts"] == widths["count"]
+            assert totals[f"{side}_broadcast_savings"] \
+                == widths["total"] - widths["count"]
 
     def test_totals_match_simulation_stats(self, run):
         aggregator, _, result = run

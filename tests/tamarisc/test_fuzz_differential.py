@@ -8,19 +8,21 @@ constrained-random program (full ISA surface) runs once per mode —
 exact cycle-stepped loop, per-instruction fast-forward, and
 block-translated fast-forward (:mod:`repro.tamarisc.blocks`) — with
 
-* per-event subscribers on every comparable event (which forces all
-  modes onto the ``emit()`` fallback paths), and
-* the batched metrics collector attached on the same bus,
+* per-event subscribers on every comparable event (an observed run:
+  the engine synthesises the per-cycle event stream),
+* the per-event reference fold of the metrics histograms
+  (``tests/obs/metrics_reference.py``), and
+* the metrics sink the run loops fold into, on the same bus,
 
 and the test asserts equal registers, memory, ``SimulationStats``,
-metric snapshots, and per-cycle-sorted event streams.  The ``ff.*``
-events are excluded: they describe the engine's own mode transitions
-(enter/exit/translation-block usage), which by definition differ
-between modes.
+folded histograms (equal to the reference's), and per-cycle-sorted
+event streams.  The ``ff.*`` events are excluded: they describe the
+engine's own mode transitions, which by definition differ between
+modes.
 
-A second pass re-runs a slice of the corpus with *only* the batched
-collector attached, so the raw ring-buffer fast paths (no ``emit()``
-involved at all) get the same fuzz coverage.
+A second pass re-runs a slice of the corpus with *only* the metrics
+sink attached, so the unobserved engine paths (no ``emit()`` involved
+at all) fold the same histograms as the reference.
 
 A third pass runs *unobserved* (no probe bus at all) with the loop-trace
 profiling thresholds lowered, so the trace layer — which only engages on
@@ -40,6 +42,7 @@ from repro.obs import EVENTS, ProbeMetrics
 from repro.platform import ARCH_NAMES, Benchmark, build_platform
 from repro.tamarisc.program import DataImage
 from repro.tamarisc.regression import SANDBOX_WORDS, generate_random_program
+from tests.obs.metrics_reference import ReferenceMetrics, histograms
 
 #: ff.* events announce fast-forward engine transitions; the exact loop
 #: never emits them, so they are not part of the identity contract.
@@ -167,16 +170,23 @@ def run_mode(arch: str, benchmark: Benchmark, mode: str, system=None):
 
 def run_observed(arch: str, benchmark: Benchmark, mode: str,
                  capture_events: bool = True):
-    """One observed run; returns (result, metrics snapshot, streams)."""
+    """One run with the metrics sink attached; returns (result, folded
+    histograms, event streams, reference histograms).
+
+    ``capture_events`` adds per-event subscribers and the reference fold
+    (an observed run); without it the sink is alone (streams and
+    reference are ``None``).
+    """
     system = build_platform(arch, fast_forward=MODES[mode][0])
     bus = system.probe_bus()
-    streams = None
+    streams = reference = None
     if capture_events:
         streams = {name: [] for name in COMPARABLE_EVENTS}
         for name in COMPARABLE_EVENTS:
             bus.subscribe(name,
                           lambda *args, _rec=streams[name].append:
                           _rec(args))
+        reference = ReferenceMetrics(bus)
     metrics = ProbeMetrics.attach(bus)
     result = run_mode(arch, benchmark, mode, system)
     mismatches = metrics.verify_against(result.stats)
@@ -184,10 +194,8 @@ def run_observed(arch: str, benchmark: Benchmark, mode: str,
     if streams is not None:
         for stream in streams.values():
             stream.sort()  # per-cycle order is not part of the contract
-    snapshot = {name: value for name, value
-                in metrics.registry.snapshot().items()
-                if not name.startswith("probe.ff_")}  # engine-only
-    return result, snapshot, streams
+    return (result, histograms(metrics), streams,
+            reference and reference.finish())
 
 
 def assert_state_identical(slow, fast):
@@ -207,15 +215,17 @@ def assert_state_identical(slow, fast):
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_fuzz_event_stream_identity(seed):
-    """State, metrics and sorted event streams agree across all modes."""
+    """State, metrics and sorted event streams agree across all modes,
+    and the folded histograms equal the per-event reference."""
     arch = ARCH_NAMES[seed % len(ARCH_NAMES)]
     benchmark = fuzz_benchmark(seed)
-    slow, slow_snap, slow_events = run_observed(arch, benchmark, "exact")
+    slow, slow_hist, slow_events, expected = run_observed(
+        arch, benchmark, "exact")
+    assert slow_hist == expected, "fold != reference (exact)"
     for mode in ("ff-instr", "ff-blocks"):
-        fast, fast_snap, fast_events = run_observed(arch, benchmark, mode)
+        fast, fast_hist, fast_events, _ = run_observed(arch, benchmark, mode)
         assert_state_identical(slow, fast)
-        assert slow_snap == fast_snap, \
-            f"metric registries diverged ({mode})"
+        assert fast_hist == expected, f"fold != reference ({mode})"
         for name in COMPARABLE_EVENTS:
             assert slow_events[name] == fast_events[name], \
                 f"{name} event stream diverged (seed {seed}, {arch}, {mode})"
@@ -243,12 +253,19 @@ def test_fuzz_unobserved_trace_identity(seed, monkeypatch):
 
 @pytest.mark.parametrize("seed", range(0, 50, 4))
 def test_fuzz_looped_trace_identity(seed, monkeypatch):
-    """Counted-loop corpus: traces build, run and stay bit-identical."""
+    """Counted-loop corpus: traces build, run and stay bit-identical,
+    and fold the metrics sink's histograms like the reference."""
     monkeypatch.setattr(ff_engine, "TRACE_ENTRY_THRESHOLD", 4)
     monkeypatch.setattr(ff_engine, "TRACE_MIN_EDGE", 2)
     arch = ARCH_NAMES[seed % len(ARCH_NAMES)]
     benchmark = looped_fuzz_benchmark(seed)
-    runs = {mode: run_mode(arch, benchmark, mode) for mode in MODES}
+    *_, expected = run_observed(arch, benchmark, "exact")
+    runs = {}
+    for mode in MODES:
+        result, folded, *_ = run_observed(arch, benchmark, mode,
+                                          capture_events=False)
+        assert folded == expected, f"fold != reference ({mode})"
+        runs[mode] = result
     assert_state_identical(runs["exact"], runs["ff-instr"])
     assert_state_identical(runs["exact"], runs["ff-blocks"])
 
@@ -256,18 +273,19 @@ def test_fuzz_looped_trace_identity(seed, monkeypatch):
 @pytest.mark.parametrize("arch", ARCH_NAMES)
 @pytest.mark.parametrize("seed", range(0, 50, 10))
 def test_fuzz_batched_ring_identity(arch, seed):
-    """Ring-only delivery (no per-event subscribers) across modes.
+    """Sink-only runs (no per-event subscriber) across modes.
 
-    Without per-event subscribers the emitters write straight into the
-    typed ring buffers, so this pass fuzzes the zero-allocation fast
-    paths the stream test above bypasses.
+    Without per-event subscribers the run is unobserved, so this pass
+    fuzzes the fold on the engine paths the stream test above
+    bypasses, against the reference fold of an observed run.
     """
     benchmark = fuzz_benchmark(seed)
-    slow, slow_snap, _ = run_observed(arch, benchmark, "exact",
-                                      capture_events=False)
+    *_, expected = run_observed(arch, benchmark, "exact")
+    slow, slow_hist, *_ = run_observed(arch, benchmark, "exact",
+                                       capture_events=False)
+    assert slow_hist == expected, "fold != reference (exact)"
     for mode in ("ff-instr", "ff-blocks"):
-        fast, fast_snap, _ = run_observed(arch, benchmark, mode,
-                                          capture_events=False)
+        fast, fast_hist, *_ = run_observed(arch, benchmark, mode,
+                                           capture_events=False)
         assert_state_identical(slow, fast)
-        assert slow_snap == fast_snap, \
-            f"metric registries diverged ({mode})"
+        assert fast_hist == expected, f"fold != reference ({mode})"

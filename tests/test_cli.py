@@ -66,9 +66,20 @@ class TestTrace:
         assert [record["kind"] for record in records] == ["trace"]
         assert records[0]["arch"] == "ulpmc-bank"
         assert records[0]["config_hash"]
-        assert records[0]["event_summary"]["probe.retired"] > 0
+        summary = records[0]["event_summary"]
+        assert summary["sync_group_size"]["count"] \
+            == summary["sim.total_cycles"] > 0
         assert records[0]["extra"]["trace_file"].endswith(
             "trace-ulpmc-bank.json")
+
+    def test_sampled_trace_still_reconciles(self, tmp_path, capsys):
+        """Sampling decimates the recorder; the metrics sink folds every
+        cycle regardless, so the registry still reconciles."""
+        assert main(["trace", "--arch", "ulpmc-int", "--samples", "64",
+                     "--measurements", "32", "--sample", "core.retire=4",
+                     "--sample", "core.stall=4", "--no-manifest",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert "ulpmc-int:" in capsys.readouterr().out
 
     def test_trace_all_arches_fast_forward(self, tmp_path, capsys):
         assert main(["trace", "--samples", "64", "--measurements", "32",
@@ -96,7 +107,10 @@ class TestProfile:
         records = read_manifests(directory=tmp_path)
         assert [record["kind"] for record in records] == ["profile"]
         summary = records[0]["event_summary"]
-        assert summary["probe.retired"] == summary["sim.total_retired"]
+        assert summary["sync_group_size"]["count"] \
+            == summary["sim.total_cycles"]
+        assert summary["im_broadcast_width"]["count"] \
+            == summary["sim.im_broadcasts"]
 
     def test_profile_fast_forward(self, capsys):
         assert main(["profile", "--arch", "mc-ref", "--samples", "64",
@@ -104,6 +118,18 @@ class TestProfile:
         out = capsys.readouterr().out
         assert "== mc-ref (fast-forward" in out
         assert "probe/stats reconciliation ok" in out
+
+    @pytest.mark.parametrize("option", ["--unbatched",
+                                        "--sample=core.retire=4"])
+    def test_delivery_options_are_gone(self, option, capsys):
+        """The run loops fold the registry, so there is no delivery
+        mode to pick and nothing to decimate."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", option, "--no-manifest"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert any(line.startswith("repro profile: error: ")
+                   for line in err.splitlines()), err
 
 
 class TestWatch:
