@@ -8,7 +8,10 @@ bit-identical across all three, and reports the wall-clock speedups.
 A ``contended`` cell times the serialised run on the same input:
 ulpmc-bank without instruction broadcast, all eight cores waiting on
 one IM bank, reported per retired instruction and against mc-ref's
-exact loop.
+exact loop.  A gated ``desync`` cell times ulpmc-int without data
+broadcast, where the cores desynchronise and contend for banks, on the
+default engine against ``--exact``: the run fails when the default
+engine reads below :data:`DESYNC_FLOOR` of the exact loop's speed.
 
 Each run can be recorded as a ``bench_fast_forward/1`` JSON document
 (``--json``), giving the repo a tracked speed trajectory: CI writes the
@@ -72,6 +75,17 @@ CHECK_ARCHES = ("mc-ref",)
 #: its ratio to mc-ref's exact loop spread 1.60-2.10 within one checkout
 #: on a 2-CPU host, too wide for a 20% gate.
 CONTENDED = ("ulpmc-bank", {"instr_broadcast": False})
+
+#: The desync cell: without data broadcast ulpmc-int's cores read one
+#: shared word in turn, desynchronise and contend for banks, so its
+#: conflict-free cycles alternate with contended ones.  Gated against
+#: the exact loop (not the baseline): the default engine must not lose
+#: there.
+DESYNC = ("ulpmc-int", {"data_broadcast": False})
+
+#: A run, quick or full, fails when the default engine's speed on the
+#: desync cell falls below this fraction of the exact loop's.
+DESYNC_FLOOR = 0.9
 
 #: Default location of the committed quick-geometry baseline.
 BASELINE_PATH = pathlib.Path(__file__).resolve().parent / "baselines" \
@@ -173,25 +187,63 @@ def measure_contended(built, reps: int, mc_ref: dict) -> dict:
     }
 
 
+def measure_desync(built, reps: int) -> dict:
+    """The :data:`DESYNC` run on the default engine and on ``--exact``,
+    alternating, best of ``reps`` (at least three) each.  Each sample
+    times ``run()`` alone, after an untimed ``load()``; both engines
+    must produce one stats digest."""
+    arch, overrides = DESYNC
+    best = {}
+    digests = set()
+    for __ in range(max(3, reps)):
+        for fast_forward in (True, False):
+            system = build_platform(arch, fast_forward=fast_forward,
+                                    **overrides)
+            system.load(built.benchmark)
+            t0 = time.perf_counter()
+            result = system.run()
+            elapsed = time.perf_counter() - t0
+            best[fast_forward] = min(elapsed, best.get(fast_forward,
+                                                       elapsed))
+            digests.add(stats_digest(result.stats))
+    verify_result(built, result)
+    if len(digests) != 1:
+        raise AssertionError(f"{arch} without data broadcast: the default "
+                             "engine's statistics diverged from --exact")
+    return {
+        "arch": arch,
+        "overrides": overrides,
+        "cycles": result.stats.total_cycles,
+        "default_s": best[True],
+        "exact_s": best[False],
+        "speedup_vs_exact": best[False] / best[True],
+        "stats_digest": digests.pop(),
+    }
+
+
 def run_comparison(spec: BenchmarkSpec, reps: int = 1):
-    """The per-arch rows and the contended cell, on one input."""
+    """The per-arch rows and the contended and desync cells, on one
+    input."""
     built = build_benchmark(spec)
     rows = [compare_modes(arch, built, reps) for arch in ARCH_NAMES]
     mc_ref = next(row for row in rows if row["arch"] == "mc-ref")
-    return rows, measure_contended(built, reps, mc_ref)
+    return (rows, measure_contended(built, reps, mc_ref),
+            measure_desync(built, reps))
 
 
-def make_record(rows: list[dict], contended: dict, quick: bool) -> dict:
+def make_record(rows: list[dict], contended: dict, desync: dict,
+                quick: bool) -> dict:
     return {
         "schema": SCHEMA,
         "quick": quick,
         "git_rev": git_revision(),
         "rows": rows,
         "contended": contended,
+        "desync": desync,
     }
 
 
-def report(rows: list[dict], contended: dict) -> None:
+def report(rows: list[dict], contended: dict, desync: dict) -> None:
     print(f"{'arch':<11} {'exact [s]':>9} {'ff [s]':>8} {'blocks [s]':>10} "
           f"{'x exact':>8} {'x ff':>6} {'lockstep':>8} {'traces':>6} "
           f"{'fallbacks':>9}")
@@ -208,6 +260,11 @@ def report(rows: list[dict], contended: dict) -> None:
           f"instruction, {contended['ratio_vs_mc_ref_exact']:.2f}x "
           f"mc-ref's exact loop "
           f"({contended['mc_ref_exact_us_per_instr']:.2f} us)")
+    print(f"desync: {desync['arch']} without data broadcast, "
+          f"{desync['cycles']} cycles: default {desync['default_s']:.3f} s, "
+          f"exact {desync['exact_s']:.3f} s, "
+          f"{desync['speedup_vs_exact']:.2f}x exact "
+          f"(floor {DESYNC_FLOOR:.2f}x)")
 
 
 def check_against_baseline(record: dict, baseline: dict) -> list[str]:
@@ -266,9 +323,9 @@ def main(argv=None) -> int:
     else:
         spec = BenchmarkSpec(huffman_private=True)
     reps = args.reps if args.reps is not None else (5 if args.quick else 1)
-    rows, contended = run_comparison(spec, reps)
-    report(rows, contended)
-    record = make_record(rows, contended, args.quick)
+    rows, contended, desync = run_comparison(spec, reps)
+    report(rows, contended, desync)
+    record = make_record(rows, contended, desync, args.quick)
 
     if args.json:
         args.json.parent.mkdir(parents=True, exist_ok=True)
@@ -301,6 +358,12 @@ def main(argv=None) -> int:
             print(f"OK: speedups within {CHECK_FRACTION:.0%} of baseline "
                   f"{args.check}")
 
+    if desync["speedup_vs_exact"] < DESYNC_FLOOR:
+        print(f"FAIL: the default engine runs {desync['arch']} without "
+              f"data broadcast at {desync['speedup_vs_exact']:.2f}x the "
+              f"exact loop, below the {DESYNC_FLOOR}x floor",
+              file=sys.stderr)
+        return 1
     mc_ref = next(row for row in rows if row["arch"] == "mc-ref")
     if not args.quick \
             and mc_ref["speedup_ff_vs_exact"] < TARGET_SPEEDUP:

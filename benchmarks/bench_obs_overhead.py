@@ -27,9 +27,9 @@ Every ratio is *paired*: each round times all variants back to back
 the median of those per-round ratios, so machine-wide drift cancels
 instead of landing on whichever variant it happened to hit.
 
-Measured on both execution modes of every platform: the fast-forward
-engine amortises its emission checks per stretch, the cycle-stepped
-loop per cycle, so both paths need the guard.
+Measured on both execution modes of every platform: blocks and loop
+traces amortise their emission checks per entry, the other cycles pay
+them per cycle, so both modes need the guard.
 
 Usable both as a script and under pytest-benchmark collection::
 
@@ -81,8 +81,8 @@ WATCH_THRESHOLD = 0.05
 WATCH_WINDOW_CYCLES = DEFAULT_WINDOW_CYCLES
 
 
-#: Minimum duration of one timed sample; short runs are repeated within
-#: the timed region until they reach it, so percentage overheads are not
+#: Minimum duration of one timed sample; short runs are repeated until
+#: their run() time reaches it, so percentage overheads are not
 #: dominated by scheduler jitter.
 MIN_SAMPLE_S = 0.25
 
@@ -97,10 +97,15 @@ def _time_run(built, arch: str, fast_forward: bool, attach_bus: bool,
         elif subscribe == "watch":
             WindowedAggregator.attach(bus,
                                       window_cycles=WATCH_WINDOW_CYCLES)
-    started = time.perf_counter()
+    # Time run() alone: a load before every run is outside the timed
+    # region, where no probe site is.
+    elapsed = 0.0
     for _ in range(inner):
-        system.run(built.benchmark)
-    return (time.perf_counter() - started) / inner
+        system.load(built.benchmark)
+        started = time.perf_counter()
+        system.run()
+        elapsed += time.perf_counter() - started
+    return elapsed / inner
 
 
 def measure(built, arch: str, fast_forward: bool, repeats: int) -> dict:

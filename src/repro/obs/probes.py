@@ -1,16 +1,15 @@
 """The probe bus: named event hooks emitted by the platform simulator.
 
-A :class:`ProbeBus` is a tiny publish/subscribe hub.  The simulator
-(:mod:`repro.platform.multicore`), the fast-forward engine
-(:mod:`repro.platform.fast_forward`) and the streaming driver
+A :class:`ProbeBus` is a tiny publish/subscribe hub.  The simulator's
+cycle loop (:mod:`repro.platform.multicore`) and the streaming driver
 (:mod:`repro.platform.streaming`) emit the events below; subscribers —
 the trace recorder, the telemetry aggregator, ad-hoc lambdas in tests —
 receive them synchronously, in emission order.
 
 Performance contract: emission sites hoist ``bus.wants(event)`` into a
-local boolean *once per run* (or once per fast-forward stretch), so an
-unsubscribed event costs a single local-variable truth test per
-occurrence and an unattached bus costs one ``None`` check per run.  The
+local boolean *once per run*, so an unsubscribed event costs a single
+local-variable truth test per occurrence and an unattached bus costs
+one ``None`` check per run.  The
 guard ``benchmarks/bench_obs_overhead.py`` measures the end-to-end cost
 of an attached-but-idle bus and fails above 5 %.
 
@@ -57,11 +56,13 @@ event              callback signature
 ``dm.broadcast``   ``(cycle, bank, width)`` — same, data side
 ``mmu.translate``  ``(cycle, pid, logical, bank, offset, private)`` — one
                    data-address translation (once per instruction attempt)
-``ff.enter``       ``(cycle)`` — the fast-forward engine takes over at
-                   ``cycle``
-``ff.exit``        ``(cycle, fast_cycles)`` — the engine hands back after
-                   batch-committing ``fast_cycles`` cycles (0 = immediate
-                   fallback)
+``ff.enter``       ``(cycle)`` — the cycle loop starts committing
+                   conflict-free cycles (proven cycles, blocks, loop
+                   traces) at ``cycle``
+``ff.exit``        ``(cycle, fast_cycles)`` — it stops at ``cycle``, after
+                   ``fast_cycles`` of them (0 = the first proof failed):
+                   a rejected proof, a block's conflict exit, a fault
+                   barrier or the end of the run
 ``block.done``     ``(index, stats)`` — the streaming driver finished and
                    verified block ``index``
 ``telemetry.window`` ``(end_cycle, final, retired, stalls, totals)`` —
@@ -148,8 +149,8 @@ class ProbeBus:
         #: Metrics sink: ``None``, or one ``{value: count}`` dict per
         #: :data:`METRIC_HISTOGRAMS` entry, in that order.  Set by
         #: :class:`~repro.obs.metrics.ProbeMetrics` before the run; the
-        #: run loops read it once per run (the engine once per stretch)
-        #: and fold the histograms into it as they commit cycles.
+        #: run loop reads it once per run and folds the histograms into
+        #: it as it commits cycles.
         self.metrics = None
         #: Current 0-based cycle, maintained by the emitting run loop
         #: while the bus is :attr:`observed`.  Lets hooks that fire from

@@ -1,59 +1,33 @@
-"""Conflict-free fast-forward engine for the platform simulator.
+"""Per-load state of the cycle loop's fast-forward shortcuts.
 
-The cycle-stepped loop in :mod:`repro.platform.multicore` pays full
-request/arbitrate/commit machinery every cycle, yet on the evaluated
-workloads the overwhelming majority of cycles are *conflict-free*: every
-request is granted immediately (mc-ref fetches from private banks;
+On the evaluated workloads most cycles are *conflict-free*: every
+request is granted at once (mc-ref fetches from private banks;
 ulpmc-int/-bank fetch in lockstep and broadcast; the MMU keeps private
-data in per-core banks).  In a conflict-free cycle the crossbars make no
-decisions — arbiters are not consulted, nobody stalls — so the cycle's
-entire effect on architectural state and statistics can be computed
-directly.
+data in per-core banks).  :meth:`MultiCoreSystem.run
+<repro.platform.multicore.MultiCoreSystem.run>` proves such cycles from
+the ports its instruction start translated and commits them without
+arbitration, and while the running cores share one PC it commits whole
+translation blocks and loop traces (:mod:`repro.tamarisc.blocks`).
 
-:class:`FastForwardEngine` exploits that: while every running core sits
-at an instruction boundary it previews all memory requests of the next
-cycle, *proves* the cycle conflict-free, and commits every core through
-the decode-cached dispatch table of :mod:`repro.tamarisc.dispatch`.  The
-moment a cycle *could* conflict (two non-mergeable requests meet in one
-bank, or a lockstep broadcast is not available) the engine hands the
-fully-prepared cycle back to the exact cycle-stepped loop, which replays
-it through the real crossbars and round-robin arbiters.
-
-Exactness contract (enforced by ``tests/platform``):
-
-* Architectural state — registers, flags, PCs, data memory — is
-  bit-identical to the reference loop after every cycle.
-* Every :class:`~repro.platform.stats.SimulationStats` field is
-  reconstructed exactly: cycles, per-core retired/stall/halted_at,
-  bank accesses, deliveries, broadcasts and savings, conflict events
-  (always zero in fast cycles, by construction), per-master bank
-  transitions, MMU access mixes and sync cycles.
-* Arbiter pointers are untouched: the reference loop only advances them
-  on conflicts, which the fast path never commits.
-* Error behaviour matches cycle-for-cycle, including the exact messages
-  for running off the program, address-range violations and
-  ``max_cycles`` exhaustion.
-
-The engine batches its statistics in local counters and flushes them
-into the shared crossbar/MMU/system objects when it returns (also on
-exceptions), so a simulation may interleave fast and exact stretches
-freely.
+A :class:`FastForwardEngine` is what those shortcuts keep across a run
+and between stretches: the block and trace records of the loaded
+program, the successor profile that grows traces, and the tier counters
+(``fast_cycles``, ``fallbacks``, ``block_cycles``, ``trace_cycles``,
+``block_entries``, ``trace_entries``) that benchmarks and
+:meth:`~FastForwardEngine.block_summary` report.  ``MultiCoreSystem``
+builds one per load when ``fast_forward`` is on; without it the same
+loop resolves every cycle through the crossbars.
 """
 
 from __future__ import annotations
 
 import weakref
-from operator import attrgetter
 
-from repro.errors import CycleLimitError, SimulationError
-from repro.memory.layout import IMOrganization, PRIVATE_BASE
+from repro.memory.layout import IMOrganization
 from repro.tamarisc import blocks as tblocks
 
 #: Sentinel distinguishing "no cached verdict" from "block unusable".
 _UNSET = object()
-
-#: A core's PC (the metrics sink's sync groups count distinct ones).
-_pc_of = attrgetter("pc")
 
 #: Test-only switches for the engine's two translation tiers, read once
 #: per engine (when ``MultiCoreSystem.load`` builds it).
@@ -84,9 +58,10 @@ TRACE_CHAIN_NUM, TRACE_CHAIN_DEN = 7, 8
 
 
 class FastForwardEngine:
-    """Batch-commits provably conflict-free cycles for one system."""
+    """Block/trace records, successor profile and tier counters of one
+    loaded program on one system (see the module docstring)."""
 
-    def __init__(self, system, compiled, decoded=None, img_hash=None):
+    def __init__(self, system, decoded, img_hash):
         # Weak: the system owns its engine.  A strong back-reference
         # makes every system a reference cycle that only the cyclic
         # collector frees; the run loops allocate little, so it seldom
@@ -95,39 +70,14 @@ class FastForwardEngine:
         self._system = weakref.ref(system)
         config = system.config
         n = config.n_cores
-        self.n = n
-        self.compiled = compiled
         self.im_private = config.im_org == IMOrganization.PRIVATE
-        self.im_interleaved = config.im_org == IMOrganization.INTERLEAVED
-        self.im_banks = config.im_banks
-        self.im_bank_words = config.im_bank_words
-        self.instr_broadcast = config.instr_broadcast
-        self.data_broadcast = config.data_broadcast
         dm = system.dm_layout
-        self.dm_banks_n = dm.banks
-        self.dm_layout = dm
-        self.shared_words = dm.shared_words
-        self.swb = dm.shared_words_per_bank
-        self.pwb = dm.private_words_per_bank
-        self.pwc = dm.private_words_per_core
         self.core_banks = [dm.core_banks(i) for i in range(n)]
-        # Per-core arrays, reused every cycle.  All but ``_im_bank`` are
-        # the system's in-flight instruction state: the engine only
-        # writes them while every core sits at an instruction boundary,
-        # and a conflict fallback leaves the prepared cycle in them for
-        # the cycle loop (which then only stages the ports).
-        self._handlers = system._handlers
-        self._dr_bank = system._dr_bank
-        self._dr_off = system._dr_off
-        self._dw_bank = system._dw_bank
-        self._dw_off = system._dw_off
-        self._im_bank = [0] * n
         # Diagnostics (not part of SimulationStats).
         self.fast_cycles = 0
         self.fallbacks = 0
         # ---- translation-block layer (see repro.tamarisc.blocks) ----
-        self._blocks = TRANSLATION_BLOCKS \
-            and decoded is not None and img_hash is not None
+        self._blocks = TRANSLATION_BLOCKS
         self._decoded = decoded
         self._img_hash = img_hash
         # Blocks batch whole lockstep stretches, so they are only legal
@@ -135,9 +85,11 @@ class FastForwardEngine:
         # private I-banks or an instruction broadcast bus.  Without
         # either, single-core stretches still qualify.
         self._blocks_static = self._blocks \
-            and (self.im_private or self.instr_broadcast)
-        self._block_env = (self.pwc, self.pwb, self.swb, self.shared_words,
-                           self.dm_banks_n, self.data_broadcast)
+            and (self.im_private or config.instr_broadcast)
+        self._block_env = (dm.private_words_per_core,
+                           dm.private_words_per_bank,
+                           dm.shared_words_per_bank, dm.shared_words,
+                           dm.banks, config.data_broadcast)
         self._block_recs: dict[int, object] = {}
         # Position-indexed scratch for the generated memory phases.
         self._brb = [0] * n
@@ -168,8 +120,8 @@ class FastForwardEngine:
         """Build (and cache) the execution record for the block at ``pc``.
 
         Returns ``None`` when the block cannot be fused (first
-        instruction unsupported); the advance loop then keeps using the
-        per-cycle path for that PC.
+        instruction unsupported); the cycle loop then keeps proving
+        that PC's cycles one at a time.
         """
         # Count per-engine installations, not global-cache misses: the
         # process-wide block cache outlives the run, so a freshness-based
@@ -182,21 +134,19 @@ class FastForwardEngine:
         if block.total == 0:
             self._block_recs[pc] = None
             return None
+        system = self._system()
         run_fast, run_obs = block.build(
-            self._block_env, self.dm_layout, self.core_banks,
-            [bank.storage for bank in self._system().dmem.banks],
+            self._block_env, system.dm_layout, self.core_banks,
+            [bank.storage for bank in system.dmem.banks],
             self._brb, self._bro, self._bwb, self._bwo,
-            self._dr_bank, self._dr_off, self._dw_bank, self._dw_off)
+            system._dr_bank, system._dr_off, system._dw_bank,
+            system._dw_off)
         if self.im_private:
             fb_seq = None
             fb_cum = None
         else:
-            if self.im_interleaved:
-                fb_seq = tuple((pc + t) % self.im_banks
-                               for t in range(block.total))
-            else:
-                fb_seq = tuple((pc + t) // self.im_bank_words
-                               for t in range(block.total))
+            locate = system.im_layout.locate
+            fb_seq = tuple(locate(0, pc + t)[0] for t in range(block.total))
             # fb_cum[j]: bank transitions *inside* the first j+1 fetches.
             fb_cum = [0] * block.total
             for t in range(1, block.total):
@@ -206,7 +156,7 @@ class FastForwardEngine:
         self._block_recs[pc] = record
         return record
 
-    def _block_for_trace(self, pc):
+    def _block_at(self, pc):
         """The block record at ``pc`` (building it if needed), or None."""
         rec = self._block_recs.get(pc, _UNSET)
         if rec is _UNSET:
@@ -225,7 +175,7 @@ class FastForwardEngine:
             if pc in seen or len(chain) >= tblocks.MAX_TRACE_BLOCKS:
                 return False
             seen.add(pc)
-            rec = self._block_for_trace(pc)
+            rec = self._block_at(pc)
             if rec is None or rec[0].terminator != "br":
                 return False
             block = rec[0]
@@ -264,7 +214,7 @@ class FastForwardEngine:
         so the attempt is never repeated; thin profile data just waits
         for more entries.
         """
-        rec = self._block_for_trace(start)
+        rec = self._block_at(start)
         if rec is None or rec[0].terminator != "br":
             self._trace_tried.add(start)
             return None
@@ -322,7 +272,7 @@ class FastForwardEngine:
         trace = tblocks.build_trace(anchor, arms_spec, percore_regs,
                                     percore_flags)
         run = None if trace is None else trace.build(
-            self._block_env, self.dm_layout, self.core_banks,
+            self._block_env, system.dm_layout, self.core_banks,
             [bank.storage for bank in system.dmem.banks])
         if run is None:  # rejected shape, or no uniform plan
             self._trace_tried.add(start)
@@ -333,12 +283,9 @@ class FastForwardEngine:
         else:
             arm_consts = []
             fb0 = None
+            locate = system.im_layout.locate
             for index in range(len(trace.arms)):
-                pcs = trace.arm_pcs(index)
-                if self.im_interleaved:
-                    fb_seq = [p % self.im_banks for p in pcs]
-                else:
-                    fb_seq = [p // self.im_bank_words for p in pcs]
+                fb_seq = [locate(0, p)[0] for p in trace.arm_pcs(index)]
                 if fb0 is None:
                     fb0 = fb_seq[0]
                 internal = sum(fb_seq[t] != fb_seq[t - 1]
@@ -372,694 +319,3 @@ class FastForwardEngine:
             "trace_entries": self.trace_entries,
             "trace_cycles": self.trace_cycles,
         }
-
-    def advance(self, running, core_stats, cycle, sync_cycles,
-                max_cycles, barrier=None):
-        """Commit conflict-free cycles until a potential conflict or halt.
-
-        Preconditions: every core in ``running`` sits at an instruction
-        boundary (no latched partial grants).  On a potential conflict
-        the cycle is *not* consumed: every running core's handler and
-        translated data ports are left in the system's in-flight arrays
-        (MMU accounting applied, exactly as the loop's own instruction
-        start would) and the caller's cycle loop replays the cycle
-        through the crossbars.  Returns the updated ``(cycle,
-        sync_cycles, handed_back)``; ``handed_back`` says the next
-        cycle is prepared that way.  Otherwise every core is at an
-        instruction boundary.
-
-        ``barrier`` (when not None) is a cycle the engine must not
-        commit past: the call returns exactly at ``cycle >= barrier``
-        with every core at an instruction boundary, so the caller can
-        mutate architectural state (fault injection) and re-enter.
-        """
-        system = self._system()
-        cores = system.cores
-        compiled = self.compiled
-        program_len = len(compiled)
-        dbanks = system.dmem.banks
-        layout = self.dm_layout
-        cbanks = self.core_banks
-        n = self.n
-        im_private = self.im_private
-        im_interleaved = self.im_interleaved
-        im_banks = self.im_banks
-        im_bank_words = self.im_bank_words
-        instr_broadcast = self.instr_broadcast
-        data_broadcast = self.data_broadcast
-        shared_words = self.shared_words
-        dbn = self.dm_banks_n
-        swb = self.swb
-        pwb = self.pwb
-        pwc = self.pwc
-
-        handlers = self._handlers
-        dr_bank = self._dr_bank
-        dr_off = self._dr_off
-        dw_bank = self._dw_bank
-        dw_off = self._dw_off
-        im_bank = self._im_bank
-
-        # Observability: per-cycle events are synthesised here so a
-        # probed run sees the identical event stream in either execution
-        # mode (the trace/metric differential tests enforce this).  All
-        # flags are hoisted once per stretch; runs without a per-event
-        # subscriber pay only these local-boolean checks.  A metrics
-        # sink (ProbeBus.metrics) gets blocks and traces as constants
-        # and every other cycle's broadcasts and sync group one entry
-        # each, except the multi-core lockstep ones: the cycle loop
-        # adds the run's sync_cycles to size 1 when it returns.
-        bus = system.probes
-        observing = bus is not None and bus.observed
-        p_retire = observing and bus.wants("core.retire")
-        p_mmu = observing and bus.wants("mmu.translate")
-        p_im_bc = observing and bus.wants("im.broadcast")
-        p_dm_bc = observing and bus.wants("dm.broadcast")
-        p_ff = observing and bus.wants("ff.exit")
-        emit = bus.emit if observing else None
-        if observing and bus.wants("ff.enter"):
-            bus.emit("ff.enter", cycle)
-        sink = bus.metrics if bus is not None else None
-        groups = im_width = dm_width = None
-        if sink is not None:
-            groups, _, im_width, dm_width = sink
-        entered_at = cycle
-
-        # Local stat accumulators, flushed on every exit path.
-        im_acc = im_del = im_bc = im_sv = 0
-        dm_acc = dm_del = dm_bc = dm_sv = 0
-        dreads = dwrites = 0
-        itrans = [0] * n
-        dtrans = [0] * n
-        ilast = list(system.ixbar._last_bank)
-        dlast = list(system.dxbar._last_bank)
-        mmu_t = [0] * n
-        mmu_p = [0] * n
-        mmu_s = [0] * n
-
-        # Translation-block layer locals.
-        blocks_any = self._blocks
-        blocks_static = self._blocks_static
-        block_recs = self._block_recs
-        # Loop-trace locals.  Profiling (successor edges, per-PC entry
-        # counts) and trace execution run whenever no per-event
-        # subscriber is attached: those must keep receiving the
-        # per-cycle event stream.
-        profiling = blocks_any and self._traces and not observing
-        trace_recs = self._trace_recs
-        succ = self._succ
-        pc_entries = self._pc_entries
-        succ_pc = -1
-        succ_cycle = -1
-        # After a successful trace run the PC is back at the anchor but
-        # the *next* iteration is exactly the one that bailed, so an
-        # immediate re-entry would be a guaranteed decline.  Skip one
-        # attempt; any other block entry re-arms the trace.
-        trace_skip = -1
-        # Slots 0-5 are batched DM stats, 6 the fault-offset channel,
-        # 7 the conflict-offset channel (offset *within* the block; the
-        # return value alone cannot flag conflicts once self-looping
-        # blocks commit several iterations per call), 8-10 the trace
-        # layer's per-call arm report (iterations per arm, last
-        # committed arm) for fetch-transition accounting.
-        bacc = [0, 0, 0, 0, 0, 0, -1, -1, 0, 0, 0]
-
-        run_list = sorted(running)
-        run_cores = [cores[pid] for pid in run_list]
-        limit = max_cycles if barrier is None \
-            else (barrier if barrier < max_cycles else max_cycles)
-        # Telemetry windowing: every commit path that reaches ``edge``,
-        # the next multiple of ``win``, emits the boundary snapshot.
-        # Block and trace budgets are capped at it (``cap``), so an edge
-        # is always hit exactly, never jumped over.
-        win = bus.window_cycles if bus is not None else 0
-        edge = -1
-        cap = limit
-        if win and bus.wants("telemetry.window"):
-            edge = cycle - cycle % win + win
-            if edge < cap:
-                cap = edge
-        try:
-            while run_list:
-                if barrier is not None and cycle >= barrier:
-                    return cycle, sync_cycles, False
-                if cycle >= max_cycles:
-                    raise CycleLimitError(
-                        f"benchmark {system.benchmark.name!r} did not "
-                        f"finish within {max_cycles} cycles on "
-                        f"{system.config.name}")
-
-                n_run = len(run_list)
-
-                # ---- translation-block fast path ----
-                # When every running core sits at the same PC (or one
-                # core runs free) the whole straight-line block starting
-                # there commits in a single specialised call.  Within
-                # the block every cycle is a lockstep fetch by
-                # construction; divergence can only happen at the
-                # terminator, after which this check simply fails and
-                # the per-cycle machinery takes over.
-                if blocks_static or (blocks_any and n_run == 1):
-                    first_pc = run_cores[0].pc
-                    entering = first_pc < program_len
-                    if entering and n_run > 1:
-                        for core in run_cores:
-                            if core.pc != first_pc:
-                                entering = False
-                                break
-                    # ---- loop-trace fast path ----
-                    # A registered trace at this PC commits whole loop
-                    # iterations, computing each once for all cores; it
-                    # declines (j == 0) when the cores enter with
-                    # differing uniform-classified state or the very
-                    # first iteration leaves the traced path, leaving
-                    # state untouched for the block path below.
-                    # Committed iterations are all-lockstep and
-                    # conflict-free by construction, so the statistics
-                    # fold to compile-time constants times the
-                    # iteration count.
-                    if profiling and entering \
-                            and first_pc != trace_skip:
-                        trace_skip = -1
-                        trec = trace_recs.get(first_pc)
-                        if trec is not None \
-                                and cycle + trec[1] <= cap:
-                            self.trace_entries += 1
-                            trec[4] += 1
-                            if sink is not None:
-                                dm_before = bacc[2]
-                            j = trec[0](run_cores, mmu_t, mmu_p, mmu_s,
-                                        dlast, dtrans, bacc,
-                                        cap - cycle)
-                            if j:
-                                cycle += j
-                                self.fast_cycles += j
-                                self.trace_cycles += j
-                                if n_run > 1:
-                                    sync_cycles += j
-                                    # Every shared read of the trace
-                                    # is one n_run-wide DM broadcast.
-                                    if sink is not None \
-                                            and bacc[2] != dm_before:
-                                        dm_width[n_run] = \
-                                            dm_width.get(n_run, 0) \
-                                            + bacc[2] - dm_before
-                                elif sink is not None:
-                                    groups[1] = groups.get(1, 0) + j
-                                im_del += j * n_run
-                                if trec[2] is None:  # private I-banks
-                                    im_acc += j * n_run
-                                    for pid in run_list:
-                                        last = ilast[pid]
-                                        if last is not None \
-                                                and last != pid:
-                                            itrans[pid] += 1
-                                        ilast[pid] = pid
-                                else:
-                                    im_acc += j
-                                    if n_run > 1:
-                                        im_bc += j
-                                        im_sv += j * (n_run - 1)
-                                        if sink is not None:
-                                            im_width[n_run] = \
-                                                im_width.get(n_run, 0) + j
-                                    # Per-arm iteration counts (and
-                                    # the last arm run) reported by
-                                    # the generated code; fetch-bank
-                                    # transitions fold from per-arm
-                                    # constants.  The wrap between
-                                    # consecutive iterations counts on
-                                    # the *earlier* iteration's arm,
-                                    # and the final iteration has no
-                                    # following wrap.
-                                    it_a = bacc[8]
-                                    it_b = bacc[9]
-                                    arm_a, arm_b = trec[3]
-                                    delta_base = \
-                                        arm_a[0] * it_a \
-                                        + arm_b[0] * it_b \
-                                        + arm_a[1] * it_a \
-                                        + arm_b[1] * it_b
-                                    if bacc[10]:
-                                        delta_base -= arm_a[1]
-                                        fbl = arm_a[2]
-                                    else:
-                                        delta_base -= arm_b[1]
-                                        fbl = arm_b[2]
-                                    fb0 = trec[2]
-                                    for pid in run_list:
-                                        last = ilast[pid]
-                                        delta = delta_base
-                                        if last is not None \
-                                                and last != fb0:
-                                            delta += 1
-                                        if delta:
-                                            itrans[pid] += delta
-                                        ilast[pid] = fbl
-                                if cycle == edge:
-                                    system._emit_window(
-                                        bus, cycle, False, sync_cycles,
-                                        core_stats, im_bc, im_sv,
-                                        dm_bc + bacc[2], dm_sv + bacc[3],
-                                        mmu_p, mmu_s)
-                                    edge += win
-                                    cap = edge if edge < limit else limit
-                                succ_pc = -1
-                                trace_skip = first_pc
-                                continue
-                            trec[5] += 1
-                            if trec[5] * 4 > trec[4] + 8:
-                                # Thrashing trace: the loop no longer
-                                # behaves as profiled.  Drop it and
-                                # block rebuilds at this anchor.
-                                del trace_recs[first_pc]
-                                self._trace_tried.add(first_pc)
-                    if entering:
-                        rec = block_recs.get(first_pc, _UNSET)
-                        if rec is _UNSET:
-                            rec = self._block_record(first_pc)
-                        if rec is not None and cycle + rec[1] <= cap:
-                            # rec = (block, total, run_fast, run_obs,
-                            #        handlers, fb_seq, fb_cum, halts)
-                            self.block_entries += 1
-                            if profiling:
-                                count = pc_entries.get(first_pc, 0) + 1
-                                pc_entries[first_pc] = count
-                                if count % TRACE_ENTRY_THRESHOLD == 0 \
-                                        and first_pc not in trace_recs \
-                                        and first_pc not in \
-                                        self._trace_tried:
-                                    self._build_trace(first_pc)
-                            total = rec[1]
-                            bacc[6] = -1
-                            bacc[7] = -1
-                            raise_exc = None
-                            try:
-                                if observing:
-                                    j = rec[3](run_cores, mmu_t, mmu_p,
-                                               mmu_s, dlast, dtrans,
-                                               bacc, cycle, emit, p_mmu,
-                                               p_dm_bc, dm_width)
-                                else:
-                                    j = rec[2](run_cores, mmu_t, mmu_p,
-                                               mmu_s, dlast, dtrans,
-                                               bacc, cap - cycle,
-                                               dm_width)
-                            except SimulationError as exc:
-                                # Address fault at block offset
-                                # bacc[6]: the generated code already
-                                # patched PC/retired; account for the
-                                # committed prefix, then re-raise.
-                                j = bacc[6]
-                                if j <= 0:
-                                    raise
-                                raise_exc = exc
-                            if j:
-                                cycle_before = cycle
-                                cycle += j
-                                self.fast_cycles += j
-                                self.block_cycles += j
-                                if n_run > 1:
-                                    sync_cycles += j
-                                elif sink is not None:
-                                    groups[1] = groups.get(1, 0) + j
-                                if p_retire:
-                                    for t in range(j):
-                                        cy = cycle_before + t
-                                        pc_t = first_pc + t
-                                        for pid in run_list:
-                                            bus.emit("core.retire", cy,
-                                                     pid, pc_t)
-                                im_del += j * n_run
-                                fb_seq = rec[5]
-                                if fb_seq is None:  # private I-banks
-                                    im_acc += j * n_run
-                                    for pid in run_list:
-                                        last = ilast[pid]
-                                        if last is not None \
-                                                and last != pid:
-                                            itrans[pid] += 1
-                                        ilast[pid] = pid
-                                else:
-                                    im_acc += j
-                                    if n_run > 1:
-                                        im_bc += j
-                                        im_sv += j * (n_run - 1)
-                                        if sink is not None:
-                                            im_width[n_run] = \
-                                                im_width.get(n_run, 0) + j
-                                        if p_im_bc:
-                                            for t in range(j):
-                                                bus.emit(
-                                                    "im.broadcast",
-                                                    cycle_before + t,
-                                                    fb_seq[t], n_run)
-                                    if j <= total:
-                                        internal = rec[6][j - 1]
-                                        fbj = fb_seq[j - 1]
-                                    else:
-                                        # Self-looping block: q full
-                                        # iterations plus an r-cycle
-                                        # prefix; fetch banks repeat
-                                        # fb_seq cyclically, with one
-                                        # extra transition per wrap iff
-                                        # last and first banks differ.
-                                        q, r = divmod(j, total)
-                                        starts = q + (1 if r else 0)
-                                        internal = q * rec[6][total - 1] \
-                                            + (rec[6][r - 1] if r else 0) \
-                                            + (starts - 1) \
-                                            * (fb_seq[total - 1]
-                                               != fb_seq[0])
-                                        fbj = fb_seq[(j - 1) % total]
-                                    fb0 = fb_seq[0]
-                                    for pid in run_list:
-                                        last = ilast[pid]
-                                        delta = internal
-                                        if last is not None \
-                                                and last != fb0:
-                                            delta += 1
-                                        if delta:
-                                            itrans[pid] += delta
-                                        ilast[pid] = fbj
-                            if raise_exc is not None:
-                                raise raise_exc
-                            if cycle == edge:
-                                # Emit before any conflict return hands
-                                # control back to the exact loop.
-                                system._emit_window(
-                                    bus, cycle, False, sync_cycles,
-                                    core_stats, im_bc, im_sv,
-                                    dm_bc + bacc[2], dm_sv + bacc[3],
-                                    mmu_p, mmu_s)
-                                edge += win
-                                cap = edge if edge < limit else limit
-                            conflict_at = bacc[7]
-                            if conflict_at >= 0:
-                                # Potential bank conflict at that block
-                                # offset: the generated code filled the
-                                # pid-indexed data ports; hand the cycle
-                                # back like the per-cycle fallback below.
-                                handler = rec[4][conflict_at]
-                                for pid in run_list:
-                                    handlers[pid] = handler
-                                self.fallbacks += 1
-                                self.block_conflicts += 1
-                                return cycle, sync_cycles, True
-                            if profiling and j:
-                                # Successor profile: back-to-back block
-                                # entries (no per-cycle stretch in
-                                # between) are the edges a loop trace
-                                # may cross.  Conflicts and faults
-                                # returned/raised above, so j is a
-                                # whole number of block executions
-                                # ending at the terminator here.
-                                if succ_pc >= 0 \
-                                        and succ_cycle == cycle_before:
-                                    edges = succ.get(succ_pc)
-                                    if edges is None:
-                                        edges = succ[succ_pc] = {}
-                                    edges[first_pc] = \
-                                        edges.get(first_pc, 0) + 1
-                                succ_pc = first_pc
-                                succ_cycle = cycle
-                            if rec[7]:  # HLT terminator
-                                for pid in run_list:
-                                    core_stats[pid].halted_at = cycle
-                                    running.discard(pid)
-                                run_list = []
-                                run_cores = []
-                            continue
-
-                # ---- preview: addresses, translation, conflict proof ----
-                conflict = False
-                n_run = len(run_list)
-                dm_map = {}
-                dm_count = 0
-                first_pc = cores[run_list[0]].pc
-                lockstep = True
-                for pid in run_list:
-                    core = cores[pid]
-                    pc = core.pc
-                    if pc >= program_len:
-                        raise SimulationError(
-                            f"core {core.pid} ran off the program "
-                            f"at PC {pc:#x}")
-                    if pc != first_pc:
-                        lockstep = False
-                    handler = compiled[pc]
-                    handlers[pid] = handler
-                    preview = handler.preview
-                    if preview is None:
-                        dr_bank[pid] = -1
-                        dw_bank[pid] = -1
-                        continue
-                    ra, wa = preview(core.regs)
-                    if ra is not None:
-                        mmu_t[pid] += 1
-                        if ra >= PRIVATE_BASE:
-                            mmu_p[pid] += 1
-                            off = ra - PRIVATE_BASE
-                            if off >= pwc:
-                                layout.translate(pid, ra)  # exact raise
-                            rb = cbanks[pid][off // pwb]
-                            ro = swb + off % pwb
-                        else:
-                            mmu_s[pid] += 1
-                            if ra >= shared_words:
-                                layout.translate(pid, ra)  # exact raise
-                            rb = ra % dbn
-                            ro = ra // dbn
-                        dr_bank[pid] = rb
-                        dr_off[pid] = ro
-                        if p_mmu:
-                            bus.emit("mmu.translate", cycle, pid, ra, rb,
-                                     ro, ra >= PRIVATE_BASE)
-                        dm_count += 1
-                        entry = dm_map.get(rb)
-                        if entry is None:
-                            dm_map[rb] = [ro, 1, False]
-                        elif entry[2] or entry[0] != ro \
-                                or not data_broadcast:
-                            conflict = True
-                        else:
-                            entry[1] += 1
-                    else:
-                        dr_bank[pid] = -1
-                    if wa is not None:
-                        mmu_t[pid] += 1
-                        if wa >= PRIVATE_BASE:
-                            mmu_p[pid] += 1
-                            off = wa - PRIVATE_BASE
-                            if off >= pwc:
-                                layout.translate(pid, wa)  # exact raise
-                            wb = cbanks[pid][off // pwb]
-                            wo = swb + off % pwb
-                        else:
-                            mmu_s[pid] += 1
-                            if wa >= shared_words:
-                                layout.translate(pid, wa)  # exact raise
-                            wb = wa % dbn
-                            wo = wa // dbn
-                        dw_bank[pid] = wb
-                        dw_off[pid] = wo
-                        if p_mmu:
-                            bus.emit("mmu.translate", cycle, pid, wa, wb,
-                                     wo, wa >= PRIVATE_BASE)
-                        dm_count += 1
-                        if wb in dm_map:
-                            conflict = True  # writes never merge
-                        else:
-                            dm_map[wb] = [wo, 0, True]
-                    else:
-                        dw_bank[pid] = -1
-
-                # ---- instruction-side conflict proof ----
-                im_map = None
-                if im_private:
-                    pass  # one private bank per core: conflict-free
-                elif lockstep:
-                    if n_run > 1 and not instr_broadcast:
-                        conflict = True
-                    if im_interleaved:
-                        fb = first_pc % im_banks
-                    else:
-                        fb = first_pc // im_bank_words
-                else:
-                    im_map = {}
-                    for pid in run_list:
-                        pc = cores[pid].pc
-                        if im_interleaved:
-                            bank = pc % im_banks
-                            off = pc // im_banks
-                        else:
-                            bank = pc // im_bank_words
-                            off = pc % im_bank_words
-                        im_bank[pid] = bank
-                        entry = im_map.get(bank)
-                        if entry is None:
-                            im_map[bank] = [off, 1]
-                        elif entry[0] != off or not instr_broadcast:
-                            conflict = True
-                        else:
-                            entry[1] += 1
-
-                if conflict:
-                    # Hand the prepared cycle to the exact loop.  MMU
-                    # accounting already happened above (once per
-                    # attempt); the loop stages the prepared ports
-                    # instead of starting the instructions itself.
-                    self.fallbacks += 1
-                    return cycle, sync_cycles, True
-
-                # ---- commit the proven conflict-free cycle ----
-                cycle += 1
-                self.fast_cycles += 1
-                if lockstep and n_run > 1:
-                    sync_cycles += 1
-                elif sink is not None:
-                    # One core, or distinct PCs (a shared IM committed
-                    # one offset per bank, so its banks count them).
-                    if lockstep:
-                        size = 1
-                    elif im_map is None:
-                        size = len(set(map(_pc_of, run_cores)))
-                    else:
-                        size = len(im_map)
-                    groups[size] = groups.get(size, 0) + 1
-
-                im_del += n_run
-                if im_private:
-                    im_acc += n_run
-                    for pid in run_list:
-                        last = ilast[pid]
-                        if last is not None and last != pid:
-                            itrans[pid] += 1
-                        ilast[pid] = pid
-                elif lockstep:
-                    im_acc += 1
-                    if n_run > 1:
-                        im_bc += 1
-                        im_sv += n_run - 1
-                        if sink is not None:
-                            im_width[n_run] = im_width.get(n_run, 0) + 1
-                        if p_im_bc:
-                            bus.emit("im.broadcast", cycle - 1, fb, n_run)
-                    for pid in run_list:
-                        last = ilast[pid]
-                        if last is not None and last != fb:
-                            itrans[pid] += 1
-                        ilast[pid] = fb
-                else:
-                    im_acc += len(im_map)
-                    for bank_id, entry in im_map.items():
-                        count = entry[1]
-                        if count > 1:
-                            im_bc += 1
-                            im_sv += count - 1
-                            if sink is not None:
-                                im_width[count] = im_width.get(count, 0) + 1
-                            if p_im_bc:
-                                bus.emit("im.broadcast", cycle - 1,
-                                         bank_id, count)
-                    for pid in run_list:
-                        bank = im_bank[pid]
-                        last = ilast[pid]
-                        if last is not None and last != bank:
-                            itrans[pid] += 1
-                        ilast[pid] = bank
-
-                if dm_count:
-                    dm_del += dm_count
-                    dm_acc += len(dm_map)
-                    for bank_id, entry in dm_map.items():
-                        count = entry[1]
-                        if count > 1:
-                            dm_bc += 1
-                            dm_sv += count - 1
-                            if sink is not None:
-                                dm_width[count] = dm_width.get(count, 0) + 1
-                            if p_dm_bc:
-                                bus.emit("dm.broadcast", cycle - 1,
-                                         bank_id, count)
-
-                halted_any = False
-                for pid in run_list:
-                    core = cores[pid]
-                    if p_retire:
-                        bus.emit("core.retire", cycle - 1, pid, core.pc)
-                    rb = dr_bank[pid]
-                    if rb >= 0:
-                        value = dbanks[rb].storage[dr_off[pid]]
-                        dreads += 1
-                        last = dlast[pid]
-                        if last is not None and last != rb:
-                            dtrans[pid] += 1
-                        dlast[pid] = rb
-                    else:
-                        value = None
-                    store = handlers[pid].commit(core, value)
-                    wb = dw_bank[pid]
-                    if wb >= 0:
-                        last = dlast[pid]
-                        if last is not None and last != wb:
-                            dtrans[pid] += 1
-                        dlast[pid] = wb
-                        if store is not None:
-                            dbanks[wb].storage[dw_off[pid]] = \
-                                store[1] & 0xFFFF
-                            dwrites += 1
-                    if core.halted:
-                        core_stats[pid].halted_at = cycle
-                        running.discard(pid)
-                        halted_any = True
-                if halted_any:
-                    run_list = [pid for pid in run_list
-                                if not cores[pid].halted]
-                    run_cores = [cores[pid] for pid in run_list]
-                if cycle == edge:
-                    system._emit_window(
-                        bus, cycle, False, sync_cycles, core_stats,
-                        im_bc, im_sv, dm_bc + bacc[2], dm_sv + bacc[3],
-                        mmu_p, mmu_s)
-                    edge += win
-                    cap = edge if edge < limit else limit
-            return cycle, sync_cycles, False
-        finally:
-            # Fold the generated blocks' accumulator array into the
-            # stretch counters (slot 6 is the fault-offset channel).
-            dm_acc += bacc[0]
-            dm_del += bacc[1]
-            dm_bc += bacc[2]
-            dm_sv += bacc[3]
-            dreads += bacc[4]
-            dwrites += bacc[5]
-            if p_ff:
-                bus.emit("ff.exit", cycle, cycle - entered_at)
-            ix = system.ixbar.stats
-            ix.bank_accesses += im_acc
-            ix.deliveries += im_del
-            ix.broadcasts += im_bc
-            ix.broadcast_savings += im_sv
-            transitions = ix.bank_transitions
-            for pid in range(n):
-                if itrans[pid]:
-                    transitions[pid] = transitions.get(pid, 0) + itrans[pid]
-            system.ixbar._last_bank[:] = ilast
-            dx = system.dxbar.stats
-            dx.bank_accesses += dm_acc
-            dx.deliveries += dm_del
-            dx.broadcasts += dm_bc
-            dx.broadcast_savings += dm_sv
-            transitions = dx.bank_transitions
-            for pid in range(n):
-                if dtrans[pid]:
-                    transitions[pid] = transitions.get(pid, 0) + dtrans[pid]
-            system.dxbar._last_bank[:] = dlast
-            for pid in range(n):
-                if mmu_t[pid]:
-                    mmu = system.mmus[pid]
-                    mmu.private_accesses += mmu_p[pid]
-                    mmu.shared_accesses += mmu_s[pid]
-            system._dreads_committed += dreads
-            system._dwrites_committed += dwrites

@@ -19,15 +19,23 @@ A contended cycle thus costs what changes in it, not what is still
 waiting: waiting cores are not walked, and their stall cycles settle
 lazily, from the retire counts, at window edges and at the run's end.
 
+:meth:`MultiCoreSystem.run` is one loop with two shortcuts, taken by a
+cycle that starts with no port staged: a translation block or loop trace
+(:mod:`repro.tamarisc.blocks`) while the running cores share one PC,
+else a proof that the started ports are conflict-free (one access, or
+one same-offset broadcast group, per bank), which commits the cycle
+without arbitration.  A rejected proof, or a block's conflict exit,
+stages the ports it translated.  ``--exact`` runs the loop without
+shortcuts (see :mod:`repro.platform.fast_forward`).
+
 Because instruction and data *contents* are deterministic, functional
 transfer happens at commit time; the crossbars only decide timing and
 count activity.  Addresses are stable across stalls because registers are
 frozen while a core stalls (a property test asserts preview == commit).
 
 Instructions execute through the decode-cached dispatch table of
-:mod:`repro.tamarisc.dispatch` — the same handlers the fast-forward
-engine commits with — and data addresses translate inline with the
-memory-layout constants hoisted, so a cycle allocates no per-request
+:mod:`repro.tamarisc.dispatch`, and data addresses translate inline with
+the memory-layout constants hoisted, so a cycle allocates no per-request
 objects.  The independent oracle for instruction semantics is the
 generic operand walk of :class:`~repro.tamarisc.cpu.Core`, which the
 single-core ISS runs (``tests/tamarisc`` cross-checks every platform
@@ -46,6 +54,7 @@ from repro.memory.banked_memory import BankedMemory
 from repro.memory.layout import PRIVATE_BASE, IMOrganization
 from repro.memory.mmu import MMU
 from repro.platform.config import ArchConfig, build_config
+from repro.platform import fast_forward
 from repro.platform.fast_forward import FastForwardEngine
 from repro.platform.stats import CoreStats, SimulationStats
 from repro.tamarisc.blocks import image_hash
@@ -167,17 +176,15 @@ class SimulationResult:
 class MultiCoreSystem:
     """One platform instance: cores, MMUs, crossbars and memories.
 
-    ``fast_forward`` enables the conflict-free fast-forward execution
-    mode (:mod:`repro.platform.fast_forward`): provably conflict-free
-    cycles are batch-committed without consulting the crossbars,
-    falling back to the exact cycle-stepped loop whenever a potential
-    bank conflict is detected.  Results — architectural state and every
-    :class:`SimulationStats` field — are bit-identical in either mode
-    (the differential suite in ``tests/platform`` enforces this), so
-    the fast path is the default and ``fast_forward=False`` selects the
-    exact loop as the oracle.  The fast path routes lockstep
-    stretches through cached basic-block translations and loop traces
-    (:mod:`repro.tamarisc.blocks`) under the same bit-identity contract.
+    ``fast_forward`` turns on the cycle loop's shortcuts (see
+    :meth:`run` and :mod:`repro.platform.fast_forward`): provably
+    conflict-free cycles commit without consulting the crossbars, and
+    lockstep stretches run through cached basic-block translations and
+    loop traces (:mod:`repro.tamarisc.blocks`).  Results — architectural
+    state and every :class:`SimulationStats` field — are bit-identical
+    either way (the differential suite in ``tests/platform`` enforces
+    this), so the shortcuts are the default and ``fast_forward=False``
+    runs the same loop without them as the oracle.
     """
 
     def __init__(self, config: ArchConfig | str, fast_forward: bool = True):
@@ -201,15 +208,10 @@ class MultiCoreSystem:
         self.decoded = []
         #: Dispatch table of the loaded program (one handler per PC).
         self.compiled = []
-        # In-flight instruction state, PID-indexed and shared with the
-        # fast-forward engine, which fills it when it hands a cycle back
-        # to the cycle loop: the PC each instruction was fetched from
-        # (latched: a fault may move ``core.pc`` while the fetch stalls;
-        # -1 once the core halted), its handler and its translated data
-        # read/write (bank -1: none).
+        # Each in-flight instruction's translated data read/write,
+        # PID-indexed (bank -1: none).  Translation blocks bind these
+        # arrays and fill them at a conflict exit.
         n = config.n_cores
-        self._fetch_pc = [0] * n
-        self._handlers = [None] * n
         self._dr_bank = [-1] * n
         self._dr_off = [0] * n
         self._dw_bank = [-1] * n
@@ -282,9 +284,7 @@ class MultiCoreSystem:
         self._dreads_committed = 0
         self._dwrites_committed = 0
         if self.fast_forward:
-            self._ff_engine = FastForwardEngine(
-                self, self.compiled, decoded=self.decoded,
-                img_hash=img_hash)
+            self._ff_engine = FastForwardEngine(self, self.decoded, img_hash)
         else:
             self._ff_engine = None
         self.benchmark = benchmark
@@ -313,21 +313,26 @@ class MultiCoreSystem:
 
         ``faults`` (a :class:`repro.resilience.faults.FaultSession`)
         injects architectural faults at chosen cycles.  The injection
-        points sit between cycles — the fast-forward engine is given
-        the next fault cycle as a barrier, so both execution modes
-        mutate the same architectural state at the same boundary and
-        the bit-identity contract survives injection.
+        points sit between cycles and blocks and loop traces never
+        commit past the next one, so both execution modes mutate the
+        same architectural state at the same boundary and the
+        bit-identity contract survives injection.
         """
         if benchmark is not None:
             self.load(benchmark)
         if self.benchmark is None:
             raise ConfigurationError("no benchmark loaded")
 
-        n = self.config.n_cores
+        config = self.config
+        n = config.n_cores
         cores = self.cores
         compiled = self.compiled
         program_len = len(compiled)
         fetch_loc = _fetch_table(self.im_layout, n, program_len)
+        pc_bank = [bank for bank, _ in fetch_loc[0]]  # shared IM only
+        im_private = config.im_org == IMOrganization.PRIVATE
+        i_broadcast = config.instr_broadcast
+        d_broadcast = config.data_broadcast
         ixbar = self.ixbar
         dxbar = self.dxbar
         ixbar.clear()  # a run that raised may have left ports staged
@@ -340,11 +345,13 @@ class MultiCoreSystem:
         d_shift = dxbar.key_shift
         i_resolve = ixbar.resolve
         d_resolve = dxbar.resolve
+        # Every master's last granted bank, which resolve() and the
+        # conflict-free paths both keep up to date.
+        ilast = ixbar._last_bank
+        dlast = dxbar._last_bank
         dm_store = [bank.storage for bank in self.dmem.banks]
         # Data addresses translate inline (MMU.translate without the
-        # call), with the layout constants hoisted as the fast-forward
-        # engine does.
-        mmus = self.mmus
+        # call), with the layout constants hoisted.
         layout = self.dm_layout
         shared_words = layout.shared_words
         dbn = layout.banks
@@ -355,14 +362,29 @@ class MultiCoreSystem:
         core_stats = [CoreStats() for _ in range(n)]
         self._retired_base = [core.retired for core in cores]
         running = set(range(n))
-        fetch_pc = self._fetch_pc
-        handlers = self._handlers
+        # In-flight instructions: the PC each was fetched from (latched:
+        # a fault may move ``core.pc`` while the fetch stalls; -1 once
+        # the core halted) and its handler.
+        fetch_pc = [0] * n
+        handlers = [None] * n
         dr_bank = self._dr_bank
         dr_off = self._dr_off
         dw_bank = self._dw_bank
         dw_off = self._dw_off
-        dreads = dwrites = 0
-        engine = self._ff_engine
+        # Run accumulators, which _flush adds to the crossbars, MMUs and
+        # system at every telemetry window edge and when the run ends:
+        # MMU translations and data transfers, and the crossbar activity
+        # of the cycles no crossbar resolved.  ``bacc`` is shared with
+        # the generated code (repro.tamarisc.blocks): slots 0-5 D-Xbar
+        # counts and data transfers, 6-10 its fault, conflict and trace
+        # arm channels.  Nothing reads its ``mmu_t`` counts.
+        im_acc = im_del = im_bc = im_sv = dreads = dwrites = 0
+        itrans = [0] * n
+        dtrans = [0] * n
+        mmu_p = [0] * n
+        mmu_s = [0] * n
+        mmu_t = [0] * n
+        bacc = [0, 0, 0, 0, 0, 0, -1, -1, 0, 0, 0]
 
         # Observability wiring.  With no per-event subscriber (the
         # common case; telemetry windows only read counter snapshots)
@@ -371,37 +393,64 @@ class MultiCoreSystem:
         # benchmarks/bench_obs_overhead.py.  A metrics sink (see
         # ProbeBus.metrics) folds every cycle's sync group and conflict
         # verdict here, and the crossbars count the broadcast widths
-        # into it (Crossbar.widths).
+        # into it (Crossbar.widths); blocks and traces add theirs as
+        # constants.
         bus = self.probes
         observing = bus is not None and bus.observed
         sink = bus.metrics if bus is not None else None
-        p_retire = p_stall = p_mmu = False
+        emit = None
+        p_retire = p_stall = p_mmu = p_im_bc = p_dm_bc = False
+        p_enter = p_exit = False
         now = 0
-        # Telemetry windowing (repro.obs.telemetry): at every multiple
-        # of ``win`` committed cycles emit a snapshot of the cumulative
-        # counters; the fast-forward engine emits the edges it commits.
         win = bus.window_cycles if bus is not None else 0
         p_win = win > 0 and bus.wants("telemetry.window")
         if observing:
+            emit = bus.emit
             p_retire = bus.wants("core.retire")
             p_stall = bus.wants("core.stall")
             p_mmu = bus.wants("mmu.translate")
+            p_im_bc = bus.wants("im.broadcast")
+            p_dm_bc = bus.wants("dm.broadcast")
+            p_enter = bus.wants("ff.enter")
+            p_exit = bus.wants("ff.exit")
             self._wire_xbar_probes(bus)
+        im_width = dm_width = None
         if sink is not None:
-            groups, bursts, ixbar.widths, dxbar.widths = sink
+            groups, bursts, im_width, dm_width = sink
+            ixbar.widths, dxbar.widths = im_width, dm_width
             ix_stats, dx_stats = ixbar.stats, dxbar.stats
             conflicts = ix_stats.conflict_events + dx_stats.conflict_events
             burst = burst_end = 0  # the open conflict run: length, cycle
 
+        # The shortcuts' per-load state (fast_forward.FastForwardEngine).
+        engine = self._ff_engine
+        if engine is not None:
+            blocks_any = engine._blocks
+            blocks_static = engine._blocks_static
+            trace_recs = engine._trace_recs
+            succ = engine._succ
+            pc_entries = engine._pc_entries
+            # Loop traces and their successor profile run unless a
+            # per-event subscriber needs the per-cycle event stream.
+            profiling = blocks_any and engine._traces and not observing
+            trace_every = fast_forward.TRACE_ENTRY_THRESHOLD
+
         cycle = 0
         sync_cycles = 0
         # Fault-injection hooks: ``fault_next`` is the next cycle an
-        # injection is due (a barrier for the fast-forward engine),
-        # ``watchdog`` the hang window (cycles without a single commit
-        # fleet-wide).
+        # injection is due, ``watchdog`` the hang window (cycles without
+        # a single commit fleet-wide).
         fault_next = faults.next_cycle if faults is not None else None
         watchdog = faults.watchdog_window if faults is not None else 0
         last_progress = 0
+        # Telemetry windowing (repro.obs.telemetry): a snapshot of the
+        # cumulative counters at every multiple of ``win`` committed
+        # cycles.  ``edge`` is the next one; ``cap`` bounds block and
+        # trace budgets by it, the next fault and ``max_cycles``, so
+        # they are hit exactly, never jumped over.
+        edge = win if p_win else max_cycles + 1
+        cap = min(edge, max_cycles,
+                  max_cycles if fault_next is None else fault_next)
         # Contention bookkeeping, bit ``pid`` per core: ``starting``,
         # the cores that committed last cycle; ``w_if``/``w_dr``/``w_dw``,
         # those with a fetch / data read / data write staged in a
@@ -409,15 +458,43 @@ class MultiCoreSystem:
         # mid-instruction.  Waiting cores cost nothing per cycle (see
         # :meth:`_settle_stalls`).
         run_mask = starting = (1 << n) - 1
-        prepared = False
         w_if = w_dr = w_dw = stuck_mid = 0
+        # Conflict-free stretches: ``stretch`` is the cycle the current
+        # one began (-1: none).  One ends at a rejected proof, a block's
+        # conflict exit, a fault barrier or the end of the run.
+        # ``succ_pc``/``succ_cycle`` are the last block entry (its
+        # successor edges feed the trace profile), ``trace_skip`` the
+        # anchor whose trace just ran: the next iteration is exactly the
+        # one that bailed, so re-entering at once would be a sure
+        # decline.  ``run_cores`` holds the cores of ``cores_mask``.
+        stretch = succ_pc = succ_cycle = trace_skip = -1
+        cores_mask = 0
+        run_cores = []
         try:
-            while running:
+            while True:
+                if cycle == edge:
+                    self._flush((im_acc, im_del, im_bc, im_sv), bacc,
+                                itrans, dtrans, mmu_p, mmu_s, dreads,
+                                dwrites)
+                    im_acc = im_del = im_bc = im_sv = dreads = dwrites = 0
+                    self._emit_window(bus, cycle, False, sync_cycles,
+                                      core_stats)
+                    edge += win
+                    cap = min(edge, max_cycles, max_cycles
+                              if fault_next is None else fault_next)
+                if not running:
+                    break
                 if fault_next is not None and cycle >= fault_next:
+                    if stretch >= 0:
+                        if p_exit:
+                            emit("ff.exit", cycle, cycle - stretch)
+                        stretch = -1
                     faults.apply_due(self, cycle)
                     fault_next = faults.next_cycle
+                    cap = min(edge, max_cycles, max_cycles
+                              if fault_next is None else fault_next)
                     # Injection may have swapped the program image or
-                    # disabled the engine; refresh the hoisted locals.
+                    # dropped the engine; refresh the hoisted locals.
                     engine = self._ff_engine
                     compiled = self.compiled
                     program_len = len(compiled)
@@ -443,125 +520,329 @@ class MultiCoreSystem:
                     last_progress = cycle
                     if not running:
                         break
-                if engine is not None and not (w_if | w_dr | w_dw):
-                    # The engine needs every running core at an
-                    # instruction boundary (no partial grants).
-                    cycle, sync_cycles, prepared = engine.advance(
-                        running, core_stats, cycle, sync_cycles,
-                        max_cycles, fault_next)
-                    last_progress = cycle
-                    if not running:
-                        break
-                    # Every running core starts its next instruction,
-                    # or (``prepared``) stages the one the engine handed
-                    # back with its cycle, translated and counted.
-                    run_mask = starting = sum(1 << pid for pid in running)
-                    for pid in bits_of((1 << n) - 1 ^ run_mask):
-                        fetch_pc[pid] = -1
-                    if fault_next is not None and cycle >= fault_next:
-                        continue  # inject at the boundary, re-enter
+                # With no port staged every running core sits at an
+                # instruction boundary, so an attached engine may take
+                # a shortcut: a block or loop trace when the cores share
+                # one PC, else the conflict-free proof of the cycle.
+                proving = engine is not None and not (w_if | w_dr | w_dw)
+                if proving and stretch < 0:
+                    stretch = cycle
+                    succ_pc = trace_skip = -1
+                    if p_enter:
+                        emit("ff.enter", cycle)
                 if cycle >= max_cycles:
                     raise CycleLimitError(
                         f"benchmark {self.benchmark.name!r} did not finish "
                         f"within {max_cycles} cycles on {self.config.name}")
-                cycle += 1
-                if observing:
-                    now = cycle - 1
-                    bus.now = now
+                # The cores that start an instruction, and the ones whose
+                # ports this cycle stages (a block's conflict exit starts
+                # none: it translated them already).
+                fresh = staged = bits_of(starting) if starting else ()
+
+                # ---- translation blocks and loop traces ----
+                # When every running core sits at the same PC (or one
+                # core runs free) the whole straight-line block starting
+                # there commits in a single specialised call.  Within
+                # the block every cycle is a lockstep fetch by
+                # construction; divergence can only happen at the
+                # terminator, after which this check simply fails and
+                # the cycle proof takes over.
+                if proving and (blocks_static
+                                or blocks_any and len(running) == 1):
+                    if cores_mask != run_mask:
+                        cores_mask = run_mask
+                        run_cores = [cores[pid] for pid in bits_of(run_mask)]
+                    n_run = len(run_cores)
+                    first_pc = run_cores[0].pc
+                    entering = first_pc < program_len \
+                        and run_cores[-1].pc == first_pc
+                    if entering and n_run > 2:
+                        for core in run_cores:
+                            if core.pc != first_pc:
+                                entering = False
+                                break
+                    if entering:
+                        # A committed stretch of ``j`` lockstep cycles
+                        # fetches from bank ``fb0`` first and ``fbl`` last
+                        # (None: private I-banks), with ``internal`` bank
+                        # transitions in between.
+                        j = 0
+                        rec = None
+                        # A registered trace at this PC commits whole loop
+                        # iterations, computing each once for all cores; it
+                        # declines (j == 0) when the cores enter with
+                        # differing uniform-classified state or the very
+                        # first iteration leaves the traced path, leaving
+                        # state untouched for the block path below.
+                        # Committed iterations are all-lockstep and
+                        # conflict-free by construction, so the statistics
+                        # fold to compile-time constants times the
+                        # iteration count.
+                        if profiling and first_pc != trace_skip:
+                            trace_skip = -1
+                            trec = trace_recs.get(first_pc)
+                            if trec is not None \
+                                    and cycle + trec[1] <= cap:
+                                engine.trace_entries += 1
+                                trec[4] += 1
+                                dm_before = bacc[2]
+                                j = trec[0](run_cores, mmu_t, mmu_p, mmu_s,
+                                            dlast, dtrans, bacc,
+                                            cap - cycle)
+                                if j:
+                                    engine.trace_cycles += j
+                                    # Every shared read of the trace is
+                                    # one n_run-wide DM broadcast.
+                                    if sink is not None and n_run > 1 \
+                                            and bacc[2] != dm_before:
+                                        dm_width[n_run] = \
+                                            dm_width.get(n_run, 0) \
+                                            + bacc[2] - dm_before
+                                    fb0 = trec[2]
+                                    if fb0 is not None:
+                                        # Per-arm iteration counts (and the
+                                        # last arm run) reported by the
+                                        # generated code; fetch-bank
+                                        # transitions fold from per-arm
+                                        # constants.  The wrap between
+                                        # consecutive iterations counts on
+                                        # the *earlier* iteration's arm,
+                                        # and the final iteration has no
+                                        # following wrap.
+                                        it_a = bacc[8]
+                                        it_b = bacc[9]
+                                        arm_a, arm_b = trec[3]
+                                        internal = \
+                                            arm_a[0] * it_a \
+                                            + arm_b[0] * it_b \
+                                            + arm_a[1] * it_a \
+                                            + arm_b[1] * it_b
+                                        if bacc[10]:
+                                            internal -= arm_a[1]
+                                            fbl = arm_a[2]
+                                        else:
+                                            internal -= arm_b[1]
+                                            fbl = arm_b[2]
+                                    succ_pc = -1
+                                    trace_skip = first_pc
+                                else:
+                                    trec[5] += 1
+                                    if trec[5] * 4 > trec[4] + 8:
+                                        # Thrashing trace: the loop no
+                                        # longer behaves as profiled.  Drop
+                                        # it and block rebuilds here.
+                                        del trace_recs[first_pc]
+                                        engine._trace_tried.add(first_pc)
+                        if not j:
+                            rec = engine._block_at(first_pc)
+                            if rec is not None and cycle + rec[1] > cap:
+                                rec = None
+                        if rec is not None:
+                            # rec = (block, total, run_fast, run_obs,
+                            #        handlers, fb_seq, fb_cum, halts)
+                            engine.block_entries += 1
+                            if profiling:
+                                count = pc_entries.get(first_pc, 0) + 1
+                                pc_entries[first_pc] = count
+                                if count % trace_every == 0 \
+                                        and first_pc not in trace_recs \
+                                        and first_pc \
+                                        not in engine._trace_tried:
+                                    engine._build_trace(first_pc)
+                            total = rec[1]
+                            bacc[6] = -1
+                            bacc[7] = -1
+                            raise_exc = None
+                            try:
+                                if observing:
+                                    j = rec[3](run_cores, mmu_t, mmu_p, mmu_s,
+                                               dlast, dtrans, bacc, cycle,
+                                               emit, p_mmu, p_dm_bc, dm_width)
+                                else:
+                                    j = rec[2](run_cores, mmu_t, mmu_p, mmu_s,
+                                               dlast, dtrans, bacc,
+                                               cap - cycle, dm_width)
+                            except SimulationError as exc:
+                                # Address fault at block offset bacc[6]: the
+                                # generated code already patched PC/retired;
+                                # account for the committed prefix, then
+                                # re-raise.
+                                j = bacc[6]
+                                if j <= 0:
+                                    raise
+                                raise_exc = exc
+                            if j:
+                                engine.block_cycles += j
+                                if p_retire:
+                                    for t in range(j):
+                                        for pid in bits_of(run_mask):
+                                            emit("core.retire", cycle + t, pid,
+                                                 first_pc + t)
+                                fb_seq = rec[5]
+                                fb0 = None if fb_seq is None else fb_seq[0]
+                                if fb0 is not None:
+                                    if p_im_bc and n_run > 1:
+                                        for t in range(j):
+                                            emit("im.broadcast", cycle + t,
+                                                 fb_seq[t], n_run)
+                                    if j <= total:
+                                        internal = rec[6][j - 1]
+                                        fbl = fb_seq[j - 1]
+                                    else:
+                                        # Self-looping block: q full
+                                        # iterations plus an r-cycle prefix;
+                                        # fetch banks repeat fb_seq
+                                        # cyclically, with one extra
+                                        # transition per wrap iff last and
+                                        # first banks differ.
+                                        q, r = divmod(j, total)
+                                        starts = q + (1 if r else 0)
+                                        internal = q * rec[6][total - 1] \
+                                            + (rec[6][r - 1] if r else 0) \
+                                            + (starts - 1) \
+                                            * (fb_seq[total - 1] != fb0)
+                                        fbl = fb_seq[(j - 1) % total]
+                        if j:
+                            cycle_before = cycle
+                            cycle += j
+                            engine.fast_cycles += j
+                            if n_run > 1:
+                                sync_cycles += j
+                            elif sink is not None:
+                                groups[1] = groups.get(1, 0) + j
+                            im_del += j * n_run
+                            if fb0 is None:  # private I-banks never switch
+                                im_acc += j * n_run
+                                for pid in bits_of(run_mask):
+                                    ilast[pid] = pid
+                            else:
+                                im_acc += j
+                                if n_run > 1:
+                                    im_bc += j
+                                    im_sv += j * (n_run - 1)
+                                    if sink is not None:
+                                        im_width[n_run] = \
+                                            im_width.get(n_run, 0) + j
+                                for pid in bits_of(run_mask):
+                                    last = ilast[pid]
+                                    delta = internal
+                                    if last is not None and last != fb0:
+                                        delta += 1
+                                    if delta:
+                                        itrans[pid] += delta
+                                    ilast[pid] = fbl
+                        if rec is not None:
+                            if raise_exc is not None:
+                                raise raise_exc
+                            conflict_at = bacc[7]
+                            if conflict_at >= 0:
+                                # A potential bank conflict at that block
+                                # offset: the generated code translated the
+                                # cycle's data ports into the in-flight
+                                # arrays (MMU counted), so the cycle stages
+                                # them without starting its instructions.
+                                handler = rec[4][conflict_at]
+                                pc = run_cores[0].pc
+                                for pid in bits_of(run_mask):
+                                    handlers[pid] = handler
+                                    fetch_pc[pid] = pc
+                                engine.block_conflicts += 1
+                                fresh = ()
+                            else:
+                                if profiling and j:
+                                    # Successor profile: back-to-back block
+                                    # entries (no per-cycle stretch in
+                                    # between) are the edges a loop trace
+                                    # may cross.  j is a whole number of
+                                    # block executions ending at the
+                                    # terminator here.
+                                    if succ_pc >= 0 \
+                                            and succ_cycle == cycle_before:
+                                        edges = succ.get(succ_pc)
+                                        if edges is None:
+                                            edges = succ[succ_pc] = {}
+                                        edges[first_pc] = \
+                                            edges.get(first_pc, 0) + 1
+                                    succ_pc = first_pc
+                                    succ_cycle = cycle
+                                if rec[7]:  # HLT terminator
+                                    for pid in bits_of(run_mask):
+                                        core_stats[pid].halted_at = cycle
+                                        fetch_pc[pid] = -1
+                                    running.clear()
+                                    run_mask = starting = 0
+                                continue
+                        elif j:
+                            continue
 
                 # ---- request: start the cores that committed last cycle ----
                 # Each instruction's data addresses are translated (and
                 # counted) once; its ports then stay staged in the
-                # crossbars until granted (Crossbar.stage, inlined).
-                # PID order is the crossbars' request order.
-                if starting:
-                    i_new = d_new = 0
-                    for pid in bits_of(starting):
-                        bit = 1 << pid
-                        core = cores[pid]
-                        pc = core.pc
-                        if pc >= program_len:
-                            raise SimulationError(
-                                f"core {pid} ran off the program "
-                                f"at PC {pc:#x}")
-                        fetch_pc[pid] = pc
-                        if not prepared:
-                            handler = compiled[pc]
-                            handlers[pid] = handler
-                            preview = handler.preview
-                            if preview is None:
-                                dread = dwrite = None
-                            else:
-                                dread, dwrite = preview(core.regs)
-                            if dread is None:
-                                dr_bank[pid] = -1
-                            else:
-                                if dread >= PRIVATE_BASE:
-                                    mmus[pid].private_accesses += 1
-                                    offset = dread - PRIVATE_BASE
-                                    if offset >= pwc:
-                                        layout.translate(pid, dread)  # raises
-                                    dr_bank[pid] = cbanks[pid][offset // pwb]
-                                    dr_off[pid] = swb + offset % pwb
-                                else:
-                                    mmus[pid].shared_accesses += 1
-                                    if dread >= shared_words:
-                                        layout.translate(pid, dread)  # raises
-                                    dr_bank[pid] = dread % dbn
-                                    dr_off[pid] = dread // dbn
-                                if p_mmu:
-                                    bus.emit("mmu.translate", now, pid,
-                                             dread, dr_bank[pid],
-                                             dr_off[pid],
-                                             dread >= PRIVATE_BASE)
-                            if dwrite is None:
-                                dw_bank[pid] = -1
-                            else:
-                                if dwrite >= PRIVATE_BASE:
-                                    mmus[pid].private_accesses += 1
-                                    offset = dwrite - PRIVATE_BASE
-                                    if offset >= pwc:
-                                        layout.translate(pid, dwrite)  # raises
-                                    dw_bank[pid] = cbanks[pid][offset // pwb]
-                                    dw_off[pid] = swb + offset % pwb
-                                else:
-                                    mmus[pid].shared_accesses += 1
-                                    if dwrite >= shared_words:
-                                        layout.translate(pid, dwrite)  # raises
-                                    dw_bank[pid] = dwrite % dbn
-                                    dw_off[pid] = dwrite // dbn
-                                if p_mmu:
-                                    bus.emit("mmu.translate", now, pid,
-                                             dwrite, dw_bank[pid],
-                                             dw_off[pid],
-                                             dwrite >= PRIVATE_BASE)
-                        bank, i_read_at[pid] = fetch_loc[pid][pc]
-                        i_readers[bank] |= bit
-                        i_new |= 1 << bank
-                        bank = dr_bank[pid]
-                        if bank >= 0:
-                            d_readers[bank] |= bit
-                            d_read_at[pid] = dr_off[pid] << d_shift | bank
-                            d_new |= 1 << bank
-                            w_dr |= bit
-                        bank = dw_bank[pid]
-                        if bank >= 0:
-                            d_writers[bank] |= bit
-                            d_new |= 1 << bank
-                            w_dw |= bit
-                    ixbar.active |= i_new
-                    ixbar.reading |= starting
-                    if d_new:
-                        dxbar.active |= d_new
-                        dxbar.reading |= w_dr
-                        dxbar.writing |= w_dw
-                    w_if |= starting
-                    starting = 0
-                    prepared = False
+                # crossbars until granted.  PID order is the crossbars'
+                # request order.
+                d_ports = 0  # the started cores with a data port
+                for pid in fresh:
+                    core = cores[pid]
+                    pc = core.pc
+                    if pc >= program_len:
+                        raise SimulationError(
+                            f"core {pid} ran off the program "
+                            f"at PC {pc:#x}")
+                    fetch_pc[pid] = pc
+                    handler = compiled[pc]
+                    handlers[pid] = handler
+                    preview = handler.preview
+                    if preview is None:
+                        dr_bank[pid] = dw_bank[pid] = -1
+                        continue
+                    dread, dwrite = preview(core.regs)
+                    if dread is None:
+                        dr_bank[pid] = -1
+                    else:
+                        d_ports |= 1 << pid
+                        if dread >= PRIVATE_BASE:
+                            mmu_p[pid] += 1
+                            offset = dread - PRIVATE_BASE
+                            if offset >= pwc:
+                                layout.translate(pid, dread)  # raises
+                            dr_bank[pid] = cbanks[pid][offset // pwb]
+                            dr_off[pid] = swb + offset % pwb
+                        else:
+                            mmu_s[pid] += 1
+                            if dread >= shared_words:
+                                layout.translate(pid, dread)  # raises
+                            dr_bank[pid] = dread % dbn
+                            dr_off[pid] = dread // dbn
+                        if p_mmu:
+                            emit("mmu.translate", cycle, pid, dread,
+                                 dr_bank[pid], dr_off[pid],
+                                 dread >= PRIVATE_BASE)
+                    if dwrite is None:
+                        dw_bank[pid] = -1
+                    else:
+                        d_ports |= 1 << pid
+                        if dwrite >= PRIVATE_BASE:
+                            mmu_p[pid] += 1
+                            offset = dwrite - PRIVATE_BASE
+                            if offset >= pwc:
+                                layout.translate(pid, dwrite)  # raises
+                            dw_bank[pid] = cbanks[pid][offset // pwb]
+                            dw_off[pid] = swb + offset % pwb
+                        else:
+                            mmu_s[pid] += 1
+                            if dwrite >= shared_words:
+                                layout.translate(pid, dwrite)  # raises
+                            dw_bank[pid] = dwrite % dbn
+                            dw_off[pid] = dwrite // dbn
+                        if p_mmu:
+                            emit("mmu.translate", cycle, pid, dwrite,
+                                 dw_bank[pid], dw_off[pid],
+                                 dwrite >= PRIVATE_BASE)
                 # Lockstep: every running core fetches one PC (halted
                 # and dead cores hold fetch PC -1; a stuck core stages
                 # no fetch).
-                if w_if == run_mask and run_mask & (run_mask - 1) \
+                fetching = w_if | starting
+                if fetching == run_mask and run_mask & (run_mask - 1) \
                         and fetch_pc.count(
                             fetch_pc[(run_mask & -run_mask).bit_length()
                                      - 1]) == len(running):
@@ -571,7 +852,7 @@ class MultiCoreSystem:
                     # when the run ends): a running core counts at its
                     # latched fetch PC (-1 marks the others), except a
                     # stuck one at an instruction boundary, at its PC.
-                    free = run_mask & ~(w_if | w_dr | w_dw | stuck_mid)
+                    free = run_mask & ~(fetching | w_dr | w_dw | stuck_mid)
                     if free:
                         pcs = {cores[pid].pc if free >> pid & 1
                                else fetch_pc[pid]
@@ -582,43 +863,186 @@ class MultiCoreSystem:
                     size = len(pcs)
                     groups[size] = groups.get(size, 0) + 1
 
-                # ---- arbitrate, then commit the fully granted cores ----
-                granted = i_resolve()[0]
-                w_if ^= granted
-                if dxbar.active:
-                    d_reads, d_writes = d_resolve()
-                    w_dr ^= d_reads
-                    w_dw ^= d_writes
-                    granted |= d_reads | d_writes
-                waiting = w_if | w_dr | w_dw
-                done = granted & ~waiting
+                # ---- the conflict-free proof of the started cycle ----
+                proven = False
+                if proving and fresh:
+                    n_run = len(running)
+                    # Instruction side: private banks never conflict.  In
+                    # a shared IM a PC has one bank and offset, so the
+                    # distinct PCs need distinct banks, and a PC that
+                    # several cores fetch needs the broadcast bus.
+                    proven = im_private
+                    if not im_private:
+                        pcs = dict.fromkeys(fetch_pc)
+                        pcs.pop(-1, None)
+                        seen = 0
+                        for pc in pcs:
+                            bit = 1 << pc_bank[pc]
+                            if seen & bit:
+                                break
+                            seen |= bit
+                        else:
+                            proven = i_broadcast or len(pcs) == n_run
+                    if proven:
+                        # Data side: a bank serves one access, or one
+                        # same-offset read group when its crossbar
+                        # broadcasts (a write maps to offset -1).
+                        dm_map = {}
+                        ports = 0
+                        for pid in bits_of(d_ports):
+                            bank = dr_bank[pid]
+                            if bank >= 0:
+                                ports += 1
+                                entry = dm_map.get(bank)
+                                if entry is None:
+                                    dm_map[bank] = [dr_off[pid], 1]
+                                elif entry[0] != dr_off[pid] \
+                                        or not d_broadcast:
+                                    proven = False
+                                    break
+                                else:
+                                    entry[1] += 1
+                            bank = dw_bank[pid]
+                            if bank >= 0:
+                                ports += 1
+                                if bank in dm_map:
+                                    proven = False
+                                    break
+                                dm_map[bank] = [-1, 0]
+                if proven:
+                    # Count what resolve() would have: every bank serves
+                    # its group at once.
+                    engine.fast_cycles += 1
+                    im_del += n_run
+                    if im_private:  # every core its own bank
+                        im_acc += n_run
+                        for pid in fresh:
+                            ilast[pid] = pid
+                    else:
+                        im_acc += len(pcs)
+                        if len(pcs) < n_run:
+                            for pc in pcs:
+                                count = fetch_pc.count(pc)
+                                if count > 1:
+                                    im_bc += 1
+                                    im_sv += count - 1
+                                    if sink is not None:
+                                        im_width[count] = \
+                                            im_width.get(count, 0) + 1
+                                    if p_im_bc:
+                                        emit("im.broadcast", cycle,
+                                             pc_bank[pc], count)
+                        for pid in fresh:
+                            bank = pc_bank[fetch_pc[pid]]
+                            last = ilast[pid]
+                            if last is not None and last != bank:
+                                itrans[pid] += 1
+                            ilast[pid] = bank
+                    if d_ports:
+                        bacc[0] += len(dm_map)
+                        bacc[1] += ports
+                        if ports > len(dm_map):  # merged reads
+                            for bank, (__, count) in dm_map.items():
+                                if count > 1:
+                                    bacc[2] += 1
+                                    bacc[3] += count - 1
+                                    if sink is not None:
+                                        dm_width[count] = \
+                                            dm_width.get(count, 0) + 1
+                                    if p_dm_bc:
+                                        emit("dm.broadcast", cycle, bank,
+                                             count)
+                        for pid in bits_of(d_ports):
+                            last = dlast[pid]
+                            for bank in dr_bank[pid], dw_bank[pid]:
+                                if bank >= 0:
+                                    if last is not None and last != bank:
+                                        dtrans[pid] += 1
+                                    last = bank
+                            dlast[pid] = last
+                elif proving:
+                    # Rejected, or a block's conflict exit: the stretch
+                    # ends and the crossbars resolve the cycle.
+                    engine.fallbacks += 1
+                    if p_exit:
+                        emit("ff.exit", cycle, cycle - stretch)
+                    stretch = -1
+
+                cycle += 1
+                if observing:
+                    now = cycle - 1
+                    bus.now = now
+                if proven:
+                    done = run_mask
+                    starting = 0
+                else:
+                    # ---- stage the started cores' ports ----
+                    # (Crossbar.stage, inlined)
+                    if staged:
+                        i_new = d_new = 0
+                        for pid in staged:
+                            bit = 1 << pid
+                            bank, i_read_at[pid] = fetch_loc[pid][fetch_pc[pid]]
+                            i_readers[bank] |= bit
+                            i_new |= 1 << bank
+                            bank = dr_bank[pid]
+                            if bank >= 0:
+                                d_readers[bank] |= bit
+                                d_read_at[pid] = dr_off[pid] << d_shift | bank
+                                d_new |= 1 << bank
+                                w_dr |= bit
+                            bank = dw_bank[pid]
+                            if bank >= 0:
+                                d_writers[bank] |= bit
+                                d_new |= 1 << bank
+                                w_dw |= bit
+                        ixbar.active |= i_new
+                        ixbar.reading |= starting
+                        if d_new:
+                            dxbar.active |= d_new
+                            dxbar.reading |= w_dr
+                            dxbar.writing |= w_dw
+                        w_if |= starting
+                        starting = 0
+                    # ---- arbitrate ----
+                    granted = i_resolve()[0]
+                    w_if ^= granted
+                    if dxbar.active:
+                        d_reads, d_writes = d_resolve()
+                        w_dr ^= d_reads
+                        w_dw ^= d_writes
+                        granted |= d_reads | d_writes
+                    waiting = w_if | w_dr | w_dw
+                    done = granted & ~waiting
+                    if sink is not None:
+                        seen = ix_stats.conflict_events \
+                            + dx_stats.conflict_events
+                        if seen != conflicts:
+                            conflicts = seen
+                            if burst and burst_end == cycle - 1:
+                                burst += 1
+                            else:
+                                if burst:
+                                    bursts[burst] = bursts.get(burst, 0) + 1
+                                burst = 1
+                            burst_end = cycle
                 if done:
                     last_progress = cycle
-                if sink is not None:
-                    seen = ix_stats.conflict_events + dx_stats.conflict_events
-                    if seen != conflicts:
-                        conflicts = seen
-                        if burst and burst_end == cycle - 1:
-                            burst += 1
-                        else:
-                            if burst:
-                                bursts[burst] = bursts.get(burst, 0) + 1
-                            burst = 1
-                        burst_end = cycle
-                # Commits in PID order (data reads happen at commit).
-                # A per-event stall subscriber walks the other running
-                # cores too, in the same order.
+                # ---- commit the fully granted cores, in PID order ----
+                # (data reads happen at commit).  A per-event stall
+                # subscriber walks the other running cores too, in the
+                # same order.
                 for pid in bits_of(run_mask if p_stall else done):
                     bit = 1 << pid
                     if not done & bit:
                         # Stalled on its in-flight instruction, or (stuck
                         # at a boundary) on the one at its PC.
-                        bus.emit("core.stall", now, pid,
-                                 fetch_pc[pid] if (waiting | stuck_mid) & bit
-                                 else cores[pid].pc)
+                        emit("core.stall", now, pid,
+                             fetch_pc[pid] if (waiting | stuck_mid) & bit
+                             else cores[pid].pc)
                         continue
                     if p_retire:
-                        bus.emit("core.retire", now, pid, fetch_pc[pid])
+                        emit("core.retire", now, pid, fetch_pc[pid])
                     core = cores[pid]
                     bank = dr_bank[pid]
                     if bank >= 0:
@@ -642,18 +1066,17 @@ class MultiCoreSystem:
                     raise HangError(
                         f"sync watchdog: no core retired for {watchdog} "
                         f"cycles (cycle {cycle}) on {self.config.name}")
-                if p_win and not cycle % win:
-                    self._emit_window(bus, cycle, False, sync_cycles,
-                                      core_stats)
         finally:
-            self._dreads_committed += dreads
-            self._dwrites_committed += dwrites
+            if stretch >= 0 and p_exit:
+                emit("ff.exit", cycle, cycle - stretch)
+            self._flush((im_acc, im_del, im_bc, im_sv), bacc, itrans,
+                        dtrans, mmu_p, mmu_s, dreads, dwrites)
             if observing:
                 ixbar.probe_conflict = ixbar.probe_broadcast = None
                 dxbar.probe_conflict = dxbar.probe_broadcast = None
             if sink is not None:
                 ixbar.widths = dxbar.widths = None
-                if sync_cycles:  # both engines' multi-core lockstep
+                if sync_cycles:  # multi-core lockstep, on every path
                     groups[1] = groups.get(1, 0) + sync_cycles
                 if burst:  # runs never join
                     bursts[burst] = bursts.get(burst, 0) + 1
@@ -696,15 +1119,37 @@ class MultiCoreSystem:
             stats.stall_cycles = (cycle if end is None else end) \
                 - (self.cores[pid].retired - base[pid])
 
-    def _emit_window(self, bus, cycle, final, sync_cycles, core_stats,
-                     im_bc=0, im_sv=0, dm_bc=0, dm_sv=0, mmu_p=(),
-                     mmu_s=()) -> None:
-        """Emit ``telemetry.window`` with cumulative counter snapshots.
+    def _flush(self, im, bacc, itrans, dtrans, mmu_p, mmu_s, reads,
+               writes) -> None:
+        """Add the run loop's accumulators to the crossbars, MMUs and
+        system counters, and zero the lists among them: ``im`` and
+        ``bacc[0:4]`` are the I-Xbar's and D-Xbar's (accesses,
+        deliveries, broadcasts, savings) in the cycles no crossbar
+        resolved, ``bacc[4:6]`` data reads and writes."""
+        for xbar, counts, trans in ((self.ixbar, im, itrans),
+                                    (self.dxbar, bacc, dtrans)):
+            stats = xbar.stats
+            stats.bank_accesses += counts[0]
+            stats.deliveries += counts[1]
+            stats.broadcasts += counts[2]
+            stats.broadcast_savings += counts[3]
+            transitions = stats.bank_transitions
+            for pid, count in enumerate(trans):
+                if count:
+                    transitions[pid] = transitions.get(pid, 0) + count
+                    trans[pid] = 0
+        for pid, mmu in enumerate(self.mmus):
+            mmu.private_accesses += mmu_p[pid]
+            mmu.shared_accesses += mmu_s[pid]
+            mmu_p[pid] = mmu_s[pid] = 0
+        self._dreads_committed += reads + bacc[4]
+        self._dwrites_committed += writes + bacc[5]
+        bacc[:6] = (0, 0, 0, 0, 0, 0)
 
-        The fast-forward engine passes the stretch counters it has not
-        written back to the crossbars and MMUs yet (it never commits a
-        conflict, so it keeps no pending conflict count).
-        """
+    def _emit_window(self, bus, cycle, final, sync_cycles,
+                     core_stats) -> None:
+        """Emit ``telemetry.window`` with cumulative counter snapshots
+        (the run loop flushes its accumulators first)."""
         self._settle_stalls(core_stats, cycle)
         ix, dx = self.ixbar.stats, self.dxbar.stats
         mmus = self.mmus
@@ -712,11 +1157,10 @@ class MultiCoreSystem:
                  tuple(core.retired for core in self.cores),
                  tuple(cs.stall_cycles for cs in core_stats),
                  (ix.conflict_events, dx.conflict_events,
-                  ix.broadcasts + im_bc, dx.broadcasts + dm_bc,
-                  ix.broadcast_savings + im_sv,
-                  dx.broadcast_savings + dm_sv,
-                  sum(m.private_accesses for m in mmus) + sum(mmu_p),
-                  sum(m.shared_accesses for m in mmus) + sum(mmu_s),
+                  ix.broadcasts, dx.broadcasts,
+                  ix.broadcast_savings, dx.broadcast_savings,
+                  sum(m.private_accesses for m in mmus),
+                  sum(m.shared_accesses for m in mmus),
                   sync_cycles))
 
     def _collect_stats(self, cycles: int, sync_cycles: int,

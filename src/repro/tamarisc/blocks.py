@@ -35,9 +35,9 @@ state, every ``SimulationStats`` field, MMU/crossbar accounting and the
 probe event stream are bit-identical to the per-instruction paths.  On a
 potential bank conflict at block offset ``j`` the generated function
 commits the first ``j`` cycles, fills the system's per-core in-flight
-arrays with the already-translated bank/offset pairs and returns ``j``;
-the engine hands that prepared cycle to the exact loop, exactly like
-its own per-cycle fallback.  Address faults raise mid-block with the
+arrays with the already-translated bank/offset pairs and returns ``j``:
+a conflict exit leaves those ports for the cycle loop to stage, as a
+rejected per-cycle proof does.  Address faults raise mid-block with the
 same message and the same committed-state cut as the per-cycle paths
 (the generated code patches PC/retired before raising and records the
 committed depth in ``_acc[6]`` for the engine's stat reconciliation).
@@ -238,7 +238,7 @@ class Block:
     unusable block (first instruction unsupported) the engine must not
     enter.  ``handlers`` carries one
     :class:`~repro.tamarisc.dispatch.CompiledInstruction` per position
-    so conflict fallbacks can hand the exact loop the right handler.
+    so a conflict exit can give the cycle loop the right handler.
     """
 
     __slots__ = ("start", "instrs", "terminator", "handlers", "n_body",
@@ -682,7 +682,7 @@ def _emit_conflict_exit(writer: _Writer, indent: int, block: Block,
     """Fill the system's pid-indexed in-flight ports and return depth.
 
     ``_acc[7]`` records the conflicting offset *within* the block so the
-    engine can pick the right handler for the hand-back — the
+    cycle loop can pick the right handler to stage — the
     return value alone cannot distinguish a conflict from completion
     once self-loops commit more than one iteration per call.
     """

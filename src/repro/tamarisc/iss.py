@@ -11,8 +11,8 @@ banking, translation and arbitration.
 
 Why it stays beside the platform: its default path executes each
 instruction through :class:`~repro.tamarisc.cpu.Core`'s generic operand
-walk.  The platform's exact loop, its fast-forward engine and the block
-and trace code generators all run the handlers compiled by
+walk.  The platform's cycle loop and the block and trace code
+generators all run the handlers compiled by
 :mod:`repro.tamarisc.dispatch`, so this walk is the only model of the
 instruction semantics that does not depend on that module.  The
 regression harness (:mod:`repro.tamarisc.regression`) checks every

@@ -6,12 +6,22 @@ import weakref
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.kernels import BenchmarkSpec, build_benchmark
 from repro.memory.layout import PRIVATE_BASE
 from repro.platform import Benchmark, build_platform
 from repro.tamarisc import InstructionSetSimulator, assemble
 from repro.tamarisc.program import DataImage
 
 ARCHES = ("mc-ref", "ulpmc-int", "ulpmc-bank")
+
+#: The broadcast ablations.
+BROADCASTS = [{}, {"instr_broadcast": False}, {"data_broadcast": False},
+              {"instr_broadcast": False, "data_broadcast": False}]
+
+
+@pytest.fixture(scope="module")
+def tiny_built():
+    return build_benchmark(BenchmarkSpec(n_samples=32, n_measurements=16))
 
 
 def simple_benchmark():
@@ -128,6 +138,23 @@ class TestStatsConsistency:
         # MMU translations equal data-port commits.
         assert stats.dm_private_accesses + stats.dm_shared_accesses \
             == stats.dm_deliveries
+
+    @pytest.mark.parametrize("fast_forward", [False, True])
+    @pytest.mark.parametrize("overrides", BROADCASTS)
+    @pytest.mark.parametrize("arch", ARCHES)
+    def test_im_accesses_bounded_by_banks_in_use(self, arch, overrides,
+                                                 fast_forward, tiny_built):
+        """A bank serves at most one access per cycle, so IM accesses
+        never exceed the cycles times the banks holding the program.
+        ulpmc-bank packs the program into one bank: at most one IM
+        access per cycle, with or without broadcast."""
+        stats = build_platform(arch, fast_forward=fast_forward,
+                               **overrides).run(tiny_built.benchmark).stats
+        assert stats.im_bank_accesses \
+            <= stats.total_cycles * stats.im_banks_used
+        if arch == "ulpmc-bank":
+            assert stats.im_banks_used == 1
+            assert stats.im_bank_accesses <= stats.total_cycles
 
     def test_summary_renders(self, small_results):
         text = small_results["ulpmc-bank"].stats.summary()

@@ -7,15 +7,17 @@ every waiting port restaged as a :class:`Request` each cycle and
 arbitrated by the list-form :class:`ReferenceCrossbar`, the generic
 operand walk of :class:`~repro.tamarisc.cpu.Core` for previews and
 commits, a set of fetch PCs for lockstep detection, one stall counted
-per core and cycle — and both execution modes of the platform must
-reproduce it bit for bit on configurations where cores desynchronise,
-stall with partial grants and contend for banks — also when a fault
+per core and cycle — and the platform's engines (exact,
+per-instruction, default) must reproduce it bit for bit on
+configurations where cores desynchronise, stall with partial grants
+and contend for banks — also when a fault
 moves a core's PC while its fetch is stalled, sticks a core's clock or
 kills it.  The crossbar's own arbitration is checked against the same
 reference in ``tests/interconnect/test_xbar.py``.
 """
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.errors import CycleLimitError, HangError, SimulationError
 from repro.kernels import BenchmarkSpec, build_benchmark
 from repro.memory.layout import PRIVATE_BASE
 from repro.platform import ARCH_NAMES, Benchmark, build_platform
+from repro.platform import fast_forward as ff_engine
 from repro.platform.stats import CoreStats
 from repro.resilience import FaultSession, FaultSpec
 from repro.tamarisc.assembler import assemble
@@ -32,6 +35,11 @@ from repro.tamarisc.regression import SANDBOX_WORDS, generate_random_program
 from tests.interconnect.xbar_reference import ReferenceCrossbar, Request
 
 MAX_CYCLES = 200_000
+
+#: The platform's engines: ``(fast_forward, TRANSLATION_BLOCKS)``.  The
+#: per-instruction one proves every conflict-free cycle on its own.
+ENGINES = {"exact": (False, True), "per-instruction": (True, False),
+           "default": (True, True)}
 
 #: Broadcast ablations: without a broadcast bus the cores desynchronise
 #: and contend for banks.
@@ -191,11 +199,12 @@ def assert_matches_reference(arch, benchmark, overrides, fault_specs=None,
     system = build_platform(arch, fast_forward=False, **overrides)
     expected = outcome(system, lambda: reference_run(
         system, benchmark, faults=session()))
-    for fast_forward in (False, True):
+    for engine, (fast_forward, blocks) in ENGINES.items():
         system = build_platform(arch, fast_forward=fast_forward, **overrides)
-        measured = outcome(system, lambda: system.run(
-            benchmark, max_cycles=MAX_CYCLES, faults=session()).stats)
-        assert measured == expected, f"fast_forward={fast_forward}"
+        with mock.patch.object(ff_engine, "TRANSLATION_BLOCKS", blocks):
+            measured = outcome(system, lambda: system.run(
+                benchmark, max_cycles=MAX_CYCLES, faults=session()).stats)
+        assert measured == expected, engine
     return expected
 
 
