@@ -13,8 +13,9 @@ Two questions, one per acceptance criterion:
   subscriber, so a profiled run keeps its blocks and loop traces and
   is measured against the traced bare run.  Before timing anything the
   script verifies that the folded histograms equal the per-event
-  reference fold (``tests/obs/metrics_reference.py``) on every
-  platform/mode — speed that changes the numbers would be worthless.
+  reference fold (``tests/obs/metrics_reference.py``) of the reference
+  cycle loop's events on every platform/mode — speed that changes the
+  numbers would be worthless.
 * **Watch cost** — the slowdown with a
   :class:`~repro.obs.telemetry.WindowedAggregator` subscribed, i.e.
   what ``repro watch`` costs per run.  Windows are differences of the
@@ -54,7 +55,7 @@ from repro.kernels import BenchmarkSpec, build_benchmark
 from repro.obs import ProbeMetrics, WindowedAggregator
 from repro.obs.telemetry import DEFAULT_WINDOW_CYCLES
 from repro.platform import ARCH_NAMES, build_platform
-from tests.obs.metrics_reference import ReferenceMetrics, histograms
+from tests.obs.metrics_reference import histograms, reference_histograms
 
 #: Maximum tolerated attached-but-idle slowdown in the CI quick run.
 #: The design target is 2 %; the gate leaves headroom for shared-runner
@@ -151,18 +152,18 @@ def measure(built, arch: str, fast_forward: bool, repeats: int) -> dict:
 def verify_identity(built) -> list[str]:
     """The folded registry must equal the per-event reference fold.
 
-    Runs the workload once per platform/mode with only the metrics
-    sink attached (the timed configuration) and once with the
-    reference fold, and diffs the histograms.  Returns human-readable
-    mismatch descriptions; empty means identical everywhere.
+    Runs the workload once per platform on the reference cycle loop
+    (``tests/interconnect/reference_loop.py``), whose events give the
+    reference fold, and once per platform/mode with only the metrics
+    sink attached (the timed configuration), and diffs the histograms.
+    Returns human-readable mismatch descriptions; empty means identical
+    everywhere.
     """
     mismatches = []
     for arch in ARCH_NAMES:
+        expected, _ = reference_histograms(
+            build_platform(arch, fast_forward=False), built.benchmark)
         for fast_forward in (False, True):
-            system = build_platform(arch, fast_forward=fast_forward)
-            reference = ReferenceMetrics(system.probe_bus())
-            system.run(built.benchmark)
-            expected = reference.finish()
             system = build_platform(arch, fast_forward=fast_forward)
             collector = ProbeMetrics.attach(system.probe_bus())
             system.run(built.benchmark)

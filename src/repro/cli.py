@@ -40,8 +40,9 @@ Five subcommands, all but ``regress`` writing run-manifest provenance to
 
 Exit codes are uniform across subcommands: 0 success, 1 a gate failed
 (regression finding, failed shard, SDC rate over ``--max-sdc``), 2 a
-usage or configuration error (:class:`repro.errors.ReproError` renders
-as one line on stderr, never a traceback).
+usage or configuration error or an output path that cannot be written
+(:class:`repro.errors.ReproError` and ``OSError`` render as one line on
+stderr, never a traceback).
 """
 
 from __future__ import annotations
@@ -1032,11 +1033,11 @@ def main(argv=None) -> int:
         # Historical interface: bare experiment ids
         # (repro-experiment table1).
         return cmd_experiment(argv)
-    except ReproError as exc:
-        # Usage/configuration errors render as one line, never a
-        # traceback; exit 2 matches argparse's own usage-error code so
-        # callers can distinguish "bad invocation" (2) from "a gate
-        # failed" (1).
+    except (ReproError, OSError) as exc:
+        # Usage/configuration errors, and output paths that cannot be
+        # created or written, render as one line, never a traceback;
+        # exit 2 matches argparse's own usage-error code so callers can
+        # distinguish "bad invocation" (2) from "a gate failed" (1).
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

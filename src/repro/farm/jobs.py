@@ -352,16 +352,21 @@ class FarmScheduler:
     def _drain(self, timeout: float) -> list[FarmJob]:
         """Wait up to ``timeout`` for any channel, then read every message
         that has arrived.  EOF, or a message cut short by the sender's
-        death, means that worker crashed."""
+        death, means that worker crashed; an error a listener raises
+        while a message is handled propagates to the caller."""
         finished = []
         workers = {worker.conn: worker for worker in self._workers}
         for conn in wait(list(workers), timeout):
             worker = workers[conn]
-            try:
-                while conn.poll():
-                    finished.extend(self._on_message(worker, *conn.recv()))
-            except (EOFError, OSError):
-                finished.extend(self._on_crash(worker))
+            while True:
+                try:
+                    if not conn.poll():
+                        break
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    finished.extend(self._on_crash(worker))
+                    break
+                finished.extend(self._on_message(worker, *message))
         return finished
 
     def _on_message(self, worker: _Worker, kind: str,

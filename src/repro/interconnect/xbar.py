@@ -42,8 +42,8 @@ from repro.interconnect.arbiter import RoundRobinArbiter
 
 
 def masters_of(mask: int) -> list[int]:
-    """The sorted master ids of a contender bit set (bit ``i``: master
-    ``i``), as :attr:`Crossbar.probe_conflict` reports them."""
+    """The sorted master ids of a master bit set (bit ``i``: master
+    ``i``)."""
     return [master for master in range(mask.bit_length())
             if mask >> master & 1]
 
@@ -96,9 +96,9 @@ class Crossbar:
     Every master owns two ports: port ``2 * master`` reads and port
     ``2 * master + 1`` writes.  Numbering ports master-major makes the
     ascending port order the request order the platform issues (cores
-    in PID order, each core's read before its write); banks are served
-    in the order of their lowest waiting port, which fixes each
-    master's bank-transition sequence and the order of probe events.
+    in PID order, each core's read before its write); where a master
+    waits in two banks, banks are served in the order of their lowest
+    waiting port, which fixes its bank-transition sequence.
     """
 
     def __init__(self, masters: int, banks: int, broadcast: bool = True,
@@ -123,21 +123,10 @@ class Crossbar:
         self.active = self.reading = self.writing = 0
         self.read_at = [-1] * masters
         self.key_shift = banks.bit_length()
-        #: Observability hooks, wired by the platform's run loop while a
-        #: probe subscriber is attached (``None`` otherwise; the checks
-        #: sit on the rare conflict/broadcast paths, not per request).
-        #: ``probe_conflict(bank, masters)`` fires per conflicting
-        #: bank-cycle with ``masters`` the contenders' bit set (decode
-        #: with :func:`masters_of`; subscribers that only count
-        #: conflicts never pay for the list), ``probe_broadcast(bank,
-        #: width)`` per >=2-way merge.
-        self.probe_conflict = None
-        self.probe_broadcast = None
         #: The metrics sink's ``{width: count}`` histogram of this
         #: crossbar's broadcasts while one is attached (``None``
         #: otherwise).  A histogram does not depend on the order banks
-        #: are served in, so unlike the probes it leaves resolve on its
-        #: cheap bank order.
+        #: are served in, so it leaves resolve on its cheap bank order.
         self.widths = None
 
     def stage(self, port: int, bank: int, offset: int) -> None:
@@ -193,14 +182,9 @@ class Crossbar:
         writers = self.writers
         if not active & (active - 1):
             order = (active.bit_length() - 1,)
-        elif self.reading & self.writing or (
-                self.probe_conflict is not None
-                or self.probe_broadcast is not None) \
-                and (self.reading | self.writing).bit_count() \
-                > active.bit_count() + 1:
-            # A master may win two banks, or two contended banks may
-            # fire probes (two more waiting ports than banks): the
-            # service order is observable.
+        elif self.reading & self.writing:
+            # A master may win two banks: the service order is
+            # observable in its bank transitions.
             order = self._port_order(active)
         else:
             order = bits_of(active)
@@ -221,8 +205,6 @@ class Crossbar:
                 if w or not self.broadcast or read_at.count(
                         read_at[(r & -r).bit_length() - 1]) != seen:
                     stats.conflict_events += 1
-                    if self.probe_conflict is not None:
-                        self.probe_conflict(bank, won)
                     master = self.arbiters[bank].grant_mask(won)
                     won = 1 << master
                     key = read_at[master]
@@ -240,8 +222,6 @@ class Crossbar:
                     delivered += count - 1
                     if self.widths is not None:
                         self.widths[count] = self.widths.get(count, 0) + 1
-                    if self.probe_broadcast is not None:
-                        self.probe_broadcast(bank, count)
                     readers[bank] = r ^ won
                     reads |= won
                     if r == won and not w:

@@ -34,9 +34,8 @@ class MMU:
     def translate(self, logical: int) -> tuple[int, int]:
         """Physical (bank, offset) for ``logical``; counts the access mix.
 
-        The platform's run loops translate inline (same mapping, same
-        counts) and emit ``mmu.translate`` themselves.
-        """
+        The platform's run loop translates inline (same mapping, same
+        counts)."""
         if self.layout.is_private(logical):
             self.private_accesses += 1
         else:

@@ -4,10 +4,10 @@ The paper's methodology (Fig. 4) feeds *trace files* from the routed
 design into power analysis; this package is the simulator's equivalent
 measurement substrate.  It has four layers, each usable on its own:
 
-* :mod:`repro.obs.probes` — a lightweight **probe bus** of named event
-  hooks (``core.retire``, ``ixbar.conflict``, ``ff.enter`` ...) emitted
-  by the platform simulator, the fast-forward engine and the streaming
-  driver.  With no subscriber attached the emission sites compile down
+* :mod:`repro.obs.probes` — a lightweight **probe bus** of the named
+  events a shipped consumer reads (``core.retire``, ``core.stall``,
+  ``ff.exit``, ``telemetry.window``, ``block.done``) emitted by the
+  platform's cycle loop and the streaming driver.  With no subscriber attached the emission sites compile down
   to a handful of pre-hoisted boolean checks (<2 % overhead, enforced by
   ``benchmarks/bench_obs_overhead.py``).
 * :mod:`repro.obs.metrics` — a **metrics registry** of counters, gauges

@@ -3,8 +3,12 @@
 A :class:`ProbeBus` is a tiny publish/subscribe hub.  The simulator's
 cycle loop (:mod:`repro.platform.multicore`) and the streaming driver
 (:mod:`repro.platform.streaming`) emit the events below; subscribers —
-the trace recorder, the telemetry aggregator, ad-hoc lambdas in tests —
-receive them synchronously, in emission order.
+the Perfetto trace recorder, the telemetry aggregator, the metrics
+registry, ad-hoc lambdas in tests — receive them synchronously, in
+emission order.  The bus carries only the events a shipped consumer
+reads; the crossbars and MMUs account for the rest in their own
+counters (bank accesses, broadcasts, conflicts, the MMU access mix),
+which the snapshot events and the metrics sink carry.
 
 Performance contract: emission sites hoist ``bus.wants(event)`` into a
 local boolean *once per run*, so an unsubscribed event costs a single
@@ -18,10 +22,11 @@ Delivery
 
 :meth:`ProbeBus.subscribe` + :meth:`ProbeBus.emit` call every subscriber
 synchronously per occurrence.  A per-cycle subscriber (the Perfetto
-recorder, :func:`repro.platform.tracing.trace_run`, tests) needs the
-per-cycle-shaped event stream, so while one is attached the run is
-:attr:`~ProbeBus.observed` and the fast-forward engine runs no loop
-traces: they commit whole loop iterations and synthesise no events.
+recorder, tests) needs the per-cycle event stream, so while one is
+attached the run is :attr:`~ProbeBus.observed` and the fast-forward
+engine runs no loop traces: they commit whole loop iterations and
+synthesise no events.  Translation blocks still run, and the run loop
+synthesises their ``core.retire`` events.
 
 The metrics registry needs no events at all.  Its four histograms are
 folded by the run loops themselves into :attr:`ProbeBus.metrics`, a
@@ -47,22 +52,12 @@ event              callback signature
                    instruction fetched from ``pc`` (includes ``HLT``)
 ``core.stall``     ``(cycle, pid, pc)`` — core lost arbitration and is
                    clock-gated for this cycle
-``ixbar.conflict`` ``(cycle, bank, masters)`` — non-mergeable instruction
-                   fetches met in ``bank``; ``masters`` is the sorted
-                   contender list
-``dxbar.conflict`` ``(cycle, bank, masters)`` — same, data side
-``im.broadcast``   ``(cycle, bank, width)`` — one IM access served
-                   ``width`` >= 2 cores
-``dm.broadcast``   ``(cycle, bank, width)`` — same, data side
-``mmu.translate``  ``(cycle, pid, logical, bank, offset, private)`` — one
-                   data-address translation (once per instruction attempt)
-``ff.enter``       ``(cycle)`` — the cycle loop starts committing
-                   conflict-free cycles (proven cycles, blocks, loop
-                   traces) at ``cycle``
-``ff.exit``        ``(cycle, fast_cycles)`` — it stops at ``cycle``, after
-                   ``fast_cycles`` of them (0 = the first proof failed):
-                   a rejected proof, a block's conflict exit, a fault
-                   barrier or the end of the run
+``ff.exit``        ``(cycle, fast_cycles)`` — the cycle loop stops
+                   committing conflict-free cycles (proven cycles, blocks,
+                   loop traces) at ``cycle``, after ``fast_cycles`` of
+                   them (0 = the first proof failed): a rejected proof, a
+                   block's conflict exit, a fault barrier or the end of
+                   the run
 ``block.done``     ``(index, stats)`` — the streaming driver finished and
                    verified block ``index``
 ``telemetry.window`` ``(end_cycle, final, retired, stalls, totals)`` —
@@ -77,11 +72,13 @@ event              callback signature
                    end of the run (possibly a partial window).
 =================  ============================================================
 
-``telemetry.window`` and ``block.done`` are *snapshot* events
-(:data:`SNAPSHOT_EVENTS`): their payloads are counters the simulator
-keeps anyway.  A bus whose subscribers all listen to snapshot events
-only is not :attr:`~ProbeBus.observed`, and the run loops then take the
-same paths as an unobserved run — loop traces included.
+The Perfetto :class:`~repro.obs.perfetto.TraceRecorder` reads
+``core.retire``, ``core.stall`` and ``ff.exit``.  ``telemetry.window``
+and ``block.done`` are *snapshot* events (:data:`SNAPSHOT_EVENTS`):
+their payloads are counters the simulator keeps anyway.  A bus whose
+subscribers all listen to snapshot events only is not
+:attr:`~ProbeBus.observed`, and the run loops then take the same paths
+as an unobserved run — loop traces included.
 """
 
 from __future__ import annotations
@@ -96,12 +93,6 @@ from repro.errors import ConfigurationError
 EVENTS = frozenset({
     "core.retire",
     "core.stall",
-    "ixbar.conflict",
-    "dxbar.conflict",
-    "im.broadcast",
-    "dm.broadcast",
-    "mmu.translate",
-    "ff.enter",
     "ff.exit",
     "block.done",
     "telemetry.window",
@@ -133,7 +124,7 @@ METRIC_HISTOGRAMS = ("sync_group_size", "conflict_burst_length",
 class ProbeBus:
     """Synchronous pub/sub hub for the platform's named probe events."""
 
-    __slots__ = ("_subscribers", "_sample_every", "_sample_seen", "now",
+    __slots__ = ("_subscribers", "_sample_every", "_sample_seen",
                  "window_cycles", "metrics")
 
     def __init__(self):
@@ -152,11 +143,6 @@ class ProbeBus:
         #: run loop reads it once per run and folds the histograms into
         #: it as it commits cycles.
         self.metrics = None
-        #: Current 0-based cycle, maintained by the emitting run loop
-        #: while the bus is :attr:`observed`.  Lets hooks that fire from
-        #: deeper components (crossbars, MMUs) timestamp their events
-        #: without threading the cycle through every call.
-        self.now = 0
 
     # -- subscription ------------------------------------------------------
 

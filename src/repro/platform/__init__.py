@@ -32,16 +32,10 @@ from repro.platform.multicore import (
 )
 from repro.platform.stats import SimulationStats
 from repro.platform.streaming import StreamReport, run_stream
-from repro.platform.tracing import Trace, render_trace, sync_profile, \
-    trace_run
 
 __all__ = [
     "StreamReport",
     "run_stream",
-    "Trace",
-    "render_trace",
-    "sync_profile",
-    "trace_run",
     "ArchConfig",
     "ARCH_NAMES",
     "MC_REF",

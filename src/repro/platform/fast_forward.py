@@ -102,11 +102,10 @@ class FastForwardEngine:
         self.block_cycles = 0
         self.block_conflicts = 0
         # ---- loop-trace layer (cycles in the block graph) ----
-        # Traces run whenever no per-event subscriber is attached (those
-        # keep the per-cycle-shaped event synthesis of the block/cycle
-        # paths; telemetry windows only cap trace budgets at window
-        # edges).  Their state lives here so profile data survives
-        # stretches.
+        # Traces run whenever no per-cycle subscriber is attached (those
+        # keep the per-cycle event synthesis of the block/cycle paths;
+        # telemetry windows only cap trace budgets at window edges).
+        # Their state lives here so profile data survives stretches.
         self._traces = LOOP_TRACES
         self._trace_recs: dict[int, list] = {}
         self._trace_tried: set[int] = set()
@@ -135,7 +134,7 @@ class FastForwardEngine:
             self._block_recs[pc] = None
             return None
         system = self._system()
-        run_fast, run_obs = block.build(
+        run = block.build(
             self._block_env, system.dm_layout, self.core_banks,
             [bank.storage for bank in system.dmem.banks],
             self._brb, self._bro, self._bwb, self._bwo,
@@ -151,8 +150,8 @@ class FastForwardEngine:
             fb_cum = [0] * block.total
             for t in range(1, block.total):
                 fb_cum[t] = fb_cum[t - 1] + (fb_seq[t] != fb_seq[t - 1])
-        record = (block, block.total, run_fast, run_obs, block.handlers,
-                  fb_seq, fb_cum, block.terminator == "hlt")
+        record = (block, block.total, run, block.handlers, fb_seq, fb_cum,
+                  block.terminator == "hlt")
         self._block_recs[pc] = record
         return record
 

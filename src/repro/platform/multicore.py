@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import (ConfigurationError, CycleLimitError, HangError,
                           SimulationError)
-from repro.interconnect.xbar import Crossbar, bits_of, masters_of
+from repro.interconnect.xbar import Crossbar, bits_of
 from repro.memory.banked_memory import BankedMemory
 from repro.memory.layout import PRIVATE_BASE, IMOrganization
 from repro.memory.mmu import MMU
@@ -377,16 +377,15 @@ class MultiCoreSystem:
         # of the cycles no crossbar resolved.  ``bacc`` is shared with
         # the generated code (repro.tamarisc.blocks): slots 0-5 D-Xbar
         # counts and data transfers, 6-10 its fault, conflict and trace
-        # arm channels.  Nothing reads its ``mmu_t`` counts.
+        # arm channels.
         im_acc = im_del = im_bc = im_sv = dreads = dwrites = 0
         itrans = [0] * n
         dtrans = [0] * n
         mmu_p = [0] * n
         mmu_s = [0] * n
-        mmu_t = [0] * n
         bacc = [0, 0, 0, 0, 0, 0, -1, -1, 0, 0, 0]
 
-        # Observability wiring.  With no per-event subscriber (the
+        # Observability wiring.  With no per-cycle subscriber (the
         # common case; telemetry windows only read counter snapshots)
         # this costs one attribute load and the per-cycle/per-event
         # local-boolean checks below — measured <2 % end-to-end by
@@ -399,21 +398,14 @@ class MultiCoreSystem:
         observing = bus is not None and bus.observed
         sink = bus.metrics if bus is not None else None
         emit = None
-        p_retire = p_stall = p_mmu = p_im_bc = p_dm_bc = False
-        p_enter = p_exit = False
-        now = 0
+        p_retire = p_stall = p_exit = False
         win = bus.window_cycles if bus is not None else 0
         p_win = win > 0 and bus.wants("telemetry.window")
         if observing:
             emit = bus.emit
             p_retire = bus.wants("core.retire")
             p_stall = bus.wants("core.stall")
-            p_mmu = bus.wants("mmu.translate")
-            p_im_bc = bus.wants("im.broadcast")
-            p_dm_bc = bus.wants("dm.broadcast")
-            p_enter = bus.wants("ff.enter")
             p_exit = bus.wants("ff.exit")
-            self._wire_xbar_probes(bus)
         im_width = dm_width = None
         if sink is not None:
             groups, bursts, im_width, dm_width = sink
@@ -431,7 +423,7 @@ class MultiCoreSystem:
             succ = engine._succ
             pc_entries = engine._pc_entries
             # Loop traces and their successor profile run unless a
-            # per-event subscriber needs the per-cycle event stream.
+            # per-cycle subscriber needs the per-cycle event stream.
             profiling = blocks_any and engine._traces and not observing
             trace_every = fast_forward.TRACE_ENTRY_THRESHOLD
 
@@ -528,8 +520,6 @@ class MultiCoreSystem:
                 if proving and stretch < 0:
                     stretch = cycle
                     succ_pc = trace_skip = -1
-                    if p_enter:
-                        emit("ff.enter", cycle)
                 if cycle >= max_cycles:
                     raise CycleLimitError(
                         f"benchmark {self.benchmark.name!r} did not finish "
@@ -586,9 +576,8 @@ class MultiCoreSystem:
                                 engine.trace_entries += 1
                                 trec[4] += 1
                                 dm_before = bacc[2]
-                                j = trec[0](run_cores, mmu_t, mmu_p, mmu_s,
-                                            dlast, dtrans, bacc,
-                                            cap - cycle)
+                                j = trec[0](run_cores, mmu_p, mmu_s, dlast,
+                                            dtrans, bacc, cap - cycle)
                                 if j:
                                     engine.trace_cycles += j
                                     # Every shared read of the trace is
@@ -638,8 +627,8 @@ class MultiCoreSystem:
                             if rec is not None and cycle + rec[1] > cap:
                                 rec = None
                         if rec is not None:
-                            # rec = (block, total, run_fast, run_obs,
-                            #        handlers, fb_seq, fb_cum, halts)
+                            # rec = (block, total, run, handlers, fb_seq,
+                            #        fb_cum, halts)
                             engine.block_entries += 1
                             if profiling:
                                 count = pc_entries.get(first_pc, 0) + 1
@@ -654,14 +643,9 @@ class MultiCoreSystem:
                             bacc[7] = -1
                             raise_exc = None
                             try:
-                                if observing:
-                                    j = rec[3](run_cores, mmu_t, mmu_p, mmu_s,
-                                               dlast, dtrans, bacc, cycle,
-                                               emit, p_mmu, p_dm_bc, dm_width)
-                                else:
-                                    j = rec[2](run_cores, mmu_t, mmu_p, mmu_s,
-                                               dlast, dtrans, bacc,
-                                               cap - cycle, dm_width)
+                                j = rec[2](run_cores, mmu_p, mmu_s, dlast,
+                                           dtrans, bacc, cap - cycle,
+                                           dm_width)
                             except SimulationError as exc:
                                 # Address fault at block offset bacc[6]: the
                                 # generated code already patched PC/retired;
@@ -674,19 +658,17 @@ class MultiCoreSystem:
                             if j:
                                 engine.block_cycles += j
                                 if p_retire:
+                                    # A self-looping block repeats its
+                                    # PCs every ``total`` cycles.
                                     for t in range(j):
                                         for pid in bits_of(run_mask):
                                             emit("core.retire", cycle + t, pid,
-                                                 first_pc + t)
-                                fb_seq = rec[5]
+                                                 first_pc + t % total)
+                                fb_seq = rec[4]
                                 fb0 = None if fb_seq is None else fb_seq[0]
                                 if fb0 is not None:
-                                    if p_im_bc and n_run > 1:
-                                        for t in range(j):
-                                            emit("im.broadcast", cycle + t,
-                                                 fb_seq[t], n_run)
                                     if j <= total:
-                                        internal = rec[6][j - 1]
+                                        internal = rec[5][j - 1]
                                         fbl = fb_seq[j - 1]
                                     else:
                                         # Self-looping block: q full
@@ -697,8 +679,8 @@ class MultiCoreSystem:
                                         # first banks differ.
                                         q, r = divmod(j, total)
                                         starts = q + (1 if r else 0)
-                                        internal = q * rec[6][total - 1] \
-                                            + (rec[6][r - 1] if r else 0) \
+                                        internal = q * rec[5][total - 1] \
+                                            + (rec[5][r - 1] if r else 0) \
                                             + (starts - 1) \
                                             * (fb_seq[total - 1] != fb0)
                                         fbl = fb_seq[(j - 1) % total]
@@ -741,7 +723,7 @@ class MultiCoreSystem:
                                 # cycle's data ports into the in-flight
                                 # arrays (MMU counted), so the cycle stages
                                 # them without starting its instructions.
-                                handler = rec[4][conflict_at]
+                                handler = rec[3][conflict_at]
                                 pc = run_cores[0].pc
                                 for pid in bits_of(run_mask):
                                     handlers[pid] = handler
@@ -765,7 +747,7 @@ class MultiCoreSystem:
                                             edges.get(first_pc, 0) + 1
                                     succ_pc = first_pc
                                     succ_cycle = cycle
-                                if rec[7]:  # HLT terminator
+                                if rec[6]:  # HLT terminator
                                     for pid in bits_of(run_mask):
                                         core_stats[pid].halted_at = cycle
                                         fetch_pc[pid] = -1
@@ -813,10 +795,6 @@ class MultiCoreSystem:
                                 layout.translate(pid, dread)  # raises
                             dr_bank[pid] = dread % dbn
                             dr_off[pid] = dread // dbn
-                        if p_mmu:
-                            emit("mmu.translate", cycle, pid, dread,
-                                 dr_bank[pid], dr_off[pid],
-                                 dread >= PRIVATE_BASE)
                     if dwrite is None:
                         dw_bank[pid] = -1
                     else:
@@ -834,10 +812,6 @@ class MultiCoreSystem:
                                 layout.translate(pid, dwrite)  # raises
                             dw_bank[pid] = dwrite % dbn
                             dw_off[pid] = dwrite // dbn
-                        if p_mmu:
-                            emit("mmu.translate", cycle, pid, dwrite,
-                                 dw_bank[pid], dw_off[pid],
-                                 dwrite >= PRIVATE_BASE)
                 # Lockstep: every running core fetches one PC (halted
                 # and dead cores hold fetch PC -1; a stuck core stages
                 # no fetch).
@@ -929,9 +903,6 @@ class MultiCoreSystem:
                                     if sink is not None:
                                         im_width[count] = \
                                             im_width.get(count, 0) + 1
-                                    if p_im_bc:
-                                        emit("im.broadcast", cycle,
-                                             pc_bank[pc], count)
                         for pid in fresh:
                             bank = pc_bank[fetch_pc[pid]]
                             last = ilast[pid]
@@ -949,9 +920,6 @@ class MultiCoreSystem:
                                     if sink is not None:
                                         dm_width[count] = \
                                             dm_width.get(count, 0) + 1
-                                    if p_dm_bc:
-                                        emit("dm.broadcast", cycle, bank,
-                                             count)
                         for pid in bits_of(d_ports):
                             last = dlast[pid]
                             for bank in dr_bank[pid], dw_bank[pid]:
@@ -969,9 +937,6 @@ class MultiCoreSystem:
                     stretch = -1
 
                 cycle += 1
-                if observing:
-                    now = cycle - 1
-                    bus.now = now
                 if proven:
                     done = run_mask
                     starting = 0
@@ -1037,12 +1002,12 @@ class MultiCoreSystem:
                     if not done & bit:
                         # Stalled on its in-flight instruction, or (stuck
                         # at a boundary) on the one at its PC.
-                        emit("core.stall", now, pid,
+                        emit("core.stall", cycle - 1, pid,
                              fetch_pc[pid] if (waiting | stuck_mid) & bit
                              else cores[pid].pc)
                         continue
                     if p_retire:
-                        emit("core.retire", now, pid, fetch_pc[pid])
+                        emit("core.retire", cycle - 1, pid, fetch_pc[pid])
                     core = cores[pid]
                     bank = dr_bank[pid]
                     if bank >= 0:
@@ -1071,9 +1036,6 @@ class MultiCoreSystem:
                 emit("ff.exit", cycle, cycle - stretch)
             self._flush((im_acc, im_del, im_bc, im_sv), bacc, itrans,
                         dtrans, mmu_p, mmu_s, dreads, dwrites)
-            if observing:
-                ixbar.probe_conflict = ixbar.probe_broadcast = None
-                dxbar.probe_conflict = dxbar.probe_broadcast = None
             if sink is not None:
                 ixbar.widths = dxbar.widths = None
                 if sync_cycles:  # multi-core lockstep, on every path
@@ -1092,21 +1054,6 @@ class MultiCoreSystem:
             stats=self._collect_stats(cycle, sync_cycles, core_stats),
             system=self,
         )
-
-    def _wire_xbar_probes(self, bus) -> None:
-        """Hook the crossbars' conflict/broadcast probes to ``bus``
-        (the run loop unhooks them when it returns)."""
-        for xbar, conflict, broadcast in (
-                (self.ixbar, "ixbar.conflict", "im.broadcast"),
-                (self.dxbar, "dxbar.conflict", "dm.broadcast")):
-            if bus.wants(conflict):
-                xbar.probe_conflict = (
-                    lambda bank, masters, _event=conflict:
-                    bus.emit(_event, bus.now, bank, masters_of(masters)))
-            if bus.wants(broadcast):
-                xbar.probe_broadcast = (
-                    lambda bank, width, _event=broadcast:
-                    bus.emit(_event, bus.now, bank, width))
 
     def _settle_stalls(self, core_stats, cycle: int) -> None:
         """Write every core's stall count as of ``cycle``: a running

@@ -272,7 +272,7 @@ class Block:
 
     def build(self, env: tuple, layout, core_banks, storages,
               rbs, ros, wbs, wos, drb, dro, dwb, dwo):
-        """Bind one engine's geometry/scratch; ``(run_fast, run_obs)``.
+        """Bind one engine's geometry/scratch; returns the block function.
 
         ``rbs``/``ros``/``wbs``/``wos`` are position-indexed per-core
         scratch lists (the generated memory phases fill them);
@@ -526,39 +526,30 @@ def _generate_source(block: Block, env: tuple) -> str:
 
     ``env`` is ``(pwc, pwb, swb, shared_words, dm_banks, data_broadcast)``
     — exactly the geometry the engine's per-cycle preview consults.
-    Both variants take ``_dmw``, the metrics sink's DM broadcast-width
-    histogram (``None`` when no sink is attached); the observed one
-    also emits the per-cycle ``mmu.translate``/``dm.broadcast`` events
-    (``_emm``/``_pdb``) through ``_emit``.
+    The block function also takes ``_dmw``, the metrics sink's DM
+    broadcast-width histogram (``None`` when no sink is attached).
     """
-    fast = _generate_variant(block, env, observed=False)
-    obs = _generate_variant(block, env, observed=True)
     lines = ["def _build(_layout, _cb, _sto, _rbs, _ros, _wbs, _wos,"
              " _drb, _dro, _dwb, _dwo):"]
-    lines.append("    def _run_fast(_cores, _mt, _mp, _ms, _dlast, _dtr,"
-                 " _acc, _maxj, _dmw):")
-    lines.extend("        " + line for line in fast)
-    lines.append("    def _run_obs(_cores, _mt, _mp, _ms, _dlast, _dtr,"
-                 " _acc, _c0, _emit, _emm, _pdb, _dmw):")
-    lines.extend("        " + line for line in obs)
-    lines.append("    return _run_fast, _run_obs")
+    lines.append("    def _run(_cores, _mp, _ms, _dlast, _dtr, _acc, _maxj,"
+                 " _dmw):")
+    lines.extend("        " + line for line in _generate_body(block, env))
+    lines.append("    return _run")
     return "\n".join(lines) + "\n"
 
 
-def _generate_variant(block: Block, env: tuple, observed: bool) -> list[str]:
+def _generate_body(block: Block, env: tuple) -> list[str]:
     handlers = block.handlers
     instrs = block.instrs
     n_body = block.n_body
     live = _live_flag_bits(block)
 
     # Tight-loop fusion: when the terminator is a branch whose constant
-    # taken-PC is the block's own start, the *fast* variant iterates the
-    # whole loop inside one call while every core keeps taking it (and
-    # the cycle budget holds), amortising all per-entry overhead over
-    # the loop's run.  The observed variant stays single-pass: its
-    # per-cycle probe payloads are synthesised by the engine per entry.
-    loop = (not observed) and _self_loop_target(block) == block.start \
-        and block.total > 0
+    # taken-PC is the block's own start, the block iterates the whole
+    # loop inside one call while every core keeps taking it (and the
+    # cycle budget holds), amortising all per-entry overhead over the
+    # loop's run.
+    loop = _self_loop_target(block) == block.start and block.total > 0
     writer = _Writer()
 
     if loop:
@@ -583,7 +574,7 @@ def _generate_variant(block: Block, env: tuple, observed: bool) -> list[str]:
             _emit_alu_segment(inner, instrs, live, segment)
         else:
             _emit_mem_step(inner, block, env, position, live[position],
-                           observed, loop)
+                           loop)
             position += 1
 
     _emit_terminator(inner, block, loop)
@@ -636,13 +627,11 @@ def _raise_fixup_lines(block: Block, offset: int, loop: bool) -> list[str]:
 
 
 def _emit_translate(writer: _Writer, indent: int, block: Block, env: tuple,
-                    offset: int, kind: str, observed: bool,
-                    loop: bool) -> None:
+                    offset: int, kind: str, loop: bool) -> None:
     """One address translation, engine order: count, fault, map.
 
     ``kind`` is ``'r'`` or ``'w'``; reads use ``_ra``/``_rb``/``_ro``
-    and fill ``_rbs``/``_ros``, writes likewise.  The observed variant
-    emits each translation's ``mmu.translate`` event.
+    and fill ``_rbs``/``_ros``, writes likewise.
     """
     pwc, pwb, swb, shared_words, dbn, _bcast = env
     addr = f"_{kind}a"
@@ -651,7 +640,6 @@ def _emit_translate(writer: _Writer, indent: int, block: Block, env: tuple,
     dest_b = "_rbs" if kind == "r" else "_wbs"
     dest_o = "_ros" if kind == "r" else "_wos"
     fixup = _raise_fixup_lines(block, offset, loop)
-    writer.add(indent, "_mt[_p] += 1")
     writer.add(indent, f"if {addr} >= {PRIVATE_BASE}:")
     writer.add(indent + 1, "_mp[_p] += 1")
     writer.add(indent + 1, f"_o = {addr} - {PRIVATE_BASE}")
@@ -670,10 +658,6 @@ def _emit_translate(writer: _Writer, indent: int, block: Block, env: tuple,
     writer.add(indent + 1, "_allp = False")
     writer.add(indent, f"{dest_b}[_i] = {bank}")
     writer.add(indent, f"{dest_o}[_i] = {off}")
-    if observed:
-        writer.add(indent, "if _emm:")
-        writer.add(indent + 1, f'_emit("mmu.translate", _cy, _p, {addr}, '
-                               f'{bank}, {off}, {addr} >= {PRIVATE_BASE})')
 
 
 def _emit_conflict_exit(writer: _Writer, indent: int, block: Block,
@@ -710,15 +694,12 @@ def _emit_conflict_exit(writer: _Writer, indent: int, block: Block,
 
 
 def _emit_mem_step(writer: _Writer, block: Block, env: tuple, offset: int,
-                   live: set, observed: bool, loop: bool) -> None:
+                   live: set, loop: bool) -> None:
     _pwc, _pwb, _swb, _shared, _dbn, bcast = env
     instr = block.instrs[offset]
     handler = block.handlers[offset]
     reads = handler.reads_mem
     writes = handler.writes_mem
-
-    if observed:
-        writer.add(0, f"_cy = _c0 + {offset}")
 
     # ---- phase A: addresses + translation for every core ----
     writer.add(0, "_allp = True")
@@ -728,9 +709,9 @@ def _emit_mem_step(writer: _Writer, block: Block, env: tuple, offset: int,
     writer.add(1, "_p = _c.pid")
     writer.block(1, _address_lines(instr))
     if reads:
-        _emit_translate(writer, 1, block, env, offset, "r", observed, loop)
+        _emit_translate(writer, 1, block, env, offset, "r", loop)
     if writes:
-        _emit_translate(writer, 1, block, env, offset, "w", observed, loop)
+        _emit_translate(writer, 1, block, env, offset, "w", loop)
     writer.add(1, "_i += 1")
 
     # ---- verdict: replicate the engine's per-cycle conflict proof ----
@@ -817,18 +798,15 @@ def _emit_mem_step(writer: _Writer, block: Block, env: tuple, offset: int,
         writer.add(1, "_acc[0] += _n")
 
     if broadcast_loop:
-        # Same-address read merges: broadcast counters, the metrics
-        # sink's width histogram and probe events.
-        writer.add(1, "for _b2, _e in _map.items():")
+        # Same-address read merges: broadcast counters and the metrics
+        # sink's width histogram.
+        writer.add(1, "for _e in _map.values():")
         writer.add(2, "_w = _e[1]")
         writer.add(2, "if _w > 1:")
         writer.add(3, "_acc[2] += 1")
         writer.add(3, "_acc[3] += _w - 1")
         writer.add(3, "if _dmw is not None:")
         writer.add(4, "_dmw[_w] = _dmw.get(_w, 0) + 1")
-        if observed:
-            writer.add(3, "if _pdb:")
-            writer.add(4, '_emit("dm.broadcast", _cy, _b2, _w)')
 
     # ---- phase B: commit every core ----
     writer.add(0, "_x = 0")
@@ -1541,7 +1519,7 @@ def _emit_trace_run(w: _Writer, trace: Trace, env: tuple,
             w.add(li, "_pdl[_x] = _dl")
             w.add(li, "_pdt[_x] += _dt")
 
-    w.add(1, "def _run(_cores, _mt, _mp, _ms, _dlast, _dtr, _acc, _maxj):")
+    w.add(1, "def _run(_cores, _mp, _ms, _dlast, _dtr, _acc, _maxj):")
     b = 2
     w.add(b, "_n = len(_cores)")
     w.add(b, "_c0 = _cores[0]")
@@ -1618,7 +1596,7 @@ def _emit_trace_run(w: _Writer, trace: Trace, env: tuple,
     # ---- epilogue ----
     w.add(b, "if _j:")
     e = b + 1
-    mt_fold = _fold_expr(accesses, count_vars)
+    port_fold = _fold_expr(accesses, count_vars)
     mp_fold = _fold_expr([p + wn for p, wn in zip(preads, writes)],
                          count_vars)
     ms_fold = _fold_expr(sreads, count_vars)
@@ -1638,8 +1616,6 @@ def _emit_trace_run(w: _Writer, trace: Trace, env: tuple,
             w.add(e + 1, f"_f.{bit} = _f{bit}")
     if any_mem:
         w.add(e + 1, "_p = _c.pid")
-        if mt_fold:
-            w.add(e + 1, f"_mt[_p] += {mt_fold}")
         if mp_fold:
             w.add(e + 1, f"_mp[_p] += {mp_fold}")
         if ms_fold:
@@ -1653,8 +1629,8 @@ def _emit_trace_run(w: _Writer, trace: Trace, env: tuple,
             + ([f"_n * ({mp_fold})"] if mp_fold else [])
         if acc0:
             w.add(e, f"_acc[0] += {' + '.join(acc0)}")
-        if mt_fold:
-            w.add(e, f"_acc[1] += _n * ({mt_fold})")
+        if port_fold:
+            w.add(e, f"_acc[1] += _n * ({port_fold})")
         if ms_fold:
             w.add(e, "if _n > 1:")
             w.add(e + 1, f"_acc[2] += {ms_fold}")

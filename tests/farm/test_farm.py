@@ -141,6 +141,23 @@ class TestScheduler:
             farm.run_until_complete()
             assert farm.jobs[follow_up].state is JobState.DONE
 
+    def test_listener_error_is_not_a_worker_crash(self):
+        """An error a listener raises (a checkpoint that cannot be
+        written) reaches the caller; the healthy worker that sent the
+        result is neither counted as crashed nor replaced."""
+        def unwritable(job):
+            raise OSError("checkpoint directory is a file")
+
+        with FarmScheduler(workers=1) as farm:
+            farm.listeners.append(unwritable)
+            worker = farm._workers[0]
+            job_id = farm.submit(small_spec())
+            with pytest.raises(OSError, match="checkpoint"):
+                farm.run_until_complete()
+            assert farm.jobs[job_id].state is JobState.DONE
+            assert farm.crashes == 0
+            assert farm._workers == [worker]
+
     def test_fail_fast_cancels_the_queue(self):
         with FarmScheduler(workers=1, max_retries=0,
                            fail_fast=True) as farm:

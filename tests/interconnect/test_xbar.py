@@ -194,42 +194,29 @@ def _cycle_requests(raw):
     return [ports[key] for key in sorted(ports)]
 
 
-def _probed(xbar):
-    events = []
-    xbar.probe_conflict = lambda bank, masters: events.append(
-        ("conflict", bank, masters_of(masters)))
-    xbar.probe_broadcast = \
-        lambda bank, width: events.append(("broadcast", bank, width))
-    return events
-
-
-def _assert_same_state(xbar, reference, events):
+def _assert_same_state(xbar, reference):
     assert xbar.stats == reference.stats
     assert xbar._last_bank == reference.last_bank
     assert [(a.pointer, a.grants) for a in xbar.arbiters] \
         == [(a.pointer, a.grants) for a in reference.arbiters]
-    if events is not None:
-        assert events == reference.events
 
 
 class TestStagedMatchesReference:
     """Differential: one fully restaged cycle of the persistent crossbar
     equals the dict/set reference cycle by cycle — grants, every
-    statistic, each master's last bank, the arbiter pointers and the
-    probe events."""
+    statistic, each master's last bank and the arbiter pointers."""
 
     @given(st.lists(st.lists(request, max_size=16), min_size=1,
                     max_size=12),
            st.booleans())
     def test_cycle_sequences(self, cycles, broadcast):
         xbar = Crossbar(8, 4, broadcast=broadcast)
-        events = _probed(xbar)
         reference = ReferenceCrossbar(8, 4, broadcast)
         for raw in cycles:
             requests = _cycle_requests(raw)
             assert arbitrate_list(xbar, requests) \
                 == reference.arbitrate(requests)
-            _assert_same_state(xbar, reference, events)
+            _assert_same_state(xbar, reference)
 
     def test_staged_call_reports_per_port_grants(self):
         """The platform's form: stage ports, resolve, read the granted
@@ -247,26 +234,15 @@ class TestStagedMatchesReference:
         assert xbar.resolve() == (0, 0b10)
         assert xbar.active == 0
 
-    def test_conflict_hook_reports_contender_bit_set(self):
-        xbar = Crossbar(8, 4, broadcast=False)
-        events = []
-        xbar.probe_conflict = \
-            lambda bank, masters: events.append((bank, masters))
-        arbitrate_list(xbar, reads((7, 2, 0), (0, 2, 1), (5, 2, 0)))
-        assert events == [(2, 0b1010_0001)]
-        assert masters_of(0b1010_0001) == [0, 5, 7]
-        assert masters_of(0) == []
 
-
-def run_streams(cycles, broadcast, probed=True, masters=8, banks=4):
+def run_streams(cycles, broadcast, masters=8, banks=4):
     """Feed a request stream to the persistent crossbar the way the
     platform does — a master keeps its ungranted ports staged and adds
     new ones only when it has none left — and check it against the
-    reference fed the fully restaged list after every cycle.  Unprobed,
-    the crossbar may serve banks in index order wherever that order is
+    reference fed the fully restaged list after every cycle.  The
+    crossbar may serve banks in index order wherever that order is
     unobservable."""
     xbar = Crossbar(masters, banks, broadcast=broadcast)
-    events = _probed(xbar) if probed else None
     reference = ReferenceCrossbar(masters, banks, broadcast)
     pending: dict[tuple[int, bool], Request] = {}
     for raw in cycles:
@@ -280,7 +256,7 @@ def run_streams(cycles, broadcast, probed=True, masters=8, banks=4):
         reads, writes = xbar.resolve()
         assert {(m, False) for m in masters_of(reads)} \
             | {(m, True) for m in masters_of(writes)} == granted
-        _assert_same_state(xbar, reference, events)
+        _assert_same_state(xbar, reference)
         for key in granted:
             del pending[key]
         assert xbar.reading == sum(1 << master for master, write
@@ -297,16 +273,15 @@ class TestPersistentMatchesReference:
 
     @given(st.lists(st.lists(request, max_size=16), min_size=1,
                     max_size=24),
-           st.booleans(), st.booleans())
-    def test_request_streams(self, cycles, broadcast, probed):
-        run_streams(cycles, broadcast, probed)
+           st.booleans())
+    def test_request_streams(self, cycles, broadcast):
+        run_streams(cycles, broadcast)
 
     def test_eight_way_contention_on_one_bank(self):
         cycles = [[(m, 0, m % 2, False) for m in range(8)]] * 12
         for broadcast in (True, False):
-            for probed in (True, False):
-                xbar = run_streams(cycles, broadcast, probed)
-                assert xbar.stats.conflict_events > 0
+            xbar = run_streams(cycles, broadcast)
+            assert xbar.stats.conflict_events > 0
 
     def test_read_and_write_of_one_master_in_one_bank(self):
         cycles = [[(3, 1, 4, False), (3, 1, 5, True), (5, 1, 4, False)]]
@@ -319,7 +294,6 @@ class TestPersistentMatchesReference:
         # read's port is lower, so bank 3 is served first.
         cycles = [[(1, 3, 0, False)], [(1, 3, 1, False), (1, 0, 2, True)],
                   [(0, 0, 1, True), (1, 3, 2, False), (1, 0, 3, True)]]
-        for probed in (True, False):
-            xbar = run_streams(cycles, True, probed)
-            assert xbar.stats.bank_transitions == {1: 2}
-            assert xbar._last_bank[1] == 3 and xbar.writers[0] == 0b10
+        xbar = run_streams(cycles, True)
+        assert xbar.stats.bank_transitions == {1: 2}
+        assert xbar._last_bank[1] == 3 and xbar.writers[0] == 0b10

@@ -13,10 +13,10 @@ event at a time:
 * **broadcast width** — the ``width`` of each ``im.broadcast`` /
   ``dm.broadcast`` event.
 
-It subscribes to per-cycle events, so its runs are observed and take
-the trace-free engine paths.  The fold cannot see run boundaries (a
-conflict burst at the end of one run would join one at the start of
-the next), so compare it one run at a time.
+The events come from the event log of the reference cycle loop
+(:func:`tests.interconnect.reference_loop.reference_run`), not from the
+loop under test.  A fold covers one run: a conflict burst closes at the
+end of its log, as the run loops close it at the end of every run.
 """
 
 from __future__ import annotations
@@ -24,35 +24,32 @@ from __future__ import annotations
 from repro.obs.metrics import Histogram
 from repro.obs.probes import METRIC_HISTOGRAMS
 
+from tests.interconnect.reference_loop import reference_run
+
 
 class ReferenceMetrics:
-    """The four metric histograms, plus event counts, folded per event."""
+    """The four metric histograms of one run, folded per event from its
+    reference-loop event log."""
 
-    def __init__(self, bus=None):
+    def __init__(self, log):
         self.histograms = {name: Histogram(name)
                            for name in METRIC_HISTOGRAMS}
-        self.counts = dict.fromkeys(
-            ("retired", "stalls", "ixbar_conflicts", "dxbar_conflicts",
-             "im_broadcasts", "dm_broadcasts", "mmu_private",
-             "mmu_shared"), 0)
         self._cycle = None
         self._cycle_pcs: set[int] = set()
         self._burst_last = None
         self._burst_len = 0
-        if bus is not None:
-            self.subscribe(bus)
-
-    def subscribe(self, bus) -> None:
-        for event, handler in {
-            "core.retire": self._on_retire,
-            "core.stall": self._on_stall,
-            "ixbar.conflict": self._on_ixbar_conflict,
-            "dxbar.conflict": self._on_dxbar_conflict,
+        handlers = {
+            "core.retire": self._on_active,
+            "core.stall": self._on_active,
+            "ixbar.conflict": self._on_conflict,
+            "dxbar.conflict": self._on_conflict,
             "im.broadcast": self._on_im_broadcast,
             "dm.broadcast": self._on_dm_broadcast,
-            "mmu.translate": self._on_translate,
-        }.items():
-            bus.subscribe(event, handler)
+        }
+        for event, cycle, *payload in log:
+            handler = handlers.get(event)
+            if handler is not None:
+                handler(cycle, *payload)
 
     def finish(self) -> dict:
         """Close the trailing cycle group and conflict burst; returns
@@ -67,7 +64,7 @@ class ReferenceMetrics:
             self._burst_len = 0
         return histograms(self.histograms)
 
-    def _on_active(self, cycle, pc) -> None:
+    def _on_active(self, cycle, pid, pc) -> None:
         if cycle != self._cycle:
             if self._cycle is not None:
                 self.histograms["sync_group_size"].observe(
@@ -77,15 +74,7 @@ class ReferenceMetrics:
         else:
             self._cycle_pcs.add(pc)
 
-    def _on_retire(self, cycle, pid, pc) -> None:
-        self.counts["retired"] += 1
-        self._on_active(cycle, pc)
-
-    def _on_stall(self, cycle, pid, pc) -> None:
-        self.counts["stalls"] += 1
-        self._on_active(cycle, pc)
-
-    def _on_conflict(self, cycle) -> None:
+    def _on_conflict(self, cycle, bank, masters) -> None:
         last = self._burst_last
         if last == cycle:
             return  # several banks conflicting in one cycle: one burst cycle
@@ -98,25 +87,19 @@ class ReferenceMetrics:
             self._burst_len = 1
         self._burst_last = cycle
 
-    def _on_ixbar_conflict(self, cycle, bank, masters) -> None:
-        self.counts["ixbar_conflicts"] += 1
-        self._on_conflict(cycle)
-
-    def _on_dxbar_conflict(self, cycle, bank, masters) -> None:
-        self.counts["dxbar_conflicts"] += 1
-        self._on_conflict(cycle)
-
     def _on_im_broadcast(self, cycle, bank, width) -> None:
-        self.counts["im_broadcasts"] += 1
         self.histograms["im_broadcast_width"].observe(width)
 
     def _on_dm_broadcast(self, cycle, bank, width) -> None:
-        self.counts["dm_broadcasts"] += 1
         self.histograms["dm_broadcast_width"].observe(width)
 
-    def _on_translate(self, cycle, pid, logical, bank, offset,
-                      private) -> None:
-        self.counts["mmu_private" if private else "mmu_shared"] += 1
+
+def reference_histograms(system, benchmark, faults=None):
+    """The reference histograms of one run of ``benchmark`` on
+    ``system`` (run by the reference loop), and its stats."""
+    log = []
+    stats = reference_run(system, benchmark, faults=faults, log=log)
+    return ReferenceMetrics(log).finish(), stats
 
 
 def histograms(source) -> dict:

@@ -110,12 +110,17 @@ class TestProbeMetrics:
         assert histogram.counts[1] == stats.sync_cycles + lone_core_cycles
 
     def test_conflict_burst_lengths_cover_conflict_cycles(self, built):
+        """The bursts partition the cycles with a crossbar conflict,
+        which the reference loop logs."""
+        from tests.interconnect.reference_loop import reference_run
+
+        log = []
+        reference_run(build_platform("ulpmc-int", fast_forward=False),
+                      built.benchmark, log=log)
+        conflict_cycles = {cycle for event, cycle, *_ in log
+                           if event.endswith(".conflict")}
         system = build_platform("ulpmc-int", fast_forward=False)
         collector = ProbeMetrics.attach(system.probe_bus())
-        conflict_cycles = set()
-        system.probe_bus().subscribe(
-            "ixbar.conflict",
-            lambda cycle, bank, masters: conflict_cycles.add(cycle))
         system.run(built.benchmark)
         histogram = collector.conflict_bursts
         assert histogram.total == len(conflict_cycles)

@@ -3,12 +3,13 @@
 :class:`~repro.obs.metrics.ProbeMetrics` hangs a sink on the probe bus
 and the run loops fold its four histograms as they commit cycles:
 blocks and loop traces as constants, the exact loop and per-instruction
-cycles one entry at a time.  Every
-test here runs one input twice — once with only ``ProbeMetrics``
-attached (not observed: blocks and loop traces run), once with the
-per-event :class:`~tests.obs.metrics_reference.ReferenceMetrics` (an
-observed run, so trace-free) — and the histograms must be identical,
-one run at a time.
+cycles one entry at a time.  Every test here runs one input with only
+``ProbeMetrics`` attached (not observed: blocks and loop traces run)
+and compares the histograms with the per-event
+:class:`~tests.obs.metrics_reference.ReferenceMetrics` fold of the
+reference cycle loop's run of the same input, one run at a time.  Each
+reference run is recorded once per module and compared with every
+engine and window length.
 """
 
 import pytest
@@ -20,7 +21,7 @@ from repro.obs import ProbeMetrics
 from repro.platform import ARCH_NAMES, build_platform
 from repro.platform.streaming import run_stream
 from repro.resilience import FaultSession, FaultSpec
-from tests.obs.metrics_reference import ReferenceMetrics, histograms
+from tests.obs.metrics_reference import histograms, reference_histograms
 
 
 @pytest.fixture(scope="module")
@@ -40,12 +41,21 @@ def _windows(bus, window_cycles):
         bus.subscribe("telemetry.window", lambda *args: None)
 
 
-def reference_run(system, benchmark, window_cycles=0, faults=None):
-    """The per-event histograms of one run, and its stats."""
-    reference = ReferenceMetrics(system.probe_bus())
-    _windows(system.probe_bus(), window_cycles)
-    stats = system.run(benchmark, faults=faults).stats
-    return reference.finish(), stats
+@pytest.fixture(scope="module")
+def reference(tiny_ecg):
+    """``(arch, **overrides) -> (histograms, stats)`` of the reference
+    loop's run of the tiny benchmark, recorded once per module."""
+    cache = {}
+
+    def run(arch, **overrides):
+        key = (arch, tuple(sorted(overrides.items())))
+        if key not in cache:
+            cache[key] = reference_histograms(
+                build_platform(arch, fast_forward=False, **overrides),
+                tiny_ecg.benchmark)
+        return cache[key]
+
+    return run
 
 
 def folded_run(system, benchmark, window_cycles=0, faults=None):
@@ -66,13 +76,11 @@ def folded_run(system, benchmark, window_cycles=0, faults=None):
 @pytest.mark.parametrize("overrides", [{}, {"instr_broadcast": False},
                                        {"data_broadcast": False}])
 @pytest.mark.parametrize("arch", ["mc-ref", "ulpmc-bank"])
-def test_fold_equals_reference(tiny_ecg, arch, overrides, fast_forward,
-                               window_cycles):
+def test_fold_equals_reference(tiny_ecg, reference, arch, overrides,
+                               fast_forward, window_cycles):
     """Lockstep and contended, both engines, with and without window
     edges capping block and trace budgets."""
-    expected, stats = reference_run(
-        build_platform(arch, fast_forward=False, **overrides),
-        tiny_ecg.benchmark, window_cycles)
+    expected, stats = reference(arch, **overrides)
     measured, folded_stats, _ = folded_run(
         build_platform(arch, fast_forward=fast_forward, **overrides),
         tiny_ecg.benchmark, window_cycles)
@@ -95,45 +103,50 @@ def test_profiled_run_keeps_loop_traces(small_ecg, arch):
     for tier in ("block_cycles", "trace_cycles", "entries",
                  "trace_entries"):
         assert summary[tier] == bare.block_summary()[tier], tier
-    expected, _ = reference_run(build_platform(arch), small_ecg.benchmark)
+    expected, _ = reference_histograms(
+        build_platform(arch, fast_forward=False), small_ecg.benchmark)
     assert measured == expected
     assert measured["sync_group_size"][1] >= summary["trace_cycles"]
 
 
 @pytest.mark.parametrize("switch", ["instr_broadcast", "data_broadcast"])
 @pytest.mark.parametrize("arch", ["ulpmc-int", "ulpmc-bank"])
-def test_desync_ablations_fold_conflict_bursts(arch, switch):
+def test_desync_ablations_fold_conflict_bursts(tiny_ecg, reference, arch,
+                                               switch):
     """The broadcast ablations: cores lose lockstep and conflict in
     runs of consecutive cycles."""
-    built = build_benchmark(BenchmarkSpec(n_samples=32, n_measurements=16))
-    expected, stats = reference_run(
-        build_platform(arch, fast_forward=False, **{switch: False}),
-        built.benchmark)
+    expected, stats = reference(arch, **{switch: False})
     assert expected["conflict_burst_length"]
     assert max(expected["sync_group_size"]) > 1
     for fast_forward in (False, True):
         measured, folded_stats, _ = folded_run(
             build_platform(arch, fast_forward=fast_forward,
-                           **{switch: False}), built.benchmark)
+                           **{switch: False}), tiny_ecg.benchmark)
         assert folded_stats == stats
         assert measured == expected, fast_forward
 
 
+def _stuck_then_dead():
+    return FaultSession([FaultSpec("stuck", 500, 3),
+                         FaultSpec("dead", 4000, 3)], watchdog_window=0)
+
+
+@pytest.fixture(scope="module")
+def stuck_then_dead_reference(small_ecg):
+    return reference_histograms(
+        build_platform("ulpmc-int", fast_forward=False),
+        small_ecg.benchmark, faults=_stuck_then_dead())
+
+
 @pytest.mark.parametrize("fast_forward", [False, True])
-def test_stuck_then_dead_fault_run(small_ecg, fast_forward):
+def test_stuck_then_dead_fault_run(small_ecg, stuck_then_dead_reference,
+                                   fast_forward):
     """A clock-stuck core stalls at its PC (mid-instruction: its
     latched fetch PC) until it dies; the fold follows both."""
-    def faults():
-        return FaultSession([FaultSpec("stuck", 500, 3),
-                             FaultSpec("dead", 4000, 3)],
-                            watchdog_window=0)
-
-    expected, stats = reference_run(
-        build_platform("ulpmc-int", fast_forward=False),
-        small_ecg.benchmark, faults=faults())
+    expected, stats = stuck_then_dead_reference
     measured, folded_stats, _ = folded_run(
         build_platform("ulpmc-int", fast_forward=fast_forward),
-        small_ecg.benchmark, faults=faults())
+        small_ecg.benchmark, faults=_stuck_then_dead())
     assert folded_stats == stats
     assert stats.cores[3].stall_cycles >= 3500
     assert measured == expected
@@ -144,25 +157,17 @@ def test_two_block_stream_folds_each_run(small_ecg):
     equal the reference's for that block (a conflict burst never
     spans two runs)."""
     series = build_block_series(small_ecg.spec, n_blocks=2)
-
-    def per_block(attach, read):
-        system = build_platform("ulpmc-bank", instr_broadcast=False)
-        collector = attach(system.probe_bus())
-        blocks = []
-        system.probe_bus().subscribe(
-            "block.done",
-            lambda index, stats: blocks.append(read(collector)))
-        run_stream("ulpmc-bank", series, system=system)
-        return blocks
-
-    def reference_block(reference):
-        snapshot = reference.finish()
-        for histogram in reference.histograms.values():
-            histogram.counts.clear()
-        return snapshot
-
-    expected = per_block(ReferenceMetrics, reference_block)
-    cumulative = per_block(ProbeMetrics.attach, histograms)
+    system = build_platform("ulpmc-bank", fast_forward=False,
+                            instr_broadcast=False)
+    expected = [reference_histograms(system, built.benchmark)[0]
+                for built in series]
+    system = build_platform("ulpmc-bank", instr_broadcast=False)
+    collector = ProbeMetrics.attach(system.probe_bus())
+    cumulative = []
+    system.probe_bus().subscribe(
+        "block.done",
+        lambda index, stats: cumulative.append(histograms(collector)))
+    run_stream("ulpmc-bank", series, system=system)
     first, second = cumulative
     assert expected[0] == first
     assert expected[1] == {

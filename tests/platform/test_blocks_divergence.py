@@ -234,9 +234,11 @@ class TestLoopTraces:
         build = ff_engine.FastForwardEngine._build_trace
 
         def state(engine, cores, args):
+            # args: the MMU, D-bank and accumulator lists, then the
+            # cycle budget.
             return ([(core.pc, core.retired, list(core.regs),
                       core.flags.as_tuple()) for core in cores],
-                    [list(arg) for arg in args[:6]],
+                    [list(arg) for arg in args[:-1]],
                     [list(bank.storage)
                      for bank in engine._system().dmem.banks])
 

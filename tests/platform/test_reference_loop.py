@@ -2,18 +2,18 @@
 
 ``MultiCoreSystem.run`` executes the compiled dispatch table, keeps each
 port staged in the crossbars until it is granted and settles stall
-cycles lazily.  The reference below is the loop written the plain way —
-every waiting port restaged as a :class:`Request` each cycle and
-arbitrated by the list-form :class:`ReferenceCrossbar`, the generic
-operand walk of :class:`~repro.tamarisc.cpu.Core` for previews and
-commits, a set of fetch PCs for lockstep detection, one stall counted
-per core and cycle — and the platform's engines (exact,
-per-instruction, default) must reproduce it bit for bit on
-configurations where cores desynchronise, stall with partial grants
-and contend for banks — also when a fault
-moves a core's PC while its fetch is stalled, sticks a core's clock or
-kills it.  The crossbar's own arbitration is checked against the same
-reference in ``tests/interconnect/test_xbar.py``.
+cycles lazily.  The reference
+(:func:`tests.interconnect.reference_loop.reference_run`) is the loop
+written the plain way — every waiting port restaged as a request each
+cycle and arbitrated by the list-form crossbar, the generic operand
+walk of :class:`~repro.tamarisc.cpu.Core` for previews and commits, a
+set of fetch PCs for lockstep detection, one stall counted per core and
+cycle — and the platform's engines (exact, per-instruction, default)
+must reproduce it bit for bit on configurations where cores
+desynchronise, stall with partial grants and contend for banks — also
+when a fault moves a core's PC while its fetch is stalled, sticks a
+core's clock or kills it.  The crossbar's own arbitration is checked
+against the list-form crossbar in ``tests/interconnect/test_xbar.py``.
 """
 
 import random
@@ -21,20 +21,17 @@ from unittest import mock
 
 import pytest
 
-from repro.errors import CycleLimitError, HangError, SimulationError
+from repro.errors import SimulationError
 from repro.kernels import BenchmarkSpec, build_benchmark
 from repro.memory.layout import PRIVATE_BASE
 from repro.platform import ARCH_NAMES, Benchmark, build_platform
 from repro.platform import fast_forward as ff_engine
-from repro.platform.stats import CoreStats
 from repro.resilience import FaultSession, FaultSpec
 from repro.tamarisc.assembler import assemble
 from repro.tamarisc.program import DataImage
 from repro.tamarisc.regression import SANDBOX_WORDS, generate_random_program
 
-from tests.interconnect.xbar_reference import ReferenceCrossbar, Request
-
-MAX_CYCLES = 200_000
+from tests.interconnect.reference_loop import MAX_CYCLES, reference_run
 
 #: The platform's engines: ``(fast_forward, TRANSLATION_BLOCKS)``.  The
 #: per-instruction one proves every conflict-free cycle on its own.
@@ -45,134 +42,6 @@ ENGINES = {"exact": (False, True), "per-instruction": (True, False),
 #: and contend for banks.
 CONTENTION = [{}, {"instr_broadcast": False}, {"data_broadcast": False},
               {"instr_broadcast": False, "data_broadcast": False}]
-
-
-class _Attempt:
-    """One core's in-flight instruction."""
-
-    def __init__(self, instr, fetch_pc, dr_loc, dw_loc):
-        self.instr = instr
-        self.fetch_pc = fetch_pc
-        self.dr_loc = dr_loc
-        self.dw_loc = dw_loc
-        self.need_if = True
-        self.need_dr = dr_loc is not None
-        self.need_dw = dw_loc is not None
-
-
-def reference_run(system, benchmark, max_cycles=MAX_CYCLES, faults=None):
-    """Run ``benchmark`` on ``system`` with the reference loop; returns
-    the :class:`SimulationStats`.
-
-    ``faults`` (a :class:`FaultSession`) is applied between cycles,
-    where the platform applies it.  An in-flight instruction keeps the
-    PC it was fetched from.  A clock-stuck core issues nothing and
-    stalls every cycle; a dead core leaves the run at the fault cycle.
-    The reference crossbars' statistics replace the system's, also when
-    the run raises.
-    """
-    system.load(benchmark)
-    config = system.config
-    n = config.n_cores
-    ixbar = ReferenceCrossbar(n, config.im_banks, config.instr_broadcast)
-    dxbar = ReferenceCrossbar(n, config.dm_banks, config.data_broadcast)
-    cores, mmus, decoded = system.cores, system.mmus, system.decoded
-    storage = [bank.storage for bank in system.dmem.banks]
-    core_stats = [CoreStats() for _ in range(n)]
-    attempts = [None] * n
-    running = set(range(n))
-    stuck = faults.stuck_cores if faults is not None else set()
-    watchdog = faults.watchdog_window if faults is not None else 0
-    cycle = sync_cycles = last_progress = 0
-    try:
-        while running:
-            if faults is not None and faults.next_cycle is not None \
-                    and cycle >= faults.next_cycle:
-                faults.apply_due(system, cycle)
-                decoded = system.decoded
-                for pid in faults.dead_cores & running:
-                    core_stats[pid].halted_at = cycle
-                    attempts[pid] = None
-                    running.discard(pid)
-                last_progress = cycle
-                if not running:
-                    break
-            if cycle >= max_cycles:
-                raise CycleLimitError(
-                    f"benchmark {benchmark.name!r} did not finish within "
-                    f"{max_cycles} cycles on {config.name}")
-            cycle += 1
-            im_requests, dm_requests, fetch_pcs = [], [], set()
-            for pid in sorted(running):
-                if pid in stuck:
-                    fetch_pcs.add(None)
-                    continue
-                core = cores[pid]
-                if attempts[pid] is None:
-                    if core.pc >= len(decoded):
-                        raise SimulationError(
-                            f"core {pid} ran off the program at PC "
-                            f"{core.pc:#x}")
-                    instr = decoded[core.pc]
-                    dread, dwrite = core.data_requests(instr)
-                    attempts[pid] = _Attempt(
-                        instr, core.pc,
-                        mmus[pid].translate(dread.addr) if dread else None,
-                        mmus[pid].translate(dwrite.addr) if dwrite
-                        else None)
-                attempt = attempts[pid]
-                if attempt.need_if:
-                    bank, offset = system.im_layout.locate(
-                        pid, attempt.fetch_pc)
-                    im_requests.append(Request(pid, bank, offset))
-                    fetch_pcs.add(attempt.fetch_pc)
-                else:
-                    fetch_pcs.add(None)
-                if attempt.need_dr:
-                    dm_requests.append(Request(pid, *attempt.dr_loc))
-                if attempt.need_dw:
-                    dm_requests.append(Request(pid, *attempt.dw_loc,
-                                               write=True))
-            if len(running) > 1 and len(fetch_pcs) == 1 \
-                    and None not in fetch_pcs:
-                sync_cycles += 1
-            granted = {("im",) + key for key
-                       in ixbar.arbitrate(im_requests)}
-            granted |= {("dm",) + key for key
-                        in dxbar.arbitrate(dm_requests)}
-            for pid in sorted(running):
-                attempt = attempts[pid]
-                if pid in stuck:
-                    core_stats[pid].stall_cycles += 1
-                    continue
-                attempt.need_if &= ("im", pid, False) not in granted
-                attempt.need_dr &= ("dm", pid, False) not in granted
-                attempt.need_dw &= ("dm", pid, True) not in granted
-                if attempt.need_if or attempt.need_dr or attempt.need_dw:
-                    core_stats[pid].stall_cycles += 1
-                    continue
-                value = None
-                if attempt.dr_loc is not None:
-                    value = storage[attempt.dr_loc[0]][attempt.dr_loc[1]]
-                    system._dreads_committed += 1
-                store = cores[pid].execute(attempt.instr, value)
-                if store is not None:
-                    storage[attempt.dw_loc[0]][attempt.dw_loc[1]] = \
-                        store[1] & 0xFFFF
-                    system._dwrites_committed += 1
-                attempts[pid] = None
-                last_progress = cycle
-                if cores[pid].halted:
-                    core_stats[pid].halted_at = cycle
-                    running.discard(pid)
-            if watchdog and cycle - last_progress >= watchdog:
-                raise HangError(
-                    f"sync watchdog: no core retired for {watchdog} "
-                    f"cycles (cycle {cycle}) on {config.name}")
-    finally:
-        system.ixbar.stats = ixbar.stats
-        system.dxbar.stats = dxbar.stats
-    return system._collect_stats(cycle, sync_cycles, core_stats)
 
 
 def outcome(system, run):

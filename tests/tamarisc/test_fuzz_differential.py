@@ -8,17 +8,17 @@ constrained-random program (full ISA surface) runs once per mode —
 exact cycle-stepped loop, per-instruction fast-forward, and
 block-translated fast-forward (:mod:`repro.tamarisc.blocks`) — with
 
-* per-event subscribers on every comparable event (an observed run:
-  the engine synthesises the per-cycle event stream),
-* the per-event reference fold of the metrics histograms
-  (``tests/obs/metrics_reference.py``), and
+* per-event subscribers on the per-cycle ``core.retire`` and
+  ``core.stall`` events (an observed run: the engine synthesises the
+  per-cycle event stream), and
 * the metrics sink the run loops fold into, on the same bus,
 
-and the test asserts equal registers, memory, ``SimulationStats``,
-folded histograms (equal to the reference's), and per-cycle-sorted
-event streams.  The ``ff.*`` events are excluded: they describe the
-engine's own mode transitions, which by definition differ between
-modes.
+and the test asserts equal registers, memory, ``SimulationStats``, and
+folded histograms and per-cycle-sorted event streams equal to those of
+the reference cycle loop (``tests/interconnect/reference_loop.py``)
+and its per-event metrics fold (``tests/obs/metrics_reference.py``).
+``ff.exit`` is excluded: it describes the engine's own mode
+transitions, which by definition differ between modes.
 
 A second pass re-runs a slice of the corpus with *only* the metrics
 sink attached, so the unobserved engine paths (no ``emit()`` involved
@@ -38,16 +38,17 @@ import pytest
 
 import repro.platform.fast_forward as ff_engine
 from repro.memory.layout import PRIVATE_BASE
-from repro.obs import EVENTS, ProbeMetrics
+from repro.obs import ProbeMetrics
 from repro.platform import ARCH_NAMES, Benchmark, build_platform
 from repro.tamarisc.program import DataImage
 from repro.tamarisc.regression import SANDBOX_WORDS, generate_random_program
+from tests.interconnect.reference_loop import reference_run
 from tests.obs.metrics_reference import ReferenceMetrics, histograms
 
-#: ff.* events announce fast-forward engine transitions; the exact loop
-#: never emits them, so they are not part of the identity contract.
-COMPARABLE_EVENTS = sorted(
-    name for name in EVENTS if not name.startswith("ff."))
+#: The per-cycle events every engine delivers identically (``ff.exit``
+#: announces the engine's own transitions; the exact loop never emits
+#: it, so it is not part of the identity contract).
+COMPARABLE_EVENTS = ("core.retire", "core.stall")
 
 #: (fast_forward, blocks) per compared execution mode; ``blocks=False``
 #: patches the engine's test-only switch for the per-instruction-only
@@ -171,22 +172,20 @@ def run_mode(arch: str, benchmark: Benchmark, mode: str, system=None):
 def run_observed(arch: str, benchmark: Benchmark, mode: str,
                  capture_events: bool = True):
     """One run with the metrics sink attached; returns (result, folded
-    histograms, event streams, reference histograms).
+    histograms, event streams).
 
-    ``capture_events`` adds per-event subscribers and the reference fold
-    (an observed run); without it the sink is alone (streams and
-    reference are ``None``).
+    ``capture_events`` adds per-event subscribers (an observed run);
+    without it the sink is alone (streams are ``None``).
     """
     system = build_platform(arch, fast_forward=MODES[mode][0])
     bus = system.probe_bus()
-    streams = reference = None
+    streams = None
     if capture_events:
         streams = {name: [] for name in COMPARABLE_EVENTS}
         for name in COMPARABLE_EVENTS:
             bus.subscribe(name,
                           lambda *args, _rec=streams[name].append:
                           _rec(args))
-        reference = ReferenceMetrics(bus)
     metrics = ProbeMetrics.attach(bus)
     result = run_mode(arch, benchmark, mode, system)
     mismatches = metrics.verify_against(result.stats)
@@ -194,8 +193,19 @@ def run_observed(arch: str, benchmark: Benchmark, mode: str,
     if streams is not None:
         for stream in streams.values():
             stream.sort()  # per-cycle order is not part of the contract
-    return (result, histograms(metrics), streams,
-            reference and reference.finish())
+    return result, histograms(metrics), streams
+
+
+def reference(arch: str, benchmark: Benchmark):
+    """The reference loop's run: its stats, the per-event fold of its
+    histograms and its per-cycle-sorted event streams."""
+    log = []
+    stats = reference_run(build_platform(arch, fast_forward=False),
+                          benchmark, log=log)
+    streams = {name: sorted(tuple(event[1:]) for event in log
+                            if event[0] == name)
+               for name in COMPARABLE_EVENTS}
+    return stats, ReferenceMetrics(log).finish(), streams
 
 
 def assert_state_identical(slow, fast):
@@ -216,18 +226,21 @@ def assert_state_identical(slow, fast):
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_fuzz_event_stream_identity(seed):
     """State, metrics and sorted event streams agree across all modes,
-    and the folded histograms equal the per-event reference."""
+    and the folded histograms and event streams equal the reference
+    loop's."""
     arch = ARCH_NAMES[seed % len(ARCH_NAMES)]
     benchmark = fuzz_benchmark(seed)
-    slow, slow_hist, slow_events, expected = run_observed(
-        arch, benchmark, "exact")
-    assert slow_hist == expected, "fold != reference (exact)"
-    for mode in ("ff-instr", "ff-blocks"):
-        fast, fast_hist, fast_events, _ = run_observed(arch, benchmark, mode)
+    stats, expected, expected_events = reference(arch, benchmark)
+    slow = None
+    for mode in MODES:
+        fast, fast_hist, fast_events = run_observed(arch, benchmark, mode)
+        assert fast.stats == stats, f"stats != reference ({mode})"
+        if slow is None:
+            slow = fast
         assert_state_identical(slow, fast)
         assert fast_hist == expected, f"fold != reference ({mode})"
         for name in COMPARABLE_EVENTS:
-            assert slow_events[name] == fast_events[name], \
+            assert fast_events[name] == expected_events[name], \
                 f"{name} event stream diverged (seed {seed}, {arch}, {mode})"
 
 
@@ -259,11 +272,11 @@ def test_fuzz_looped_trace_identity(seed, monkeypatch):
     monkeypatch.setattr(ff_engine, "TRACE_MIN_EDGE", 2)
     arch = ARCH_NAMES[seed % len(ARCH_NAMES)]
     benchmark = looped_fuzz_benchmark(seed)
-    *_, expected = run_observed(arch, benchmark, "exact")
+    _, expected, _ = reference(arch, benchmark)
     runs = {}
     for mode in MODES:
-        result, folded, *_ = run_observed(arch, benchmark, mode,
-                                          capture_events=False)
+        result, folded, _ = run_observed(arch, benchmark, mode,
+                                         capture_events=False)
         assert folded == expected, f"fold != reference ({mode})"
         runs[mode] = result
     assert_state_identical(runs["exact"], runs["ff-instr"])
@@ -277,15 +290,15 @@ def test_fuzz_batched_ring_identity(arch, seed):
 
     Without per-event subscribers the run is unobserved, so this pass
     fuzzes the fold on the engine paths the stream test above
-    bypasses, against the reference fold of an observed run.
+    bypasses, against the reference loop's per-event fold.
     """
     benchmark = fuzz_benchmark(seed)
-    *_, expected = run_observed(arch, benchmark, "exact")
-    slow, slow_hist, *_ = run_observed(arch, benchmark, "exact",
-                                       capture_events=False)
+    _, expected, _ = reference(arch, benchmark)
+    slow, slow_hist, _ = run_observed(arch, benchmark, "exact",
+                                      capture_events=False)
     assert slow_hist == expected, "fold != reference (exact)"
     for mode in ("ff-instr", "ff-blocks"):
-        fast, fast_hist, *_ = run_observed(arch, benchmark, mode,
-                                           capture_events=False)
+        fast, fast_hist, _ = run_observed(arch, benchmark, mode,
+                                          capture_events=False)
         assert_state_identical(slow, fast)
         assert fast_hist == expected, f"fold != reference ({mode})"

@@ -438,6 +438,39 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "table1", "--output", "{file}/csv"],
+        ["experiment", "table1", "--runs-dir", "{file}"],
+        ["profile", "--arch", "mc-ref", "--samples", "32",
+         "--measurements", "16", "--runs-dir", "{file}"],
+        ["trace", "--arch", "mc-ref", "--samples", "32",
+         "--measurements", "16", "--out-dir", "{file}", "--no-manifest"],
+        ["dse", "--arch", "mc-ref", "--cores", "2", "--dm-banks", "16",
+         "--mappings", "private-lut", "--voltages", "1.2", "--no-escalate",
+         "--no-cache", "--front-out", "{file}/front.json",
+         "--no-manifest"],
+        ["regress", "--runs-dir", "{tmp}", "--output", "{file}/report"],
+        ["farm", "--runs", "2", "--workers", "1", "--arch", "mc-ref",
+         "--samples", "32", "--measurements", "16", "--blocks", "1",
+         "--checkpoint", "{file}/c.jsonl", "--no-manifest"],
+        ["faults", "--trials", "2", "--workers", "1", "--samples", "32",
+         "--measurements", "16", "--checkpoint", "{file}/c.jsonl",
+         "--no-manifest"],
+    ], ids=["experiment --output", "experiment --runs-dir",
+            "profile --runs-dir", "trace --out-dir", "dse --front-out",
+            "regress --output", "farm --checkpoint",
+            "faults --checkpoint"])
+    def test_unwritable_output_path_is_exit_2(self, argv, tmp_path,
+                                              capsys):
+        """An output path under a regular file cannot be created."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = [arg.format(file=blocker, tmp=tmp_path) for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(blocker) in err
+
     def test_missing_regress_baseline_is_exit_2(self, tmp_path, capsys):
         assert main(["regress", "--runs-dir", str(tmp_path),
                      "--baseline", str(tmp_path / "nope")]) == 2
