@@ -71,6 +71,19 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         help="skip writing the run manifest")
 
 
+def _make_output_dirs(args, *directories) -> None:
+    """Create the run-manifest directory (unless ``--no-manifest``) and
+    ``directories`` (``None`` skipped) before any simulation or worker
+    starts, so an output location that cannot be created ends the
+    command at once (exit 2) rather than after the work it would hold.
+    """
+    if not args.no_manifest:
+        directories += (args.runs_dir,)
+    for directory in directories:
+        if directory is not None:
+            pathlib.Path(directory).mkdir(parents=True, exist_ok=True)
+
+
 def _add_pool_options(parser: argparse.ArgumentParser, job: str,
                       run: str) -> None:
     """The options of a subcommand that runs jobs on the worker pool
@@ -121,6 +134,8 @@ def _run_pool(args, run, specs, kind: str, identity: dict, label, fields,
     checkpoint = args.checkpoint
     if checkpoint is None and args.resume:
         checkpoint = checkpoint_path(args.runs_dir, kind, identity)
+    _make_output_dirs(
+        args, None if checkpoint is None else pathlib.Path(checkpoint).parent)
     tty = sys.stdout.isatty() and not args.json
 
     def on_job(job, done, total):
@@ -237,10 +252,8 @@ def cmd_experiment(argv) -> int:
     if unknown:
         parser.error(f"unknown experiments: {', '.join(unknown)}")
 
-    output_dir = None
-    if args.output is not None:
-        output_dir = pathlib.Path(args.output)
-        output_dir.mkdir(parents=True, exist_ok=True)
+    output_dir = None if args.output is None else pathlib.Path(args.output)
+    _make_output_dirs(args, output_dir)
 
     for name in requested:
         started = time.perf_counter()
@@ -283,6 +296,7 @@ def cmd_trace(argv) -> int:
     from repro.platform import build_platform
 
     built = _built_benchmark(args)
+    _make_output_dirs(args, args.out_dir)
     for arch in _arches(args.arch):
         started = time.perf_counter()
         system = build_platform(arch, fast_forward=args.fast_forward)
@@ -333,6 +347,7 @@ def cmd_profile(argv) -> int:
     from repro.platform import build_platform
 
     built = _built_benchmark(args)
+    _make_output_dirs(args)
     for arch in _arches(args.arch):
         started = time.perf_counter()
         system = build_platform(arch, fast_forward=args.fast_forward)
@@ -446,6 +461,7 @@ def cmd_watch(argv) -> int:
                          n_measurements=args.measurements,
                          huffman_private=True)
     series = build_block_series(spec, n_blocks=args.repeat)
+    _make_output_dirs(args)
     budget = args.clock_hz * (args.samples / SAMPLE_RATE_HZ)
     mode = "fast-forward" if args.fast_forward else "exact"
     tty = sys.stdout.isatty()
@@ -755,14 +771,15 @@ def cmd_dse(argv) -> int:
     cache_dir = None if args.no_cache else (
         args.cache_dir if args.cache_dir is not None
         else pathlib.Path(args.runs_dir) / "dse")
+    front_out = pathlib.Path(args.front_out) if args.front_out is not None \
+        else pathlib.Path(args.runs_dir) / "dse" / "pareto_front.json"
+    _make_output_dirs(args, cache_dir, front_out.parent)
     result = run_dse(
         points, cache_dir=cache_dir, escalate=not args.no_escalate,
         escalate_policy="all" if args.escalate_all else "front",
         max_escalations=args.max_escalations, workers=args.workers,
         fast_forward=args.fast_forward, log=log)
 
-    front_out = args.front_out if args.front_out is not None \
-        else pathlib.Path(args.runs_dir) / "dse" / "pareto_front.json"
     write_artifact(result, front_out)
     if not args.no_manifest:
         write_manifest(dse_manifest_record(result),

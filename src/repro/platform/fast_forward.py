@@ -25,6 +25,8 @@ import weakref
 
 from repro.memory.layout import IMOrganization
 from repro.tamarisc import blocks as tblocks
+from repro.tamarisc.cpu import PC_MASK
+from repro.tamarisc.dispatch import branch_targets
 
 #: Sentinel distinguishing "no cached verdict" from "block unusable".
 _UNSET = object()
@@ -186,9 +188,8 @@ class FastForwardEngine:
             if count < TRACE_MIN_EDGE or count * TRACE_CHAIN_DEN \
                     < sum(edges.values()) * TRACE_CHAIN_NUM:
                 return None
-            instr = block.instrs[-1]
-            branch_pc = (block.start + block.n_body) & 0x7FFF
-            taken, fallthrough = tblocks._branch_targets(instr, branch_pc)
+            taken, fallthrough = branch_targets(
+                block.instrs[-1], (block.start + block.n_body) & PC_MASK)
             if nxt == taken:
                 expected = True
             elif nxt == fallthrough:
@@ -228,9 +229,8 @@ class FastForwardEngine:
         if not hot or sum(count for __, count in hot) * TRACE_SPLIT_DEN \
                 < sum(edges.values()) * TRACE_SPLIT_NUM:
             return None
-        instr = anchor.instrs[-1]
-        branch_pc = (anchor.start + anchor.n_body) & 0x7FFF
-        taken, fallthrough = tblocks._branch_targets(instr, branch_pc)
+        taken, fallthrough = branch_targets(
+            anchor.instrs[-1], (anchor.start + anchor.n_body) & PC_MASK)
         arms_spec = []
         for nxt, __ in hot:
             if nxt == taken:

@@ -34,11 +34,14 @@ count activity.  Addresses are stable across stalls because registers are
 frozen while a core stalls (a property test asserts preview == commit).
 
 Instructions execute through the decode-cached dispatch table of
-:mod:`repro.tamarisc.dispatch`, and data addresses translate inline with
-the memory-layout constants hoisted, so a cycle allocates no per-request
-objects.  The independent oracle for instruction semantics is the
-generic operand walk of :class:`~repro.tamarisc.cpu.Core`, which the
-single-core ISS runs (``tests/tamarisc`` cross-checks every platform
+:mod:`repro.tamarisc.dispatch`, whose handlers are generated from the
+source templates the blocks and loop traces splice too, so the loop and
+its shortcuts run one copy of the instruction semantics.  Data
+addresses translate inline with the memory-layout constants hoisted, so
+a cycle allocates no per-request objects.  The independent oracle for
+instruction semantics is the generic operand walk of
+:class:`~repro.tamarisc.cpu.Core`, which the single-core ISS runs
+(``tests/tamarisc`` checks every handler shape and every platform core
 against it).
 """
 
@@ -72,7 +75,8 @@ class _ProgramArtifacts:
     the same program every block) and farm jobs inside one worker
     process.  Both are read-only after construction; the dispatch table
     is built on first use (every load uses it: both the cycle loop and
-    the fast-forward engine execute through it).
+    the fast-forward engine execute through it), compiling each distinct
+    handler source once per process.
     """
 
     __slots__ = ("decoded", "_compiled")
@@ -1015,10 +1019,9 @@ class MultiCoreSystem:
                         dreads += 1
                     else:
                         value = None
-                    store = handlers[pid].commit(core, value)
-                    if store is not None:
-                        dm_store[dw_bank[pid]][dw_off[pid]] = \
-                            store[1] & 0xFFFF
+                    word = handlers[pid].commit(core, value)
+                    if word is not None:
+                        dm_store[dw_bank[pid]][dw_off[pid]] = word
                         dwrites += 1
                     if core.halted:
                         core_stats[pid].halted_at = cycle

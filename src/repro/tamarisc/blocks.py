@@ -2,7 +2,7 @@
 
 The fast-forward engine (:mod:`repro.platform.fast_forward`) removed the
 crossbar machinery from conflict-free cycles but still dispatches one
-compiled closure per instruction per core per cycle.  On the evaluated
+compiled handler per instruction per core per cycle.  On the evaluated
 workloads the cores spend >90 % of their cycles in *lockstep* (all
 running cores at the same PC), so consecutive cycles execute the same
 straight-line instruction sequence eight times over — a shape QEMU-style
@@ -10,10 +10,13 @@ dynamic binary translation exploits with translation blocks.
 
 This module discovers straight-line **basic blocks** at first execution
 (ending at a branch, ``HLT`` or the first unsupported instruction),
-fuses the per-instruction preview/commit semantics of
-:mod:`repro.tamarisc.dispatch` into one specialised Python function per
-block via source generation + ``exec``, and caches the result keyed by
-``(pc, image_hash)``.  Code memory is read-only on these platforms, so
+fuses their instructions into one specialised Python function per block
+via source generation + ``exec``, and caches the result keyed by
+``(pc, image_hash)``.  The instruction semantics are not defined here:
+the generated code splices the source templates of
+:mod:`repro.tamarisc.dispatch` (the ones its dispatch handlers are
+generated from), so a block, a loop trace and the cycle loop's handlers
+run one copy of them.  Code memory is read-only on these platforms, so
 the cache never invalidates.  The generated callable is the *lockstep
 variant*: it steps every running core through the whole block in one
 call, with
@@ -54,76 +57,29 @@ import hashlib
 import re
 
 from repro.memory.layout import PRIVATE_BASE
-from repro.tamarisc.dispatch import compile_instruction
-from repro.tamarisc.isa import (
-    ALU_OPS,
-    BranchMode,
-    Cond,
-    DstMode,
-    Instruction,
-    Op,
-    REG_XR,
-    SRC_MEM_MODES,
-    SrcMode,
+from repro.tamarisc import dispatch
+from repro.tamarisc.cpu import PC_MASK
+from repro.tamarisc.dispatch import (
+    _COND_EXPR,
+    _FLAG_BITS,
+    _address_lines,
+    _branch_lines,
+    _compile_cached,
+    _semantic_lines,
+    branch_targets,
+    compile_instruction,
+    supported,
 )
+from repro.tamarisc.isa import BranchMode, Cond, Instruction, Op
 
 #: Body-length cap: a block never fuses more than this many straight-line
 #: instructions (the terminator comes on top).  Bounds generated-code
 #: size; real straight-line runs are far shorter.
 MAX_BLOCK_BODY = 128
 
-#: Flag bits each opcode writes (see ``dispatch._compile_commit``).
-_FLAG_BITS = {
-    Op.ADD: "cvzn",
-    Op.SUB: "cvzn",
-    Op.AND: "zn",
-    Op.OR: "zn",
-    Op.XOR: "zn",
-    Op.SLL: "czn",
-    Op.SRL: "czn",
-    Op.MUL: "vzn",
-    Op.MOV: "",
-}
-
-_PTR_DELTA = {
-    SrcMode.IND_POSTINC: 1,
-    SrcMode.IND_PREINC: 1,
-    SrcMode.IND_POSTDEC: -1,
-    SrcMode.IND_PREDEC: -1,
-}
-_SRC_PRE = frozenset({SrcMode.IND_PREINC, SrcMode.IND_PREDEC})
-
-#: Condition expressions over a hoisted ``_f`` flags object, mirroring
-#: ``dispatch._COND_FNS`` bit for bit.
-_COND_EXPR = {
-    Cond.EQ: "_f.z",
-    Cond.NE: "not _f.z",
-    Cond.CS: "_f.c",
-    Cond.CC: "not _f.c",
-    Cond.MI: "_f.n",
-    Cond.PL: "not _f.n",
-    Cond.VS: "_f.v",
-    Cond.VC: "not _f.v",
-    Cond.HI: "_f.c and not _f.z",
-    Cond.LS: "not _f.c or _f.z",
-    Cond.GE: "_f.n == _f.v",
-    Cond.LT: "_f.n != _f.v",
-    Cond.GT: "not _f.z and _f.n == _f.v",
-    Cond.LE: "_f.z or _f.n != _f.v",
-}
-
 #: Flag bits each condition code reads (guard liveness in traces).
-_COND_BITS = {
-    Cond.EQ: "z", Cond.NE: "z",
-    Cond.CS: "c", Cond.CC: "c",
-    Cond.MI: "n", Cond.PL: "n",
-    Cond.VS: "v", Cond.VC: "v",
-    Cond.HI: "cz", Cond.LS: "cz",
-    Cond.GE: "nv", Cond.LT: "nv",
-    Cond.GT: "znv", Cond.LE: "znv",
-}
-
-_PC_MASK = 0x7FFF
+_COND_BITS = {cond: frozenset(re.findall(r"_f\.([czvn])", expr))
+              for cond, expr in _COND_EXPR.items()}
 
 
 def image_hash(words) -> str:
@@ -132,21 +88,6 @@ def image_hash(words) -> str:
     for word in words:
         digest.update(word.to_bytes(3, "little"))
     return digest.hexdigest()
-
-
-def _supported(instr: Instruction) -> bool:
-    """True when the block compiler can fuse this instruction.
-
-    The same single-read contract ``dispatch.compile_instruction``
-    specialises on: illegal dual-read instructions fall back to the
-    generic core (and therefore end the block before them).
-    """
-    if instr.op not in ALU_OPS and instr.op != Op.MOV:
-        return False
-    n_reads = int(instr.s1mode in SRC_MEM_MODES)
-    if instr.op != Op.MOV:
-        n_reads += int(instr.s2mode in SRC_MEM_MODES)
-    return n_reads <= 1
 
 
 def discover_block(decoded, pc: int) -> "Block":
@@ -167,7 +108,7 @@ def discover_block(decoded, pc: int) -> "Block":
             instrs.append(instr)
             terminator = "hlt" if instr.op == Op.HLT else "br"
             break
-        if not _supported(instr) or len(instrs) >= MAX_BLOCK_BODY:
+        if not supported(instr) or len(instrs) >= MAX_BLOCK_BODY:
             break
         instrs.append(instr)
         index += 1
@@ -184,7 +125,7 @@ _CACHE: dict[tuple[int, str], "Block"] = {}
 #: registries stay bit-identical run to run), these measure the real
 #: hit/miss behaviour of the shared caches — the farm's warm-vs-cold
 #: accounting snapshots them around each job.
-_CACHE_STATS = {"block_hits": 0, "block_misses": 0, "source_compiles": 0}
+_CACHE_STATS = {"block_hits": 0, "block_misses": 0}
 
 
 def get_block(pc: int, img_hash: str, decoded) -> tuple["Block", bool]:
@@ -200,25 +141,11 @@ def get_block(pc: int, img_hash: str, decoded) -> tuple["Block", bool]:
     return block, True
 
 
-#: Source-text -> code-object cache.  Generated source is a pure
-#: function of (block shape, environment), so identical text across
-#: engines, runs or trace rebuilds compiles exactly once per process.
-_CODE_CACHE: dict[str, object] = {}
-
-
-def _compile_cached(src: str, filename: str):
-    code = _CODE_CACHE.get(src)
-    if code is None:
-        code = compile(src, filename, "exec")
-        _CODE_CACHE[src] = code
-        _CACHE_STATS["source_compiles"] += 1
-    return code
-
-
 def cache_clear() -> None:
-    """Drop every cached block (tests and memory-bound long sessions)."""
+    """Drop every cached block and compiled source (tests, cold-cache
+    measurements and memory-bound long sessions)."""
     _CACHE.clear()
-    _CODE_CACHE.clear()
+    dispatch._CODE_CACHE.clear()
 
 
 def cache_size() -> int:
@@ -226,8 +153,11 @@ def cache_size() -> int:
 
 
 def cache_stats() -> dict:
-    """Snapshot of the process-level cache traffic counters."""
-    return dict(_CACHE_STATS)
+    """Snapshot of the process-level cache traffic counters, with
+    ``source_compiles``: the generated sources (dispatch handlers,
+    blocks, traces) compiled into the one source -> code cache of
+    :mod:`repro.tamarisc.dispatch`."""
+    return {**_CACHE_STATS, **dispatch._CODE_STATS}
 
 
 class Block:
@@ -320,140 +250,6 @@ def _live_flag_bits(block: Block) -> list[set]:
 
 
 # ---------------------------------------------------------------------------
-# Instruction semantics -> source lines.
-# ---------------------------------------------------------------------------
-
-def _ptr_update(mode: SrcMode, reg: int) -> list[str]:
-    delta = _PTR_DELTA.get(mode)
-    if not delta:
-        return []
-    sign = "+" if delta > 0 else "-"
-    return [f"_r[{reg}] = (_r[{reg}] {sign} 1) & 65535"]
-
-
-def _mem_src_slot(instr: Instruction) -> int:
-    """0 = no memory source, 1/2 = which source operand loads memory."""
-    if instr.s1mode in SRC_MEM_MODES:
-        return 1
-    if instr.op != Op.MOV and instr.s2mode in SRC_MEM_MODES:
-        return 2
-    return 0
-
-
-def _semantic_lines(instr: Instruction, live: set) -> list[str]:
-    """Commit semantics of one instruction, dest store excluded for
-    memory destinations (the caller owns the bank write); the loaded
-    word, if any, is in ``_v``.  Mirrors ``dispatch._compile_commit``
-    line for line, minus dead flag stores.
-    """
-    op = instr.op
-    slot = _mem_src_slot(instr)
-    dst_mem = instr.dmode != DstMode.REG
-    out: list[str] = []
-
-    # Source 1 (pointer side effect first, exactly like get1).
-    if slot == 1:
-        out += _ptr_update(instr.s1mode, instr.s1val)
-        a = "_v"
-    elif instr.s1mode == SrcMode.REG:
-        a = f"_r[{instr.s1val}]"
-    else:
-        a = str(instr.s1val)
-
-    if op == Op.MOV:
-        if dst_mem:
-            out.append(f"_res = {a}")
-            out += _dest_side_effect(instr)
-        else:
-            out.append(f"_r[{instr.dreg}] = {a}")
-        return out
-
-    # Source 2.  When source 2 is the memory operand and its pointer
-    # register aliases a source-1 register read, latch the source-1
-    # value first (get1 runs before get2's side effect).
-    if slot == 2:
-        update = _ptr_update(instr.s2mode, instr.s2val)
-        if update and instr.s1mode == SrcMode.REG \
-                and instr.s1val == instr.s2val:
-            out.append(f"_a = {a}")
-            a = "_a"
-        out += update
-        b = "_v"
-    elif instr.s2mode == SrcMode.REG:
-        b = f"_r[{instr.s2val}]"
-    else:
-        b = str(instr.s2val)
-
-    if op == Op.ADD:
-        out.append(f"_t = {a} + {b}")
-        out.append("_res = _t & 65535")
-        if "c" in live:
-            out.append("_f.c = _t > 65535")
-        if "v" in live:
-            out.append(f"_f.v = ~({a} ^ {b}) & ({a} ^ _res) & 32768 != 0")
-    elif op == Op.SUB:
-        out.append(f"_res = ({a} - {b}) & 65535")
-        if "c" in live:
-            out.append(f"_f.c = {a} >= {b}")
-        if "v" in live:
-            out.append(f"_f.v = ({a} ^ {b}) & ({a} ^ _res) & 32768 != 0")
-    elif op in (Op.AND, Op.OR, Op.XOR):
-        symbol = {Op.AND: "&", Op.OR: "|", Op.XOR: "^"}[op]
-        out.append(f"_res = {a} {symbol} {b}")
-    elif op in (Op.SLL, Op.SRL):
-        if slot != 2 and instr.s2mode == SrcMode.IMM:
-            shift = instr.s2val & 15
-            if op == Op.SLL:
-                out.append(f"_res = ({a} << {shift}) & 65535")
-                if "c" in live:
-                    out.append("_f.c = False" if shift == 0 else
-                               f"_f.c = ({a} >> {16 - shift}) & 1 != 0")
-            else:
-                out.append(f"_res = ({a} >> {shift}) & 65535")
-                if "c" in live:
-                    out.append("_f.c = False" if shift == 0 else
-                               f"_f.c = ({a} >> {shift - 1}) & 1 != 0")
-        else:
-            out.append(f"_s = {b} & 15")
-            if op == Op.SLL:
-                out.append(f"_res = ({a} << _s) & 65535")
-                if "c" in live:
-                    out.append(f"_f.c = (({a} >> (16 - _s)) & 1 != 0) "
-                               "if _s else False")
-            else:
-                out.append(f"_res = ({a} >> _s) & 65535")
-                if "c" in live:
-                    out.append(f"_f.c = (({a} >> (_s - 1)) & 1 != 0) "
-                               "if _s else False")
-    elif op == Op.MUL:
-        out.append(f"_t = {a} * {b}")
-        out.append("_res = _t & 65535")
-        if "v" in live:
-            out.append("_f.v = _t > 65535")
-    else:  # pragma: no cover - discovery admits only the ops above
-        raise ValueError(f"cannot fuse opcode {op!r}")
-
-    if "z" in live:
-        out.append("_f.z = _res == 0")
-    if "n" in live:
-        out.append("_f.n = _res & 32768 != 0")
-
-    if dst_mem:
-        out += _dest_side_effect(instr)
-    else:
-        out.append(f"_r[{instr.dreg}] = _res")
-    return out
-
-
-def _dest_side_effect(instr: Instruction) -> list[str]:
-    # The store address comes from the preview-phase translation; only
-    # the post-increment pointer update remains to apply here.
-    if instr.dmode == DstMode.IND_POSTINC:
-        return [f"_r[{instr.dreg}] = (_r[{instr.dreg}] + 1) & 65535"]
-    return []
-
-
-# ---------------------------------------------------------------------------
 # Source generation.
 # ---------------------------------------------------------------------------
 
@@ -469,56 +265,6 @@ class _Writer:
     def block(self, indent: int, lines) -> None:
         for line in lines:
             self.lines.append("    " * indent + line)
-
-
-def _address_lines(instr: Instruction) -> list[str]:
-    """Effective-address computation (``_ra``/``_wa``), preview order."""
-    slot = _mem_src_slot(instr)
-    dst_mem = instr.dmode != DstMode.REG
-    dreg = instr.dreg
-    out: list[str] = []
-    if slot == 0:
-        # Write-only preview.
-        if instr.dmode == DstMode.IND_IDX:
-            out.append(f"_wa = (_r[{dreg}] + _r[{REG_XR}]) & 65535")
-        else:
-            out.append(f"_wa = _r[{dreg}]")
-        return out
-    mode = instr.s1mode if slot == 1 else instr.s2mode
-    pointer = instr.s1val if slot == 1 else instr.s2val
-    delta = _PTR_DELTA.get(mode, 0)
-    sign = "+" if delta > 0 else "-"
-    pre = mode in _SRC_PRE
-    idx = mode == SrcMode.IND_IDX
-    if not dst_mem:
-        # Read-only preview.
-        if idx:
-            out.append(f"_ra = (_r[{pointer}] + _r[{REG_XR}]) & 65535")
-        elif pre:
-            out.append(f"_ra = (_r[{pointer}] {sign} 1) & 65535")
-        else:
-            out.append(f"_ra = _r[{pointer}]")
-        return out
-    # Read + write: the source's pointer update is virtually visible to
-    # the destination address when the registers alias.
-    if pre:
-        out.append(f"_vp = (_r[{pointer}] {sign} 1) & 65535")
-        out.append("_ra = _vp")
-    elif idx:
-        out.append(f"_vp = _r[{pointer}]")
-        out.append(f"_ra = (_vp + _r[{REG_XR}]) & 65535")
-    else:
-        out.append(f"_vp = _r[{pointer}]")
-        out.append("_ra = _vp")
-        if delta:
-            out.append(f"_vp = (_vp {sign} 1) & 65535")
-    base = "_vp" if dreg == pointer else f"_r[{dreg}]"
-    if instr.dmode == DstMode.IND_IDX:
-        index_reg = "_vp" if pointer == REG_XR else f"_r[{REG_XR}]"
-        out.append(f"_wa = ({base} + {index_reg}) & 65535")
-    else:
-        out.append(f"_wa = {base}")
-    return out
 
 
 def _generate_source(block: Block, env: tuple) -> str:
@@ -548,8 +294,10 @@ def _generate_body(block: Block, env: tuple) -> list[str]:
     # taken-PC is the block's own start, the block iterates the whole
     # loop inside one call while every core keeps taking it (and the
     # cycle budget holds), amortising all per-entry overhead over the
-    # loop's run.
-    loop = _self_loop_target(block) == block.start and block.total > 0
+    # loop's run.  (A register-indirect target is source text, never
+    # the start.)
+    loop = block.terminator == "br" and branch_targets(
+        instrs[-1], (block.start + n_body) & PC_MASK)[0] == block.start
     writer = _Writer()
 
     if loop:
@@ -592,23 +340,6 @@ def _emit_alu_segment(writer: _Writer, instrs, live, segment) -> None:
         writer.block(1, _semantic_lines(instrs[t], live[t]))
 
 
-def _self_loop_target(block: Block):
-    """The constant taken-PC of a ``BR`` terminator, or ``None``.
-
-    Register-indirect branches resolve at run time and never self-loop
-    statically.
-    """
-    if block.terminator != "br":
-        return None
-    instr = block.instrs[-1]
-    branch_pc = (block.start + block.n_body) & _PC_MASK
-    if instr.bmode == BranchMode.DIR:
-        return instr.target & _PC_MASK
-    if instr.bmode == BranchMode.REL:
-        return (branch_pc + instr.target) & _PC_MASK
-    return None
-
-
 def _raise_fixup_lines(block: Block, offset: int, loop: bool) -> list[str]:
     """Patch committed PC/retired and record depth before a fault raise.
 
@@ -621,7 +352,7 @@ def _raise_fixup_lines(block: Block, offset: int, loop: bool) -> list[str]:
     out = [f"_acc[6] = {depth}"]
     if offset:
         out.append("for _cx in _cores:")
-        out.append(f"    _cx.pc = {(block.start + offset) & _PC_MASK}")
+        out.append(f"    _cx.pc = {(block.start + offset) & PC_MASK}")
         out.append(f"    _cx.retired += {offset}")
     return out
 
@@ -686,7 +417,7 @@ def _emit_conflict_exit(writer: _Writer, indent: int, block: Block,
         writer.add(indent + 1, "_dwb[_q] = -1")
     if offset:
         writer.add(indent + 1,
-                   f"_c.pc = {(block.start + offset) & _PC_MASK}")
+                   f"_c.pc = {(block.start + offset) & PC_MASK}")
         writer.add(indent + 1, f"_c.retired += {offset}")
     writer.add(indent + 1, "_x += 1")
     writer.add(indent, f"return _j + {offset}" if loop
@@ -846,68 +577,50 @@ def _emit_terminator(writer: _Writer, block: Block, loop: bool) -> None:
     kind = block.terminator
     if kind is None:
         writer.add(0, "for _c in _cores:")
-        writer.add(1, f"_c.pc = {(start + n_body) & _PC_MASK}")
+        writer.add(1, f"_c.pc = {(start + n_body) & PC_MASK}")
         writer.add(1, f"_c.retired += {n_body}")
         writer.add(0, f"return {n_body}")
         return
     if kind == "hlt":
         writer.add(0, "for _c in _cores:")
         if n_body:
-            writer.add(1, f"_c.pc = {(start + n_body) & _PC_MASK}")
+            writer.add(1, f"_c.pc = {(start + n_body) & PC_MASK}")
         writer.add(1, "_c.halted = True")
         writer.add(1, f"_c.retired += {n_body + 1}")
         writer.add(0, f"return {n_body + 1}")
         return
     instr = block.instrs[-1]
-    branch_pc = (start + n_body) & _PC_MASK
-    if instr.bmode == BranchMode.DIR:
-        taken = str(instr.target & _PC_MASK)
-        need_regs = False
-    elif instr.bmode == BranchMode.REL:
-        taken = str((branch_pc + instr.target) & _PC_MASK)
-        need_regs = False
-    else:  # BranchMode.IND
-        taken = f"_r[{instr.target}] & {_PC_MASK}"
-        need_regs = True
-    not_taken = (branch_pc + 1) & _PC_MASK
+    branch_pc = (start + n_body) & PC_MASK
     total = n_body + 1
-    if loop:
-        # Self-loop: keep iterating while every core takes the
-        # back-branch and another full iteration fits the budget.
-        if instr.cond == Cond.AL:
-            writer.add(0, "for _c in _cores:")
-            writer.add(1, f"_c.pc = {taken}")
-            writer.add(1, f"_c.retired += {total}")
-            writer.add(0, f"_j += {total}")
-            writer.add(0, f"if _j + {total} > _maxj:")
-            writer.add(1, "return _j")
-        else:
-            writer.add(0, "_tk = 0")
-            writer.add(0, "for _c in _cores:")
-            writer.add(1, "_f = _c.flags")
-            writer.add(1, f"if {_COND_EXPR[instr.cond]}:")
-            writer.add(2, f"_c.pc = {taken}")
-            writer.add(2, "_tk += 1")
-            writer.add(1, "else:")
-            writer.add(2, f"_c.pc = {not_taken}")
-            writer.add(1, f"_c.retired += {total}")
-            writer.add(0, f"_j += {total}")
-            writer.add(0, f"if _tk != _n or _j + {total} > _maxj:")
-            writer.add(1, "return _j")
+    if not loop:
+        writer.add(0, "for _c in _cores:")
+        writer.block(1, _branch_lines(instr, branch_pc))
+        writer.add(1, f"_c.retired += {total}")
+        writer.add(0, f"return {total}")
         return
-    writer.add(0, "for _c in _cores:")
-    if need_regs:
-        writer.add(1, "_r = _c.regs")
+    # Self-loop: keep iterating while every core takes the back-branch
+    # and another full iteration fits the budget.
+    taken, not_taken = branch_targets(instr, branch_pc)
     if instr.cond == Cond.AL:
+        writer.add(0, "for _c in _cores:")
         writer.add(1, f"_c.pc = {taken}")
+        writer.add(1, f"_c.retired += {total}")
+        writer.add(0, f"_j += {total}")
+        writer.add(0, f"if _j + {total} > _maxj:")
+        writer.add(1, "return _j")
     else:
+        writer.add(0, "_tk = 0")
+        writer.add(0, "for _c in _cores:")
         writer.add(1, "_f = _c.flags")
         writer.add(1, f"if {_COND_EXPR[instr.cond]}:")
         writer.add(2, f"_c.pc = {taken}")
+        writer.add(2, "_tk += 1")
         writer.add(1, "else:")
         writer.add(2, f"_c.pc = {not_taken}")
-    writer.add(1, f"_c.retired += {n_body + 1}")
-    writer.add(0, f"return {n_body + 1}")
+        writer.add(1, f"_c.retired += {total}")
+        writer.add(0, f"_j += {total}")
+        writer.add(0, f"if _tk != _n or _j + {total} > _maxj:")
+        writer.add(1, "return _j")
 
 
 
@@ -977,15 +690,6 @@ def _scalarize(lines):
 
 def _sc_cond(cond: Cond) -> str:
     return _COND_EXPR[cond].replace("_f.", "_f")
-
-
-def _branch_targets(instr: Instruction, branch_pc: int) -> tuple[int, int]:
-    """(taken, fallthrough) PCs of a direct/relative branch."""
-    if instr.bmode == BranchMode.DIR:
-        taken = instr.target & _PC_MASK
-    else:
-        taken = (branch_pc + instr.target) & _PC_MASK
-    return taken, (branch_pc + 1) & _PC_MASK
 
 
 class _Arm:
@@ -1058,7 +762,7 @@ def _body_cells(block: Block, base_pc: int):
             cells.append(("read", instr))
         else:
             cells.append(("write", instr))
-        pcs.append((base_pc + t) & _PC_MASK)
+        pcs.append((base_pc + t) & PC_MASK)
     return cells, pcs
 
 
@@ -1090,7 +794,7 @@ def build_trace(anchor: Block, arms_spec, percore_regs=(),
     if prefix is None:
         return None
     prefix_cells, prefix_pcs = prefix
-    prefix_pcs.append((anchor.start + anchor.n_body) & _PC_MASK)
+    prefix_pcs.append((anchor.start + anchor.n_body) & PC_MASK)
     arms = []
     for expected, chain in arms_spec:
         cells: list[tuple] = []
@@ -1108,7 +812,7 @@ def build_trace(anchor: Block, arms_spec, percore_regs=(),
             cells += body[0]
             pcs += body[1]
             cells.append(("guard", instr, taken))
-            pcs.append((block.start + block.n_body) & _PC_MASK)
+            pcs.append((block.start + block.n_body) & PC_MASK)
         if len(prefix_pcs) + len(pcs) > MAX_TRACE_INSTRS:
             return None
         arms.append(_Arm(expected, cells, pcs))
@@ -1129,7 +833,7 @@ def _seq_flag_emits(cells):
         cell = cells[t]
         if cell[0] == "guard":
             if cell[1].cond != Cond.AL:
-                live |= set(_COND_BITS[cell[1].cond])
+                live |= _COND_BITS[cell[1].cond]
         else:
             written = set(_FLAG_BITS[cell[1].op])
             emits[t] = written & live
@@ -1150,7 +854,7 @@ def _trace_flag_plan(trace: Trace):
     arm_emits = []
     guard_bits: set = set()
     if trace.split.cond != Cond.AL:
-        guard_bits |= set(_COND_BITS[trace.split.cond])
+        guard_bits |= _COND_BITS[trace.split.cond]
     for arm in trace.arms:
         seq = list(trace.prefix_cells) \
             + [("guard", trace.split, arm.expected)] \
@@ -1161,7 +865,7 @@ def _trace_flag_plan(trace: Trace):
         arm_emits.append(emits[n_prefix + 1:])
         for cell in arm.cells:
             if cell[0] == "guard" and cell[1].cond != Cond.AL:
-                guard_bits |= set(_COND_BITS[cell[1].cond])
+                guard_bits |= _COND_BITS[cell[1].cond]
     stores = set().union(*prefix_emits, *(s for em in arm_emits
                                           for s in em)) \
         if (prefix_emits or arm_emits) else set()
@@ -1278,7 +982,7 @@ def _uniform_plan(trace: Trace, env: tuple):
                     changed = True
     guard_bits: set = set()
     if trace.split.cond != Cond.AL:
-        guard_bits |= set(_COND_BITS[trace.split.cond])
+        guard_bits |= _COND_BITS[trace.split.cond]
     for info in infos:
         if info["kind"] == "guard":
             guard_bits |= info["fr"]

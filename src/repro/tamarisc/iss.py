@@ -9,25 +9,23 @@ Data memory is a flat 64 Ki-word logical space (dict-backed, zero-default);
 no MMU is involved — the multi-core platforms in :mod:`repro.platform` add
 banking, translation and arbitration.
 
-Why it stays beside the platform: its default path executes each
-instruction through :class:`~repro.tamarisc.cpu.Core`'s generic operand
-walk.  The platform's cycle loop and the block and trace code
-generators all run the handlers compiled by
-:mod:`repro.tamarisc.dispatch`, so this walk is the only model of the
-instruction semantics that does not depend on that module.  The
-regression harness (:mod:`repro.tamarisc.regression`) checks every
-platform core against it; folding the ISS into the platform as a
-one-core configuration would leave the dispatch tables checked only
-against themselves.
+Why it stays beside the platform: it executes each instruction through
+:class:`~repro.tamarisc.cpu.Core`'s generic operand walk.  The
+platform's cycle loop and the block and trace code generators all run
+code generated from the templates of :mod:`repro.tamarisc.dispatch`,
+so this walk is the only model of the instruction semantics that does
+not depend on that module.  The regression harness
+(:mod:`repro.tamarisc.regression`) checks every platform core against
+it; folding the ISS into the platform as a one-core configuration would
+leave the generated code checked only against itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.tamarisc.cpu import Core
-from repro.tamarisc.dispatch import compile_program
 from repro.tamarisc.isa import WORD_MASK
 from repro.tamarisc.program import Program
 
@@ -44,25 +42,14 @@ class ISSStats:
 
 
 class InstructionSetSimulator:
-    """Single-core functional simulator over a flat data memory.
+    """Single-core functional simulator over a flat data memory."""
 
-    ``fast=True`` executes :meth:`run` through the decode-cached
-    dispatch table of :mod:`repro.tamarisc.dispatch` instead of the
-    generic operand walk.  Architectural state, statistics and error
-    behaviour are bit-identical either way (the differential tests in
-    ``tests/tamarisc`` enforce this); :meth:`step` always uses the
-    generic path, and the two may be interleaved freely.
-    """
-
-    def __init__(self, program: Program, data: dict[int, int] | None = None,
-                 fast: bool = False):
+    def __init__(self, program: Program, data: dict[int, int] | None = None):
         self.program = program
         self.decoded = program.decoded()
         self.core = Core(pid=0, entry=program.entry)
         self.dmem: dict[int, int] = dict(data) if data else {}
         self.stats = ISSStats()
-        self.fast = fast
-        self._compiled = None
 
     # -- memory helpers -------------------------------------------------------
 
@@ -115,55 +102,8 @@ class InstructionSetSimulator:
 
     def run(self, max_cycles: int = 10_000_000) -> ISSStats:
         """Run until HLT.  Raises if ``max_cycles`` is exceeded."""
-        if self.fast:
-            return self._run_fast(max_cycles)
         for _ in range(max_cycles):
             if not self.step():
                 return self.stats
         raise SimulationError(
             f"program did not halt within {max_cycles} cycles")
-
-    def _run_fast(self, max_cycles: int) -> ISSStats:
-        """Dispatch-table run loop; exact mirror of the :meth:`step` loop."""
-        if self._compiled is None:
-            self._compiled = compile_program(self.decoded)
-        compiled = self._compiled
-        core = self.core
-        dmem = self.dmem
-        stats = self.stats
-        program_len = len(compiled)
-        steps = dreads = dwrites = branches = 0
-        try:
-            while True:
-                if core.halted:
-                    return stats
-                if steps >= max_cycles:
-                    break
-                pc = core.pc
-                if pc >= program_len:
-                    raise SimulationError(
-                        f"PC {core.pc:#x} outside the "
-                        f"{len(self.decoded)}-word program")
-                handler = compiled[pc]
-                value = None
-                if handler.preview is not None:
-                    dread, _ = handler.preview(core.regs)
-                    if dread is not None:
-                        value = dmem.get(dread, 0)
-                store = handler.commit(core, value)
-                steps += 1
-                if value is not None:
-                    dreads += 1
-                if store is not None:
-                    dmem[store[0] & WORD_MASK] = store[1] & WORD_MASK
-                    dwrites += 1
-                if core.pc != ((pc + 1) & 0x7FFF) and not core.halted:
-                    branches += 1
-            raise SimulationError(
-                f"program did not halt within {max_cycles} cycles")
-        finally:
-            stats.cycles += steps
-            stats.ifetches += steps
-            stats.dreads += dreads
-            stats.dwrites += dwrites
-            stats.branches_taken += branches

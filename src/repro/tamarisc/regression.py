@@ -5,8 +5,12 @@ accurate verification of the LISA model simulation against the
 behavioral simulation of the generated HDL code".  Our analogue verifies
 the two independent executors of this repository against each other:
 
-* the fast functional ISS (:mod:`repro.tamarisc.iss`), and
-* the cycle-stepped multi-core platform (:mod:`repro.platform.multicore`).
+* the functional ISS (:mod:`repro.tamarisc.iss`), which runs the
+  generic operand walk of :class:`~repro.tamarisc.cpu.Core`, and
+* the cycle-stepped multi-core platform (:mod:`repro.platform.multicore`),
+  which runs code generated by :mod:`repro.tamarisc.dispatch` (its
+  dispatch table, and on the fast-forward engine its translation blocks
+  and loop traces).
 
 :func:`generate_random_program` emits constrained-random but *safe*
 TamaRISC programs (all loads/stores inside a sandbox region of the
@@ -206,13 +210,12 @@ def generate_random_program(seed: int, length: int = 40,
     return Program(words=words)
 
 
-def run_on_iss(program: Program, sandbox_seed: int = 0,
-               fast: bool = False) -> CrossCheckResult:
+def run_on_iss(program: Program, sandbox_seed: int = 0) -> CrossCheckResult:
     """Execute on the functional ISS over a seeded sandbox."""
     rng = random.Random(sandbox_seed)
     data = {PRIVATE_BASE + i: rng.randrange(0x10000)
             for i in range(SANDBOX_WORDS)}
-    iss = InstructionSetSimulator(program, data=data, fast=fast)
+    iss = InstructionSetSimulator(program, data=data)
     iss.run(max_cycles=100_000)
     return CrossCheckResult(
         retired=iss.core.retired,
@@ -252,16 +255,15 @@ def cross_check(seed: int, length: int = 40,
     """Differential run: ISS vs platform must agree exactly.
 
     All eight platform cores run the same program on the same sandbox, so
-    every core is checked against the single ISS execution.  With
-    ``fast=False`` the platform's cycle loop (which executes the
-    dispatch table) is checked against the ISS's generic operand walk,
-    the reference independent of that table; ``fast=True`` pits the
-    fast-forward engine against the ISS's dispatch-table mode.  Raises
+    every core is checked against the single ISS execution, the generic
+    operand walk.  ``fast`` picks the platform engine: ``False`` the
+    exact cycle loop (the dispatch table alone), ``True`` the
+    fast-forward engine (blocks and loop traces too).  Raises
     :class:`~repro.errors.SimulationError` on the first divergence.
     """
     program = generate_random_program(seed, length=length,
                                       full_coverage=full_coverage)
-    golden = run_on_iss(program, sandbox_seed=seed, fast=fast)
+    golden = run_on_iss(program, sandbox_seed=seed)
     for core in range(8):
         measured = run_on_platform(program, arch=arch, core=core,
                                    sandbox_seed=seed, fast_forward=fast)

@@ -35,7 +35,7 @@ from repro.tamarisc.encoding import decode
 from repro.tamarisc.isa import Op
 from repro.tamarisc.program import DataImage
 from repro.tamarisc.regression import SANDBOX_WORDS, generate_random_program
-from repro.tamarisc.blocks import _supported
+from repro.tamarisc.dispatch import supported as _supported
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 

@@ -6,10 +6,14 @@ the functional ISS and on every core of the cycle-accurate platform, and
 the full architectural outcome must match exactly.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.memory.layout import PRIVATE_BASE
+from repro.tamarisc.dispatch import compile_program
 from repro.tamarisc.isa import (
     BranchMode,
     Cond,
@@ -17,6 +21,7 @@ from repro.tamarisc.isa import (
     Op,
     SRC_MEM_MODES,
 )
+from repro.tamarisc.iss import ISSStats, InstructionSetSimulator
 from repro.tamarisc.regression import (
     SANDBOX_WORDS,
     cross_check,
@@ -24,6 +29,44 @@ from repro.tamarisc.regression import (
     run_on_iss,
     run_on_platform,
 )
+
+
+def _sandbox(seed):
+    rng = random.Random(seed)
+    return {PRIVATE_BASE + i: rng.randrange(0x10000)
+            for i in range(SANDBOX_WORDS)}
+
+
+def _run_dispatch(program, data):
+    """Run ``program`` on one core through the dispatch table alone,
+    over the ISS's flat data memory; ``(core, stats, dmem)``.
+
+    The ISS's :meth:`~InstructionSetSimulator.step` loop with each
+    instruction's preview and commit taken from the table, so its
+    outcome must equal the ISS's generic walk word for word.
+    """
+    iss = InstructionSetSimulator(program, data=data)
+    core, dmem, stats = iss.core, iss.dmem, ISSStats()
+    compiled = compile_program(iss.decoded)
+    while not core.halted:
+        pc = core.pc
+        handler = compiled[pc]
+        dread = dwrite = value = None
+        if handler.preview is not None:
+            dread, dwrite = handler.preview(core.regs)
+            if dread is not None:
+                value = dmem.get(dread, 0)
+                stats.dreads += 1
+        word = handler.commit(core, value)
+        if word is not None:
+            dmem[dwrite] = word
+            stats.dwrites += 1
+        stats.cycles += 1
+        stats.ifetches += 1
+        if core.pc != ((pc + 1) & 0x7FFF) and not core.halted:
+            stats.branches_taken += 1
+        assert stats.cycles < 100_000, "program did not halt"
+    return core, stats, dmem
 
 
 class TestGenerator:
@@ -121,34 +164,32 @@ class TestFullCoverageGenerator:
 
 
 class TestDispatchEquivalence:
-    """ISS and platform dispatch-table fast paths retire identical state
-    to the generic interpreters over the full-ISA corpus."""
+    """The dispatch table and the platform's fast paths retire identical
+    state to the generic interpreters over the full-ISA corpus."""
 
     @pytest.mark.parametrize("seed", FULL_COVERAGE_SEEDS)
     def test_iss_fast_matches_slow(self, seed):
+        """Whole programs through the dispatch table (single core,
+        flat memory) end in the ISS's architectural state."""
         program = generate_random_program(seed, length=60,
                                           full_coverage=True)
         slow = run_on_iss(program, sandbox_seed=seed)
-        fast = run_on_iss(program, sandbox_seed=seed, fast=True)
-        assert fast.retired == slow.retired
-        assert fast.registers == slow.registers
-        assert fast.flags == slow.flags
-        assert fast.sandbox == slow.sandbox
+        core, __, dmem = _run_dispatch(program, _sandbox(seed))
+        assert core.retired == slow.retired
+        assert core.regs == slow.registers
+        assert core.flags.as_tuple() == slow.flags
+        assert [dmem.get(PRIVATE_BASE + i, 0)
+                for i in range(SANDBOX_WORDS)] == slow.sandbox
 
     @pytest.mark.parametrize("seed", FULL_COVERAGE_SEEDS)
     def test_iss_fast_stats_match(self, seed):
-        from repro.tamarisc.iss import InstructionSetSimulator
-        import random
-        from repro.memory.layout import PRIVATE_BASE
+        """... with the ISS's port counts and the same memory image."""
         program = generate_random_program(seed, length=60,
                                           full_coverage=True)
-        rng = random.Random(seed)
-        data = {PRIVATE_BASE + i: rng.randrange(0x10000)
-                for i in range(SANDBOX_WORDS)}
-        slow = InstructionSetSimulator(program, data=dict(data))
-        fast = InstructionSetSimulator(program, data=dict(data), fast=True)
-        assert fast.run() == slow.run()
-        assert fast.dmem == slow.dmem
+        slow = InstructionSetSimulator(program, data=_sandbox(seed))
+        __, stats, dmem = _run_dispatch(program, _sandbox(seed))
+        assert stats == slow.run()
+        assert dmem == slow.dmem
 
     @pytest.mark.parametrize("seed", (0, 7, 13))
     def test_platform_fast_forward_matches_iss(self, seed):
@@ -163,7 +204,7 @@ class TestDispatchEquivalence:
         """A single-core run through the platform equals the ISS."""
         program = generate_random_program(42, length=60,
                                           full_coverage=True)
-        golden = run_on_iss(program, sandbox_seed=42, fast=True)
+        golden = run_on_iss(program, sandbox_seed=42)
         for fast_forward in (False, True):
             measured = run_on_platform(program, sandbox_seed=42,
                                        fast_forward=fast_forward)

@@ -445,10 +445,15 @@ class TestExitCodes:
          "--measurements", "16", "--runs-dir", "{file}"],
         ["trace", "--arch", "mc-ref", "--samples", "32",
          "--measurements", "16", "--out-dir", "{file}", "--no-manifest"],
+        ["watch", "--arch", "mc-ref", "--samples", "32",
+         "--measurements", "16", "--repeat", "1", "--runs-dir", "{file}"],
         ["dse", "--arch", "mc-ref", "--cores", "2", "--dm-banks", "16",
          "--mappings", "private-lut", "--voltages", "1.2", "--no-escalate",
          "--no-cache", "--front-out", "{file}/front.json",
          "--no-manifest"],
+        ["dse", "--arch", "mc-ref", "--cores", "2", "--dm-banks", "16",
+         "--mappings", "private-lut", "--voltages", "1.2", "--no-escalate",
+         "--cache-dir", "{file}/cache", "--no-manifest"],
         ["regress", "--runs-dir", "{tmp}", "--output", "{file}/report"],
         ["farm", "--runs", "2", "--workers", "1", "--arch", "mc-ref",
          "--samples", "32", "--measurements", "16", "--blocks", "1",
@@ -457,12 +462,22 @@ class TestExitCodes:
          "--measurements", "16", "--checkpoint", "{file}/c.jsonl",
          "--no-manifest"],
     ], ids=["experiment --output", "experiment --runs-dir",
-            "profile --runs-dir", "trace --out-dir", "dse --front-out",
-            "regress --output", "farm --checkpoint",
-            "faults --checkpoint"])
+            "profile --runs-dir", "trace --out-dir", "watch --runs-dir",
+            "dse --front-out", "dse --cache-dir", "regress --output",
+            "farm --checkpoint", "faults --checkpoint"])
     def test_unwritable_output_path_is_exit_2(self, argv, tmp_path,
-                                              capsys):
-        """An output path under a regular file cannot be created."""
+                                              capsys, monkeypatch):
+        """An output path under a regular file cannot be created, and
+        the command says so before it simulates or starts a worker."""
+        from repro.farm import jobs
+        from repro.platform import MultiCoreSystem
+
+        def no_work(*args, **kwargs):
+            pytest.fail("simulated or started a worker before creating "
+                        "its output locations")
+
+        monkeypatch.setattr(MultiCoreSystem, "run", no_work)
+        monkeypatch.setattr(jobs, "_Worker", no_work)
         blocker = tmp_path / "file"
         blocker.write_text("")
         argv = [arg.format(file=blocker, tmp=tmp_path) for arg in argv]
