@@ -5,13 +5,16 @@ platform — the cycle-stepped reference loop, the per-instruction
 fast-forward mode and the fast-forward mode with its translation-block
 layer — verifies the outputs and every ``SimulationStats`` field are
 bit-identical across all three, and reports the wall-clock speedups.
-A ``contended`` cell times the serialised run on the same input:
-ulpmc-bank without instruction broadcast, all eight cores waiting on
-one IM bank, reported per retired instruction and against mc-ref's
-exact loop.  A gated ``desync`` cell times ulpmc-int without data
-broadcast, where the cores desynchronise and contend for banks, on the
-default engine against ``--exact``: the run fails when the default
-engine reads below :data:`DESYNC_FLOOR` of the exact loop's speed.
+Two gated cells time the default engine against ``--exact`` in
+back-to-back pairs (``run()`` alone, after an untimed ``load()``; both
+engines must produce one stats digest) and gate the median per-pair
+ratio.  The ``contended`` cell runs ulpmc-bank without instruction
+broadcast, all eight cores waiting on one IM bank, which the default
+engine commits in serialised rounds; it also reports the cost per
+retired instruction and against mc-ref's exact loop, and fails below
+:data:`CONTENDED_FLOOR`.  The ``desync`` cell runs ulpmc-int without
+data broadcast, where the cores desynchronise and contend for banks,
+and fails below :data:`DESYNC_FLOOR`.
 
 Each run can be recorded as a ``bench_fast_forward/1`` JSON document
 (``--json``), giving the repo a tracked speed trajectory: CI writes the
@@ -34,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import statistics
 import sys
 import time
 from unittest import mock
@@ -70,11 +74,17 @@ CHECK_FRACTION = 0.8
 CHECK_ARCHES = ("mc-ref",)
 
 #: The contended cell: without instruction broadcast ulpmc-bank
-#: serialises all eight cores on one IM bank, so nearly every cycle runs
-#: in the exact loop with seven fetches waiting.  Recorded, never gated:
-#: its ratio to mc-ref's exact loop spread 1.60-2.10 within one checkout
-#: on a 2-CPU host, too wide for a 20% gate.
+#: serialises all eight cores on one IM bank, so nearly every cycle has
+#: seven fetches waiting on it and the default engine commits them in
+#: serialised rounds.  Its ratio to mc-ref's exact loop is recorded,
+#: never gated (it spread 1.60-2.10 within one checkout on a 2-CPU host);
+#: its speed against ``--exact`` is gated by :data:`CONTENDED_FLOOR`.
 CONTENDED = ("ulpmc-bank", {"instr_broadcast": False})
+
+#: A run, quick or full, fails when the default engine's speed on the
+#: contended cell falls below this multiple of the exact loop's (the
+#: rounds read 3.0-3.9x at quick geometry; staging every cycle ~1x).
+CONTENDED_FLOOR = 2.5
 
 #: The desync cell: without data broadcast ulpmc-int's cores read one
 #: shared word in turn, desynchronise and contend for banks, so its
@@ -84,8 +94,12 @@ CONTENDED = ("ulpmc-bank", {"instr_broadcast": False})
 DESYNC = ("ulpmc-int", {"data_broadcast": False})
 
 #: A run, quick or full, fails when the default engine's speed on the
-#: desync cell falls below this fraction of the exact loop's.
+#: desync cell falls below this fraction of the exact loop's.  Both
+#: engines run the same loop for most of its cycles, so the gate reads
+#: the median of at least :data:`DESYNC_PAIRS` per-pair ratios: one
+#: pair caught by a host hiccup does not move it.
 DESYNC_FLOOR = 0.9
+DESYNC_PAIRS = 7
 
 #: Default location of the committed quick-geometry baseline.
 BASELINE_PATH = pathlib.Path(__file__).resolve().parent / "baselines" \
@@ -159,16 +173,44 @@ def compare_modes(arch: str, built, reps: int = 1) -> dict:
     }
 
 
-def measure_contended(built, reps: int, mc_ref: dict) -> dict:
-    """Best-of-``reps`` wall time of the :data:`CONTENDED` run, per
-    retired instruction and as a ratio to the exact-loop cost per
-    instruction of ``mc_ref`` (its :func:`compare_modes` row, measured
-    in this process)."""
-    arch, overrides = CONTENDED
-    run_s, system, result = _timed(
-        lambda: build_platform(arch, fast_forward=True, **overrides),
-        built.benchmark, reps)
+def paired_runs(built, arch: str, overrides: dict, pairs: int):
+    """``pairs`` back-to-back runs of ``arch`` on the default engine and
+    on ``--exact``, each timing ``run()`` alone after an untimed
+    ``load()``.  Returns the two engines' times, the median per-pair
+    speedup (exact over default) and the last default system and
+    result; both engines must produce one stats digest."""
+    times = {True: [], False: []}
+    digests = set()
+    for __ in range(pairs):
+        for fast_forward in (True, False):
+            system = build_platform(arch, fast_forward=fast_forward,
+                                    **overrides)
+            system.load(built.benchmark)
+            t0 = time.perf_counter()
+            result = system.run()
+            times[fast_forward].append(time.perf_counter() - t0)
+            digests.add(stats_digest(result.stats))
+            if fast_forward:
+                default = (system, result)
     verify_result(built, result)
+    if len(digests) != 1:
+        raise AssertionError(f"{arch} {overrides}: the default engine's "
+                             "statistics diverged from --exact")
+    speedup = statistics.median(
+        exact / fast for fast, exact in zip(times[True], times[False]))
+    return times[True], times[False], speedup, default
+
+
+def measure_contended(built, reps: int, mc_ref: dict) -> dict:
+    """The :data:`CONTENDED` run: at least three default/``--exact``
+    pairs (:func:`paired_runs`); the best default time per retired
+    instruction, also as a ratio to the exact-loop cost per instruction
+    of ``mc_ref`` (its :func:`compare_modes` row, measured in this
+    process)."""
+    arch, overrides = CONTENDED
+    default_s, exact_s, speedup, (system, result) = paired_runs(
+        built, arch, overrides, max(3, reps))
+    run_s = min(default_s)
     stats = result.stats
     retired = sum(core.retired for core in stats.cores)
     us_per_instr = run_s / retired * 1e6
@@ -178,8 +220,12 @@ def measure_contended(built, reps: int, mc_ref: dict) -> dict:
         "overrides": overrides,
         "cycles": stats.total_cycles,
         "exact_cycles": stats.total_cycles - system._ff_engine.fast_cycles,
+        "round_cycles": system._ff_engine.round_cycles,
         "retired": retired,
         "run_s": run_s,
+        "exact_s": min(exact_s),
+        "pairs": len(default_s),
+        "speedup_vs_exact": speedup,
         "us_per_instr": us_per_instr,
         "mc_ref_exact_us_per_instr": mc_ref_us,
         "ratio_vs_mc_ref_exact": us_per_instr / mc_ref_us,
@@ -188,36 +234,21 @@ def measure_contended(built, reps: int, mc_ref: dict) -> dict:
 
 
 def measure_desync(built, reps: int) -> dict:
-    """The :data:`DESYNC` run on the default engine and on ``--exact``,
-    alternating, best of ``reps`` (at least three) each.  Each sample
-    times ``run()`` alone, after an untimed ``load()``; both engines
-    must produce one stats digest."""
+    """The :data:`DESYNC` run: at least :data:`DESYNC_PAIRS`
+    default/``--exact`` pairs (:func:`paired_runs`), gated on their
+    median per-pair speedup."""
     arch, overrides = DESYNC
-    best = {}
-    digests = set()
-    for __ in range(max(3, reps)):
-        for fast_forward in (True, False):
-            system = build_platform(arch, fast_forward=fast_forward,
-                                    **overrides)
-            system.load(built.benchmark)
-            t0 = time.perf_counter()
-            result = system.run()
-            elapsed = time.perf_counter() - t0
-            best[fast_forward] = min(elapsed, best.get(fast_forward,
-                                                       elapsed))
-            digests.add(stats_digest(result.stats))
-    verify_result(built, result)
-    if len(digests) != 1:
-        raise AssertionError(f"{arch} without data broadcast: the default "
-                             "engine's statistics diverged from --exact")
+    default_s, exact_s, speedup, (__, result) = paired_runs(
+        built, arch, overrides, max(DESYNC_PAIRS, reps))
     return {
         "arch": arch,
         "overrides": overrides,
         "cycles": result.stats.total_cycles,
-        "default_s": best[True],
-        "exact_s": best[False],
-        "speedup_vs_exact": best[False] / best[True],
-        "stats_digest": digests.pop(),
+        "default_s": min(default_s),
+        "exact_s": min(exact_s),
+        "pairs": len(default_s),
+        "speedup_vs_exact": speedup,
+        "stats_digest": stats_digest(result.stats),
     }
 
 
@@ -256,15 +287,18 @@ def report(rows: list[dict], contended: dict, desync: dict) -> None:
               f"{row['fallbacks']:>9}")
     print(f"contended: {contended['arch']} without instruction broadcast, "
           f"{contended['cycles']} cycles ({contended['exact_cycles']} "
-          f"exact): {contended['us_per_instr']:.2f} us per retired "
+          f"exact, {contended['round_cycles']} in rounds): "
+          f"{contended['us_per_instr']:.2f} us per retired "
           f"instruction, {contended['ratio_vs_mc_ref_exact']:.2f}x "
           f"mc-ref's exact loop "
-          f"({contended['mc_ref_exact_us_per_instr']:.2f} us)")
+          f"({contended['mc_ref_exact_us_per_instr']:.2f} us); "
+          f"{contended['speedup_vs_exact']:.2f}x exact, median of "
+          f"{contended['pairs']} pairs (floor {CONTENDED_FLOOR:.2f}x)")
     print(f"desync: {desync['arch']} without data broadcast, "
           f"{desync['cycles']} cycles: default {desync['default_s']:.3f} s, "
           f"exact {desync['exact_s']:.3f} s, "
-          f"{desync['speedup_vs_exact']:.2f}x exact "
-          f"(floor {DESYNC_FLOOR:.2f}x)")
+          f"{desync['speedup_vs_exact']:.2f}x exact, median of "
+          f"{desync['pairs']} pairs (floor {DESYNC_FLOOR:.2f}x)")
 
 
 def check_against_baseline(record: dict, baseline: dict) -> list[str]:
@@ -358,12 +392,14 @@ def main(argv=None) -> int:
             print(f"OK: speedups within {CHECK_FRACTION:.0%} of baseline "
                   f"{args.check}")
 
-    if desync["speedup_vs_exact"] < DESYNC_FLOOR:
-        print(f"FAIL: the default engine runs {desync['arch']} without "
-              f"data broadcast at {desync['speedup_vs_exact']:.2f}x the "
-              f"exact loop, below the {DESYNC_FLOOR}x floor",
-              file=sys.stderr)
-        return 1
+    for cell, what, floor in ((contended, "instruction", CONTENDED_FLOOR),
+                              (desync, "data", DESYNC_FLOOR)):
+        if cell["speedup_vs_exact"] < floor:
+            print(f"FAIL: the default engine runs {cell['arch']} without "
+                  f"{what} broadcast at {cell['speedup_vs_exact']:.2f}x "
+                  f"the exact loop, below the {floor}x floor",
+                  file=sys.stderr)
+            return 1
     mc_ref = next(row for row in rows if row["arch"] == "mc-ref")
     if not args.quick \
             and mc_ref["speedup_ff_vs_exact"] < TARGET_SPEEDUP:

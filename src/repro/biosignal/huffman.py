@@ -18,9 +18,9 @@ is left-aligned; the stream is described by its total bit count.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.biosignal.quantize import NUM_SYMBOLS, dequantize_symbol, \
     quantize_measurement
@@ -47,24 +47,26 @@ def package_merge(frequencies, max_length: int = MAX_CODE_LENGTH) -> list[int]:
         raise ConfigurationError(
             f"{max_length}-bit codes cannot cover {n} symbols")
 
-    # Items are (weight, symbol-count-vector as dict).  Level 1 is the raw
-    # symbol list; level k merges pairs of level k-1 into "packages".
-    originals = sorted(((float(f), {s: 1})
-                        for s, f in enumerate(frequencies)),
-                       key=lambda item: item[0])
-    level = list(originals)
+    # Counting form (Larmore & Hirschberg 1990): each level merges the
+    # sorted symbols with the pairs of the level before (originals first
+    # at equal weight); its selected items are a prefix whose packages are
+    # the level below's first pairs, so a length counts prefixes holding it.
+    order = sorted(range(n), key=lambda s: float(frequencies[s]))
+    originals = [(float(frequencies[s]), False) for s in order]
+    level = originals
+    kinds = [[False] * n]  # per level: which items are packages
     for _ in range(max_length - 1):
-        packages = []
-        for index in range(0, len(level) - 1, 2):
-            weight = level[index][0] + level[index + 1][0]
-            contents = Counter(level[index][1])
-            contents.update(level[index + 1][1])
-            packages.append((weight, dict(contents)))
-        level = sorted(originals + packages, key=lambda item: item[0])
+        packages = [(level[index][0] + level[index + 1][0], True)
+                    for index in range(0, len(level) - 1, 2)]
+        level = sorted(originals + packages, key=itemgetter(0))
+        kinds.append([package for __, package in level])
     lengths = [0] * n
-    for weight, contents in level[: 2 * (n - 1)]:
-        for symbol, count in contents.items():
-            lengths[symbol] += count
+    take = 2 * (n - 1)
+    for flags in reversed(kinds):
+        packed = sum(flags[:take])
+        for symbol in order[:take - packed]:
+            lengths[symbol] += 1
+        take = 2 * packed
     return lengths
 
 

@@ -1013,10 +1013,14 @@ def cmd_regress(argv) -> int:
 
     from repro.errors import ConfigurationError
     from repro.obs import run_regression
-    if args.baseline is not None and not (
-            pathlib.Path(args.baseline) / "manifest.jsonl").is_file():
-        raise ConfigurationError(
-            f"baseline manifest not found: {args.baseline}/manifest.jsonl")
+    if args.output is not None:
+        pathlib.Path(args.output).parent.mkdir(parents=True, exist_ok=True)
+    for label, directory in (("baseline", args.baseline),
+                             ("run", args.runs_dir)):
+        if directory is not None and not (
+                pathlib.Path(directory) / "manifest.jsonl").is_file():
+            raise ConfigurationError(
+                f"{label} manifest not found: {directory}/manifest.jsonl")
     kinds = tuple(kind.strip() for kind in args.kinds.split(",")
                   if kind.strip())
     report = run_regression(args.runs_dir, baseline_dir=args.baseline,

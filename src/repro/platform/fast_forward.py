@@ -7,13 +7,15 @@ data in per-core banks).  :meth:`MultiCoreSystem.run
 <repro.platform.multicore.MultiCoreSystem.run>` proves such cycles from
 the ports its instruction start translated and commits them without
 arbitration, and while the running cores share one PC it commits whole
-translation blocks and loop traces (:mod:`repro.tamarisc.blocks`).
+translation blocks and loop traces (:mod:`repro.tamarisc.blocks`), and
+it commits serialised rounds where the cores queue on one IM bank.
 
 A :class:`FastForwardEngine` is what those shortcuts keep across a run
 and between stretches: the block and trace records of the loaded
 program, the successor profile that grows traces, and the tier counters
 (``fast_cycles``, ``fallbacks``, ``block_cycles``, ``trace_cycles``,
-``block_entries``, ``trace_entries``) that benchmarks and
+``block_entries``, ``trace_entries``, and ``round_cycles``, the part of
+``fast_cycles`` committed in serialised rounds) that benchmarks and
 :meth:`~FastForwardEngine.block_summary` report.  ``MultiCoreSystem``
 builds one per load when ``fast_forward`` is on; without it the same
 loop resolves every cycle through the crossbars.
@@ -78,6 +80,7 @@ class FastForwardEngine:
         # Diagnostics (not part of SimulationStats).
         self.fast_cycles = 0
         self.fallbacks = 0
+        self.round_cycles = 0  # serialised rounds, in fast_cycles
         # ---- translation-block layer (see repro.tamarisc.blocks) ----
         self._blocks = TRANSLATION_BLOCKS
         self._decoded = decoded
@@ -317,4 +320,5 @@ class FastForwardEngine:
             "traces": self.traces_built,
             "trace_entries": self.trace_entries,
             "trace_cycles": self.trace_cycles,
+            "round_cycles": self.round_cycles,
         }

@@ -19,14 +19,18 @@ A contended cycle thus costs what changes in it, not what is still
 waiting: waiting cores are not walked, and their stall cycles settle
 lazily, from the retire counts, at window edges and at the run's end.
 
-:meth:`MultiCoreSystem.run` is one loop with two shortcuts, taken by a
-cycle that starts with no port staged: a translation block or loop trace
+:meth:`MultiCoreSystem.run` is one loop with three shortcuts.  A cycle
+that starts with no port staged takes a translation block or loop trace
 (:mod:`repro.tamarisc.blocks`) while the running cores share one PC,
 else a proof that the started ports are conflict-free (one access, or
 one same-offset broadcast group, per bank), which commits the cycle
 without arbitration.  A rejected proof, or a block's conflict exit,
-stages the ports it translated.  ``--exact`` runs the loop without
-shortcuts (see :mod:`repro.platform.fast_forward`).
+stages the ports it translated.  A *serialised* cycle (one IM bank in
+use, every running core waiting on it or starting, no data port
+waiting) has a known winner, the bank's round-robin choice: serialised
+rounds commit such cycles in a tight inner loop and count what
+``resolve()`` would have.  ``--exact`` runs the loop without shortcuts
+(see :mod:`repro.platform.fast_forward`).
 
 Because instruction and data *contents* are deterministic, functional
 transfer happens at commit time; the crossbars only decide timing and
@@ -430,6 +434,12 @@ class MultiCoreSystem:
             # per-cycle subscriber needs the per-cycle event stream.
             profiling = blocks_any and engine._traces and not observing
             trace_every = fast_forward.TRACE_ENTRY_THRESHOLD
+        # Serialised rounds need one shared IM bank in use; like traces,
+        # they synthesise no per-cycle events.
+        im_bank = pc_bank[0]
+        im_arbiter = ixbar.arbiters[im_bank]
+        rounds = engine is not None and not observing and not im_private \
+            and pc_bank.count(im_bank) == program_len
 
         cycle = 0
         sync_cycles = 0
@@ -492,6 +502,7 @@ class MultiCoreSystem:
                     # Injection may have swapped the program image or
                     # dropped the engine; refresh the hoisted locals.
                     engine = self._ff_engine
+                    rounds = rounds and engine is not None
                     compiled = self.compiled
                     program_len = len(compiled)
                     for pid in faults.dead_cores & running:
@@ -532,6 +543,185 @@ class MultiCoreSystem:
                 # ports this cycle stages (a block's conflict exit starts
                 # none: it translated them already).
                 fresh = staged = bits_of(starting) if starting else ()
+
+                # ---- serialised rounds ----
+                # Every running core waits on the one IM bank in use (or
+                # starts), no data port waits: the arbiter's winner is the
+                # next running core, so a tight loop commits the winners
+                # and counts what resolve() would, up to ``cap``, a halt or
+                # a cycle all cores commit.  A cycle whose data ports share
+                # a bank goes to the staged path (``rest``: left to start).
+                if rounds and w_if and not (w_dr | w_dw) \
+                        and (w_if | starting) == run_mask \
+                        and run_mask & (run_mask - 1):
+                    first = cycle
+                    stop = cap
+                    order = bits_of(run_mask)
+                    n_run = len(order)
+                    ptr = im_arbiter.pointer
+                    turn = sum(pid < ptr for pid in order)  # next winner
+                    starters = bits_of(starting)
+                    rest = None
+                    stall = saved = calm = 0
+                    try:
+                        while True:
+                            # Start the cores that committed last cycle.
+                            ports = taken = 0
+                            for pid in starters:
+                                core = cores[pid]
+                                pc = core.pc
+                                if pc >= program_len:  # the staged path raises
+                                    rest = starters[starters.index(pid):]
+                                    break
+                                fetch_pc[pid] = pc
+                                handler = compiled[pc]
+                                handlers[pid] = handler
+                                preview = handler.preview
+                                if preview is None:
+                                    dr_bank[pid] = dw_bank[pid] = -1
+                                    continue
+                                dread, dwrite = preview(core.regs)
+                                if dread is None:
+                                    dr_bank[pid] = -1
+                                else:
+                                    if dread >= PRIVATE_BASE:
+                                        mmu_p[pid] += 1
+                                        offset = dread - PRIVATE_BASE
+                                        if offset >= pwc:
+                                            layout.translate(pid, dread)
+                                        bank = cbanks[pid][offset // pwb]
+                                        dr_off[pid] = swb + offset % pwb
+                                    else:
+                                        mmu_s[pid] += 1
+                                        if dread >= shared_words:
+                                            layout.translate(pid, dread)
+                                        bank = dread % dbn
+                                        dr_off[pid] = dread // dbn
+                                    dr_bank[pid] = bank
+                                    taken |= 1 << bank
+                                    ports += 1
+                                if dwrite is None:
+                                    dw_bank[pid] = -1
+                                else:
+                                    if dwrite >= PRIVATE_BASE:
+                                        mmu_p[pid] += 1
+                                        offset = dwrite - PRIVATE_BASE
+                                        if offset >= pwc:
+                                            layout.translate(pid, dwrite)
+                                        bank = cbanks[pid][offset // pwb]
+                                        dw_off[pid] = swb + offset % pwb
+                                    else:
+                                        mmu_s[pid] += 1
+                                        if dwrite >= shared_words:
+                                            layout.translate(pid, dwrite)
+                                        bank = dwrite % dbn
+                                        dw_off[pid] = dwrite // dbn
+                                    dw_bank[pid] = bank
+                                    taken |= 1 << bank
+                                    ports += 1
+                            if rest is not None:
+                                break
+                            if ports:  # distinct banks: granted at once
+                                if taken.bit_count() != ports:
+                                    rest = ()
+                                    break
+                                bacc[0] += ports
+                                bacc[1] += ports
+                                for pid in starters:
+                                    last = dlast[pid]
+                                    for bank in dr_bank[pid], dw_bank[pid]:
+                                        if bank >= 0:
+                                            if last is not None \
+                                                    and last != bank:
+                                                dtrans[pid] += 1
+                                            last = bank
+                                    dlast[pid] = last
+                            # The winner, with the cores at its fetch PC
+                            # on a broadcast bus; the others stall.
+                            winner = order[turn % n_run]
+                            pc = fetch_pc[winner]
+                            same = fetch_pc.count(pc)
+                            if same == n_run:
+                                sync_cycles += 1
+                            elif sink is not None:
+                                size = len(set(fetch_pc) - {-1})
+                                groups[size] = groups.get(size, 0) + 1
+                            if same == 1 or not i_broadcast:
+                                turn += 1
+                                stall += n_run - 1
+                                starters = (winner,)
+                            else:
+                                starters = bits_of(sum(
+                                    1 << pid for pid in order
+                                    if fetch_pc[pid] == pc))
+                                im_bc += 1
+                                saved += same - 1
+                                if sink is not None:
+                                    im_width[same] = \
+                                        im_width.get(same, 0) + 1
+                                if same < n_run:  # a conflict
+                                    turn += 1
+                                    stall += n_run - same
+                                else:  # no conflict; the round ends
+                                    calm = 1
+                                    stop = cycle + 1
+                            cycle += 1
+                            for pid in starters:
+                                ilast[pid] = im_bank  # no transition
+                                core = cores[pid]
+                                bank = dr_bank[pid]
+                                if bank >= 0:
+                                    value = dm_store[bank][dr_off[pid]]
+                                    dreads += 1
+                                else:
+                                    value = None
+                                word = handlers[pid].commit(core, value)
+                                if word is not None:
+                                    dm_store[dw_bank[pid]][dw_off[pid]] = word
+                                    dwrites += 1
+                                if core.halted:
+                                    core_stats[pid].halted_at = cycle
+                                    running.discard(pid)
+                                    run_mask ^= 1 << pid
+                                    fetch_pc[pid] = -1
+                                    stop = cycle
+                            if cycle >= stop:
+                                break
+                    finally:  # flush the counts, restage the waiters
+                        done = cycle - first
+                        conf = done - calm
+                        engine.fast_cycles += done
+                        engine.round_cycles += done
+                        im_acc += done
+                        im_del += done + saved
+                        im_sv += saved
+                        im_arbiter.pointer = ptr if not conf \
+                            else (order[(turn - 1) % n_run] + 1) % n
+                        im_arbiter.grants += conf
+                        ixbar.stats.conflict_events += conf
+                        ixbar.stats.stalls += stall
+                        starting = sum(1 << pid for pid in starters
+                                       if not cores[pid].halted)
+                        w_if = run_mask & ~starting
+                        i_readers[im_bank] = ixbar.reading = w_if
+                        ixbar.active = 1 << im_bank if w_if else 0
+                        for pid in range(n):
+                            i_read_at[pid] = fetch_loc[pid][fetch_pc[pid]][1] \
+                                if w_if >> pid & 1 else -1
+                        if done:
+                            last_progress = cycle
+                        if sink is not None and conf:  # from first + 1
+                            conflicts += conf
+                            if burst and burst_end == first:
+                                burst += conf
+                            else:
+                                if burst:
+                                    bursts[burst] = bursts.get(burst, 0) + 1
+                                burst = conf
+                            burst_end = first + conf
+                    if rest is None:
+                        continue
+                    fresh, staged = rest, starters
 
                 # ---- translation blocks and loop traces ----
                 # When every running core sits at the same PC (or one

@@ -1,7 +1,9 @@
 """Huffman coding: package-merge, canonical codes, bit-exact streams."""
 
 import heapq
+import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,10 @@ from repro.biosignal.huffman import (
     canonical_codes,
     package_merge,
 )
+from repro.biosignal import huffman
 from repro.biosignal.quantize import NUM_SYMBOLS
 from repro.errors import ConfigurationError
+from repro.kernels import BenchmarkSpec, build_benchmark
 
 frequency_lists = st.lists(st.integers(min_value=1, max_value=10_000),
                            min_size=2, max_size=64)
@@ -32,6 +36,70 @@ def optimal_unlimited_cost(frequencies):
         cost += a + b
         heapq.heappush(heap, a + b)
     return cost
+
+
+def package_merge_reference(frequencies, max_length=MAX_CODE_LENGTH):
+    """Package-merge with an explicit symbol multiset per package: the
+    oracle for the counting form in :func:`package_merge` (same sort,
+    originals before packages at equal weight)."""
+    n = len(frequencies)
+    if n == 1:
+        return [1]
+    originals = sorted(((float(f), {s: 1})
+                        for s, f in enumerate(frequencies)),
+                       key=lambda item: item[0])
+    level = list(originals)
+    for _ in range(max_length - 1):
+        packages = []
+        for index in range(0, len(level) - 1, 2):
+            weight = level[index][0] + level[index + 1][0]
+            contents = Counter(level[index][1])
+            contents.update(level[index + 1][1])
+            packages.append((weight, dict(contents)))
+        level = sorted(originals + packages, key=lambda item: item[0])
+    lengths = [0] * n
+    for weight, contents in level[: 2 * (n - 1)]:
+        for symbol, count in contents.items():
+            lengths[symbol] += count
+    return lengths
+
+
+class TestCountingForm:
+    """The counting form keeps the reference's tie order, so equal
+    weights get the same lengths and every digest stays put."""
+
+    def test_matches_reference_on_tied_frequencies(self):
+        rng = random.Random(1990)
+        for __ in range(300):
+            n = rng.randint(2, 600)
+            top = rng.choice([1, 2, 3, 8, 50, 10_000])
+            freqs = [rng.randint(1, top) for __ in range(n)]
+            max_length = max(rng.choice([15, 11, 9]),
+                             (n - 1).bit_length())
+            assert package_merge(freqs, max_length) \
+                == package_merge_reference(freqs, max_length), \
+                (n, top, max_length)
+
+    @pytest.mark.parametrize("samples,measurements,seed",
+                             [(32, 16, 12345), (64, 32, 2012),
+                              (512, 256, 2012)])
+    def test_matches_reference_on_benchmark_alphabets(
+            self, samples, measurements, seed):
+        seen = []
+
+        def record(freqs, max_length):
+            seen.append((list(freqs), max_length))
+            return package_merge(freqs, max_length)
+
+        with mock.patch.object(huffman, "package_merge", record):
+            build_benchmark(BenchmarkSpec(n_samples=samples,
+                                          n_measurements=measurements,
+                                          seed=seed))
+        assert seen
+        for freqs, max_length in seen:
+            assert len(freqs) == NUM_SYMBOLS
+            assert package_merge(freqs, max_length) \
+                == package_merge_reference(freqs, max_length)
 
 
 class TestPackageMerge:

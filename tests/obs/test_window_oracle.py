@@ -252,3 +252,28 @@ def test_stuck_core_stalls_reach_events_windows_and_registry(stuck_core,
         == stats.total_stall_cycles
     assert metrics.verify_against(stats) == []
     assert histograms(metrics) == ReferenceMetrics(log).finish()
+
+
+@pytest.mark.parametrize("overrides", [{"instr_broadcast": False},
+                                       {"data_broadcast": False}])
+def test_serialised_rounds_equal_reference_folds(overrides):
+    """Serialised ulpmc-bank on the default engine: its rounds stop at
+    every 97-cycle window edge and fold their sync groups and conflict
+    bursts into the metrics sink, so one watched and profiled run
+    equals both per-event folds of the reference loop's run."""
+    built = build_benchmark(BenchmarkSpec(n_samples=32, n_measurements=16))
+    log, reference_stats = record(
+        build_platform("ulpmc-bank", fast_forward=False, **overrides),
+        built.benchmark)
+    system = build_platform("ulpmc-bank", fast_forward=True, **overrides)
+    aggregator = WindowedAggregator.attach(system.probe_bus(),
+                                           window_cycles=97)
+    metrics = ProbeMetrics.attach(system.probe_bus())
+    stats = system.run(built.benchmark).stats
+    assert stats == reference_stats
+    assert system.block_summary()["round_cycles"] \
+        >= 0.8 * stats.total_cycles
+    assert _dicts(aggregator.windows) \
+        == _dicts(ReferenceWindows([(log, reference_stats)], 97).windows)
+    assert metrics.verify_against(stats) == []
+    assert histograms(metrics) == ReferenceMetrics(log).finish()

@@ -172,3 +172,32 @@ class TestFallback:
         result = system.run(small_built_private.benchmark)
         assert result.stats.im_conflict_events == 0
         assert all(arb.grants == 0 for arb in system.ixbar.arbiters)
+
+
+class TestSerialisedRounds:
+    """ulpmc-bank packs the program into one IM bank: once the cores
+    lose lockstep they all queue on it and its round-robin arbiter
+    fixes the schedule, which the default engine commits in serialised
+    rounds without staging a port or resolving the crossbar."""
+
+    @pytest.mark.parametrize("overrides", [
+        {"instr_broadcast": False},
+        {"instr_broadcast": False, "data_broadcast": False}])
+    def test_serialised_bank_commits_in_rounds(self, overrides):
+        built = build_benchmark(BenchmarkSpec(n_samples=32,
+                                              n_measurements=16))
+        slow_system = build_platform("ulpmc-bank", fast_forward=False,
+                                     **overrides)
+        slow = slow_system.run(built.benchmark)
+        fast_system = build_platform("ulpmc-bank", fast_forward=True,
+                                     **overrides)
+        fast = fast_system.run(built.benchmark)
+        verify_result(built, fast)
+        assert_identical(slow, fast)
+        for xbar in ("ixbar", "dxbar"):
+            assert [(arbiter.pointer, arbiter.grants) for arbiter
+                    in getattr(fast_system, xbar).arbiters] \
+                == [(arbiter.pointer, arbiter.grants) for arbiter
+                    in getattr(slow_system, xbar).arbiters], xbar
+        summary = fast_system.block_summary()
+        assert summary["round_cycles"] >= 0.95 * fast.stats.total_cycles

@@ -197,6 +197,18 @@ def test_crossbar_summary_masks_track_staged_ports(fast_forward,
     assert probe.waits > 20, "no contention exercised"
 
 
+@pytest.mark.parametrize("overrides", CONTENTION[1:3])
+def test_serialised_round_exits_restage_the_waiting_fetches(overrides):
+    """A fault session due every cycle ends every serialised round after
+    one cycle: each exit must leave the I-Xbar's staged ports where
+    resolve() would have."""
+    probe = _ContentionStateProbe()
+    system = build_platform("ulpmc-bank", **overrides)
+    system.run(fuzz_benchmark(8), faults=probe)
+    assert probe.waits > 20, "no contention exercised"
+    assert system.block_summary()["round_cycles"] > 0
+
+
 def fetch_stalls(arch, benchmark, overrides=None):
     """``[(cycle, pid), ...]``: the boundaries at which a core waits for
     its instruction fetch (first stalled core of each)."""
@@ -246,3 +258,46 @@ def test_stuck_and_dead_cores_while_fetch_waits(tiny_ecg, arch, overrides,
         core = expected[0].cores[pid]
         assert core.halted_at == specs[-1].cycle
         assert core.stall_cycles >= 300 * (len(kinds) - 1)
+
+
+#: Serialised geometries off the paper's: ulpmc-bank with 2, 3 and 5
+#: cores (DM banks divisible by the core count).  The default engine's
+#: serialised rounds pick each cycle's winner, count the other cores'
+#: stalls and need two running cores, all of which depend on how many
+#: cores run.
+SERIAL_GEOMETRIES = {2: 16, 3: 6, 5: 10}
+
+#: Fault scenarios: none, a core sticking, dying, or sticking and
+#: dying 300 cycles later.
+FAULT_KINDS = {"clean": (), "stuck": ("stuck",), "dead": ("dead",),
+               "stuck-then-dead": ("stuck", "dead")}
+
+
+@pytest.fixture(scope="module", params=list(SERIAL_GEOMETRIES),
+                ids=lambda cores: f"{cores}-cores")
+def serial_ecg(request):
+    cores = request.param
+    return cores, build_benchmark(BenchmarkSpec(
+        n_leads=cores, n_samples=32, n_measurements=16))
+
+
+@pytest.mark.parametrize("kinds", list(FAULT_KINDS.values()),
+                         ids=list(FAULT_KINDS))
+@pytest.mark.parametrize("overrides", CONTENTION)
+def test_serialised_rounds_off_paper_geometry(serial_ecg, overrides,
+                                              kinds):
+    cores, built = serial_ecg
+    overrides = dict(overrides, n_cores=cores,
+                     dm_banks=SERIAL_GEOMETRIES[cores])
+    specs = tuple(FaultSpec(kind, 1500 + 300 * index, cores // 2)
+                  for index, kind in enumerate(kinds)) or None
+    expected = assert_matches_reference("ulpmc-bank", built.benchmark,
+                                        overrides, fault_specs=specs,
+                                        watchdog=2_000)
+    if kinds == ("stuck",):
+        assert expected[0] == "HangError"
+    elif not kinds and not overrides.get("instr_broadcast", True):
+        system = build_platform("ulpmc-bank", **overrides)
+        stats = system.run(built.benchmark).stats
+        assert system.block_summary()["round_cycles"] \
+            >= 0.95 * stats.total_cycles

@@ -486,6 +486,15 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert str(blocker) in err
 
+    def test_missing_regress_runs_manifest_is_exit_2(self, tmp_path,
+                                                     capsys):
+        """A runs directory without a manifest has nothing to judge:
+        it is an error, not a vacuous PASS."""
+        assert main(["regress", "--runs-dir", str(tmp_path / "nope")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "run manifest not found" in err
+
     def test_missing_regress_baseline_is_exit_2(self, tmp_path, capsys):
         assert main(["regress", "--runs-dir", str(tmp_path),
                      "--baseline", str(tmp_path / "nope")]) == 2

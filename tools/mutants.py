@@ -22,8 +22,10 @@ status: 0 when every mutant is killed, 1 when one survives or its edit
 no longer applies, 2 when the unmutated copy fails.  No dependency
 beyond pytest and the test suite's own.
 
-To cover another code generator, append mutants to :data:`MUTANTS`
-with the subset that must catch them.
+The cycle loop's serialised rounds re-implement the round-robin
+schedule the crossbar resolves in ``--exact``, so they get mutants of
+their own.  To cover another code generator, append mutants to
+:data:`MUTANTS` with the subset that must catch them.
 """
 
 from __future__ import annotations
@@ -87,6 +89,24 @@ MUTANTS = [
     Mutant("predec-as-postdec", DISPATCH,
            "_SRC_PRE = frozenset({SrcMode.IND_PREINC, SrcMode.IND_PREDEC})",
            "_SRC_PRE = frozenset({SrcMode.IND_PREINC})", HANDLER_TESTS),
+]
+
+MULTICORE = "src/repro/platform/multicore.py"
+#: The reference loop on serialised ulpmc-bank at 2, 3 and 5 cores.
+ROUND_TESTS = ("tests/platform/test_reference_loop.py"
+               "::test_serialised_rounds_off_paper_geometry",)
+
+MUTANTS += [
+    # Serialised rounds (the single-IM-bank round-robin schedule).
+    Mutant("round-winner-stays", MULTICORE,
+           "turn += 1\n                                stall += n_run - 1",
+           "turn += 0\n                                stall += n_run - 1",
+           ROUND_TESTS),
+    Mutant("round-stalls-skipped", MULTICORE,
+           "stall += n_run - 1", "stall += 0", ROUND_TESTS),
+    Mutant("round-group-every-core", MULTICORE,
+           "if fetch_pc[pid] == pc)", "if fetch_pc[pid] >= 0)",
+           ROUND_TESTS),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",
