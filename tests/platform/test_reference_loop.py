@@ -197,16 +197,40 @@ def test_crossbar_summary_masks_track_staged_ports(fast_forward,
     assert probe.waits > 20, "no contention exercised"
 
 
+class _IXbarStateProbe(_ContentionStateProbe):
+    """Also records the I-Xbar's staged ports, last granted banks and
+    arbiters at every cycle boundary."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def apply_due(self, system, cycle):
+        ixbar = system.ixbar
+        self.log.append((cycle, list(ixbar.readers), list(ixbar.read_at),
+                         ixbar.reading, ixbar.active,
+                         list(ixbar._last_bank),
+                         [(arbiter.pointer, arbiter.grants)
+                          for arbiter in ixbar.arbiters]))
+        super().apply_due(system, cycle)
+
+
 @pytest.mark.parametrize("overrides", CONTENTION[1:3])
 def test_serialised_round_exits_restage_the_waiting_fetches(overrides):
     """A fault session due every cycle ends every serialised round after
-    one cycle: each exit must leave the I-Xbar's staged ports where
-    resolve() would have."""
-    probe = _ContentionStateProbe()
-    system = build_platform("ulpmc-bank", **overrides)
-    system.run(fuzz_benchmark(8), faults=probe)
-    assert probe.waits > 20, "no contention exercised"
+    one cycle: each exit must leave the I-Xbar's staged ports, last
+    granted banks and arbiters where resolve() left them in ``--exact``
+    at the same boundary."""
+    logs = []
+    for fast_forward in (False, True):
+        probe = _IXbarStateProbe()
+        system = build_platform("ulpmc-bank", fast_forward=fast_forward,
+                                **overrides)
+        system.run(fuzz_benchmark(8), faults=probe)
+        assert probe.waits > 20, "no contention exercised"
+        logs.append(probe.log)
     assert system.block_summary()["round_cycles"] > 0
+    assert logs[1] == logs[0]
 
 
 def fetch_stalls(arch, benchmark, overrides=None):
