@@ -22,7 +22,6 @@ from repro.platform.fast_forward import FastForwardEngine
 from repro.platform.multicore import (
     Benchmark,
     MultiCoreSystem,
-    MulticoreSimulator,
     SimulationResult,
     build_platform,
     program_artifacts,
@@ -45,7 +44,6 @@ __all__ = [
     "Benchmark",
     "FastForwardEngine",
     "MultiCoreSystem",
-    "MulticoreSimulator",
     "SimulationResult",
     "build_platform",
     "program_artifacts",

@@ -20,17 +20,18 @@ waiting: waiting cores are not walked, and their stall cycles settle
 lazily, from the retire counts, at window edges and at the run's end.
 
 :meth:`MultiCoreSystem.run` is one loop with three shortcuts.  A cycle
-that starts with no port staged takes a translation block or loop trace
-(:mod:`repro.tamarisc.blocks`) while the running cores share one PC,
-else a proof that the started ports are conflict-free (one access, or
-one same-offset broadcast group, per bank), which commits the cycle
-without arbitration.  A rejected proof, or a block's conflict exit,
-stages the ports it translated.  A *serialised* cycle (one IM bank in
-use, every running core waiting on it or starting, no data port
-waiting) has a known winner, the bank's round-robin choice: serialised
-rounds commit such cycles in a tight inner loop and count what
-``resolve()`` would have.  ``--exact`` runs the loop without shortcuts
-(see :mod:`repro.platform.fast_forward`).
+that starts with no port staged takes a translation block (one pass of
+a straight-line run) or a loop trace (whole iterations of a hot loop,
+a one-block loop included; :mod:`repro.tamarisc.blocks`) while the
+running cores share one PC, else a proof that the started ports are
+conflict-free (one access, or one same-offset broadcast group, per
+bank), which commits the cycle without arbitration.  A rejected proof,
+or a block's conflict exit, stages the ports it translated.  A
+*serialised* cycle (one IM bank in use, every running core waiting on
+it or starting, no data port waiting) has a known winner, the bank's
+round-robin choice: serialised rounds commit such cycles in a tight
+inner loop and count what ``resolve()`` would have.  ``--exact`` runs
+the loop without shortcuts (see :mod:`repro.platform.fast_forward`).
 
 Because instruction and data *contents* are deterministic, functional
 transfer happens at commit time; the crossbars only decide timing and
@@ -384,14 +385,14 @@ class MultiCoreSystem:
         # MMU translations and data transfers, and the crossbar activity
         # of the cycles no crossbar resolved.  ``bacc`` is shared with
         # the generated code (repro.tamarisc.blocks): slots 0-5 D-Xbar
-        # counts and data transfers, 6-10 its fault, conflict and trace
-        # arm channels.
+        # counts and data transfers, 6 a block's fault depth, 7-9 a
+        # trace's per-arm iteration counts and last arm.
         im_acc = im_del = im_bc = im_sv = dreads = dwrites = 0
         itrans = [0] * n
         dtrans = [0] * n
         mmu_p = [0] * n
         mmu_s = [0] * n
-        bacc = [0, 0, 0, 0, 0, 0, -1, -1, 0, 0, 0]
+        bacc = [0, 0, 0, 0, 0, 0, -1, 0, 0, 0]
 
         # Observability wiring.  With no per-cycle subscriber (the
         # common case; telemetry windows only read counter snapshots)
@@ -792,15 +793,15 @@ class MultiCoreSystem:
                                         # the *earlier* iteration's arm,
                                         # and the final iteration has no
                                         # following wrap.
-                                        it_a = bacc[8]
-                                        it_b = bacc[9]
+                                        it_a = bacc[7]
+                                        it_b = bacc[8]
                                         arm_a, arm_b = trec[3]
                                         internal = \
                                             arm_a[0] * it_a \
                                             + arm_b[0] * it_b \
                                             + arm_a[1] * it_a \
                                             + arm_b[1] * it_b
-                                        if bacc[10]:
+                                        if bacc[9]:
                                             internal -= arm_a[1]
                                             fbl = arm_a[2]
                                         else:
@@ -834,12 +835,10 @@ class MultiCoreSystem:
                                     engine._build_trace(first_pc)
                             total = rec[1]
                             bacc[6] = -1
-                            bacc[7] = -1
                             raise_exc = None
                             try:
                                 j = rec[2](run_cores, mmu_p, mmu_s, dlast,
-                                           dtrans, bacc, cap - cycle,
-                                           dm_width)
+                                           dtrans, bacc, dm_width)
                             except SimulationError as exc:
                                 # Address fault at block offset bacc[6]: the
                                 # generated code already patched PC/retired;
@@ -852,32 +851,15 @@ class MultiCoreSystem:
                             if j:
                                 engine.block_cycles += j
                                 if p_retire:
-                                    # A self-looping block repeats its
-                                    # PCs every ``total`` cycles.
                                     for t in range(j):
                                         for pid in bits_of(run_mask):
                                             emit("core.retire", cycle + t, pid,
-                                                 first_pc + t % total)
+                                                 first_pc + t)
                                 fb_seq = rec[4]
                                 fb0 = None if fb_seq is None else fb_seq[0]
                                 if fb0 is not None:
-                                    if j <= total:
-                                        internal = rec[5][j - 1]
-                                        fbl = fb_seq[j - 1]
-                                    else:
-                                        # Self-looping block: q full
-                                        # iterations plus an r-cycle prefix;
-                                        # fetch banks repeat fb_seq
-                                        # cyclically, with one extra
-                                        # transition per wrap iff last and
-                                        # first banks differ.
-                                        q, r = divmod(j, total)
-                                        starts = q + (1 if r else 0)
-                                        internal = q * rec[5][total - 1] \
-                                            + (rec[5][r - 1] if r else 0) \
-                                            + (starts - 1) \
-                                            * (fb_seq[total - 1] != fb0)
-                                        fbl = fb_seq[(j - 1) % total]
+                                    internal = rec[5][j - 1]
+                                    fbl = fb_seq[j - 1]
                         if j:
                             cycle_before = cycle
                             cycle += j
@@ -910,14 +892,13 @@ class MultiCoreSystem:
                         if rec is not None:
                             if raise_exc is not None:
                                 raise raise_exc
-                            conflict_at = bacc[7]
-                            if conflict_at >= 0:
-                                # A potential bank conflict at that block
-                                # offset: the generated code translated the
+                            if j < total:
+                                # A potential bank conflict at block offset
+                                # j: the generated code translated the
                                 # cycle's data ports into the in-flight
                                 # arrays (MMU counted), so the cycle stages
                                 # them without starting its instructions.
-                                handler = rec[3][conflict_at]
+                                handler = rec[3][j]
                                 pc = run_cores[0].pc
                                 for pid in bits_of(run_mask):
                                     handlers[pid] = handler
@@ -925,13 +906,12 @@ class MultiCoreSystem:
                                 engine.block_conflicts += 1
                                 fresh = ()
                             else:
-                                if profiling and j:
+                                if profiling:
                                     # Successor profile: back-to-back block
                                     # entries (no per-cycle stretch in
                                     # between) are the edges a loop trace
-                                    # may cross.  j is a whole number of
-                                    # block executions ending at the
-                                    # terminator here.
+                                    # may cross; a one-block loop's edge
+                                    # leads back to its own PC.
                                     if succ_pc >= 0 \
                                             and succ_cycle == cycle_before:
                                         edges = succ.get(succ_pc)
@@ -1347,7 +1327,3 @@ def build_platform(name_or_config, fast_forward: bool = True,
         return MultiCoreSystem(name_or_config, fast_forward=fast_forward)
     return MultiCoreSystem(build_config(name_or_config, **overrides),
                            fast_forward=fast_forward)
-
-
-#: Alias matching the name used in project documentation.
-MulticoreSimulator = MultiCoreSystem

@@ -19,7 +19,9 @@ generated from), so a block, a loop trace and the cycle loop's handlers
 run one copy of them.  Code memory is read-only on these platforms, so
 the cache never invalidates.  The generated callable is the *lockstep
 variant*: it steps every running core through the whole block in one
-call, with
+call, at most one pass per call (loops, down to a block that branches
+back to its own start, belong to the loop traces at the end of this
+module), with
 
 * straight-line ALU/MOV runs unrolled into a single per-core loop
   (register file and flags object hoisted once per core),
@@ -66,7 +68,6 @@ from repro.tamarisc.dispatch import (
     _branch_lines,
     _compile_cached,
     _semantic_lines,
-    branch_targets,
     compile_instruction,
     supported,
 )
@@ -277,8 +278,7 @@ def _generate_source(block: Block, env: tuple) -> str:
     """
     lines = ["def _build(_layout, _cb, _sto, _rbs, _ros, _wbs, _wos,"
              " _drb, _dro, _dwb, _dwo):"]
-    lines.append("    def _run(_cores, _mp, _ms, _dlast, _dtr, _acc, _maxj,"
-                 " _dmw):")
+    lines.append("    def _run(_cores, _mp, _ms, _dlast, _dtr, _acc, _dmw):")
     lines.extend("        " + line for line in _generate_body(block, env))
     lines.append("    return _run")
     return "\n".join(lines) + "\n"
@@ -289,28 +289,9 @@ def _generate_body(block: Block, env: tuple) -> list[str]:
     instrs = block.instrs
     n_body = block.n_body
     live = _live_flag_bits(block)
-
-    # Tight-loop fusion: when the terminator is a branch whose constant
-    # taken-PC is the block's own start, the block iterates the whole
-    # loop inside one call while every core keeps taking it (and the
-    # cycle budget holds), amortising all per-entry overhead over the
-    # loop's run.  (A register-indirect target is source text, never
-    # the start.)
-    loop = block.terminator == "br" and branch_targets(
-        instrs[-1], (block.start + n_body) & PC_MASK)[0] == block.start
     writer = _Writer()
-
-    if loop:
+    if any(handlers[t].preview is not None for t in range(n_body)):
         writer.add(0, "_n = len(_cores)")
-        writer.add(0, "_j = 0")
-        writer.add(0, "while True:")
-        base = 1
-    else:
-        base = 0
-        if any(handlers[t].preview is not None for t in range(n_body)):
-            writer.add(0, "_n = len(_cores)")
-
-    inner = _Writer()
     position = 0
     while position < n_body:
         if handlers[position].preview is None:
@@ -319,14 +300,11 @@ def _generate_body(block: Block, env: tuple) -> list[str]:
             while position < n_body and handlers[position].preview is None:
                 segment.append(position)
                 position += 1
-            _emit_alu_segment(inner, instrs, live, segment)
+            _emit_alu_segment(writer, instrs, live, segment)
         else:
-            _emit_mem_step(inner, block, env, position, live[position],
-                           loop)
+            _emit_mem_step(writer, block, env, position, live[position])
             position += 1
-
-    _emit_terminator(inner, block, loop)
-    writer.block(base, inner.lines)
+    _emit_terminator(writer, block)
     return writer.lines
 
 
@@ -340,16 +318,9 @@ def _emit_alu_segment(writer: _Writer, instrs, live, segment) -> None:
         writer.block(1, _semantic_lines(instrs[t], live[t]))
 
 
-def _raise_fixup_lines(block: Block, offset: int, loop: bool) -> list[str]:
-    """Patch committed PC/retired and record depth before a fault raise.
-
-    Inside a self-loop the committed depth is ``_j`` full-iteration
-    cycles plus the current offset; PC and the per-iteration retired
-    increment stay compile-time constants because every iteration starts
-    at the block head.
-    """
-    depth = f"_j + {offset}" if loop else str(offset)
-    out = [f"_acc[6] = {depth}"]
+def _raise_fixup_lines(block: Block, offset: int) -> list[str]:
+    """Patch committed PC/retired and record depth before a fault raise."""
+    out = [f"_acc[6] = {offset}"]
     if offset:
         out.append("for _cx in _cores:")
         out.append(f"    _cx.pc = {(block.start + offset) & PC_MASK}")
@@ -358,7 +329,7 @@ def _raise_fixup_lines(block: Block, offset: int, loop: bool) -> list[str]:
 
 
 def _emit_translate(writer: _Writer, indent: int, block: Block, env: tuple,
-                    offset: int, kind: str, loop: bool) -> None:
+                    offset: int, kind: str) -> None:
     """One address translation, engine order: count, fault, map.
 
     ``kind`` is ``'r'`` or ``'w'``; reads use ``_ra``/``_rb``/``_ro``
@@ -370,7 +341,7 @@ def _emit_translate(writer: _Writer, indent: int, block: Block, env: tuple,
     off = f"_{kind}o"
     dest_b = "_rbs" if kind == "r" else "_wbs"
     dest_o = "_ros" if kind == "r" else "_wos"
-    fixup = _raise_fixup_lines(block, offset, loop)
+    fixup = _raise_fixup_lines(block, offset)
     writer.add(indent, f"if {addr} >= {PRIVATE_BASE}:")
     writer.add(indent + 1, "_mp[_p] += 1")
     writer.add(indent + 1, f"_o = {addr} - {PRIVATE_BASE}")
@@ -392,16 +363,12 @@ def _emit_translate(writer: _Writer, indent: int, block: Block, env: tuple,
 
 
 def _emit_conflict_exit(writer: _Writer, indent: int, block: Block,
-                        offset: int, reads: bool, writes: bool,
-                        loop: bool) -> None:
+                        offset: int, reads: bool, writes: bool) -> None:
     """Fill the system's pid-indexed in-flight ports and return depth.
 
-    ``_acc[7]`` records the conflicting offset *within* the block so the
-    cycle loop can pick the right handler to stage — the
-    return value alone cannot distinguish a conflict from completion
-    once self-loops commit more than one iteration per call.
+    The depth is the conflicting offset, less than the block's
+    ``total``, so it also names the handler the cycle loop stages.
     """
-    writer.add(indent, f"_acc[7] = {offset}")
     writer.add(indent, "_x = 0")
     writer.add(indent, "for _c in _cores:")
     writer.add(indent + 1, "_q = _c.pid")
@@ -420,12 +387,11 @@ def _emit_conflict_exit(writer: _Writer, indent: int, block: Block,
                    f"_c.pc = {(block.start + offset) & PC_MASK}")
         writer.add(indent + 1, f"_c.retired += {offset}")
     writer.add(indent + 1, "_x += 1")
-    writer.add(indent, f"return _j + {offset}" if loop
-               else f"return {offset}")
+    writer.add(indent, f"return {offset}")
 
 
 def _emit_mem_step(writer: _Writer, block: Block, env: tuple, offset: int,
-                   live: set, loop: bool) -> None:
+                   live: set) -> None:
     _pwc, _pwb, _swb, _shared, _dbn, bcast = env
     instr = block.instrs[offset]
     handler = block.handlers[offset]
@@ -440,9 +406,9 @@ def _emit_mem_step(writer: _Writer, block: Block, env: tuple, offset: int,
     writer.add(1, "_p = _c.pid")
     writer.block(1, _address_lines(instr))
     if reads:
-        _emit_translate(writer, 1, block, env, offset, "r", loop)
+        _emit_translate(writer, 1, block, env, offset, "r")
     if writes:
-        _emit_translate(writer, 1, block, env, offset, "w", loop)
+        _emit_translate(writer, 1, block, env, offset, "w")
     writer.add(1, "_i += 1")
 
     # ---- verdict: replicate the engine's per-cycle conflict proof ----
@@ -456,8 +422,7 @@ def _emit_mem_step(writer: _Writer, block: Block, env: tuple, offset: int,
         writer.add(1, "_x = 0")
         writer.add(1, "while _x < _n:")
         writer.add(2, "if _rbs[_x] == _wbs[_x]:")
-        _emit_conflict_exit(writer, 3, block, offset, reads,
-                            writes, loop)
+        _emit_conflict_exit(writer, 3, block, offset, reads, writes)
         writer.add(2, "_x += 1")
         writer.add(1, "_acc[0] += 2 * _n")
         writer.add(0, "else:")
@@ -484,8 +449,7 @@ def _emit_mem_step(writer: _Writer, block: Block, env: tuple, offset: int,
         writer.add(3, "_map[_b] = [0, 0, True]")
         writer.add(2, "_x += 1")
         writer.add(1, "if _confl:")
-        _emit_conflict_exit(writer, 2, block, offset, reads,
-                            writes, loop)
+        _emit_conflict_exit(writer, 2, block, offset, reads, writes)
         writer.add(1, "_acc[0] += len(_map)")
         broadcast_loop = bcast
     elif reads:
@@ -510,8 +474,7 @@ def _emit_mem_step(writer: _Writer, block: Block, env: tuple, offset: int,
             writer.add(3, "_confl = True")
         writer.add(2, "_x += 1")
         writer.add(1, "if _confl:")
-        _emit_conflict_exit(writer, 2, block, offset, reads,
-                            writes, loop)
+        _emit_conflict_exit(writer, 2, block, offset, reads, writes)
         writer.add(1, "_acc[0] += len(_map)")
         broadcast_loop = bcast
     else:  # write-only: writes never merge, bank uniqueness decides
@@ -524,8 +487,7 @@ def _emit_mem_step(writer: _Writer, block: Block, env: tuple, offset: int,
         writer.add(2, "_st.add(_wbs[_x])")
         writer.add(2, "_x += 1")
         writer.add(1, "if len(_st) != _n:")
-        _emit_conflict_exit(writer, 2, block, offset, reads,
-                            writes, loop)
+        _emit_conflict_exit(writer, 2, block, offset, reads, writes)
         writer.add(1, "_acc[0] += _n")
 
     if broadcast_loop:
@@ -571,71 +533,34 @@ def _emit_mem_step(writer: _Writer, block: Block, env: tuple, offset: int,
         writer.add(0, "_acc[5] += _n")
 
 
-def _emit_terminator(writer: _Writer, block: Block, loop: bool) -> None:
+def _emit_terminator(writer: _Writer, block: Block) -> None:
     n_body = block.n_body
-    start = block.start
-    kind = block.terminator
-    if kind is None:
-        writer.add(0, "for _c in _cores:")
-        writer.add(1, f"_c.pc = {(start + n_body) & PC_MASK}")
-        writer.add(1, f"_c.retired += {n_body}")
-        writer.add(0, f"return {n_body}")
-        return
-    if kind == "hlt":
-        writer.add(0, "for _c in _cores:")
-        if n_body:
-            writer.add(1, f"_c.pc = {(start + n_body) & PC_MASK}")
+    end_pc = (block.start + n_body) & PC_MASK
+    writer.add(0, "for _c in _cores:")
+    if block.terminator == "br":
+        writer.block(1, _branch_lines(block.instrs[-1], end_pc))
+    elif n_body:
+        writer.add(1, f"_c.pc = {end_pc}")
+    if block.terminator == "hlt":
         writer.add(1, "_c.halted = True")
-        writer.add(1, f"_c.retired += {n_body + 1}")
-        writer.add(0, f"return {n_body + 1}")
-        return
-    instr = block.instrs[-1]
-    branch_pc = (start + n_body) & PC_MASK
-    total = n_body + 1
-    if not loop:
-        writer.add(0, "for _c in _cores:")
-        writer.block(1, _branch_lines(instr, branch_pc))
-        writer.add(1, f"_c.retired += {total}")
-        writer.add(0, f"return {total}")
-        return
-    # Self-loop: keep iterating while every core takes the back-branch
-    # and another full iteration fits the budget.
-    taken, not_taken = branch_targets(instr, branch_pc)
-    if instr.cond == Cond.AL:
-        writer.add(0, "for _c in _cores:")
-        writer.add(1, f"_c.pc = {taken}")
-        writer.add(1, f"_c.retired += {total}")
-        writer.add(0, f"_j += {total}")
-        writer.add(0, f"if _j + {total} > _maxj:")
-        writer.add(1, "return _j")
-    else:
-        writer.add(0, "_tk = 0")
-        writer.add(0, "for _c in _cores:")
-        writer.add(1, "_f = _c.flags")
-        writer.add(1, f"if {_COND_EXPR[instr.cond]}:")
-        writer.add(2, f"_c.pc = {taken}")
-        writer.add(2, "_tk += 1")
-        writer.add(1, "else:")
-        writer.add(2, f"_c.pc = {not_taken}")
-        writer.add(1, f"_c.retired += {total}")
-        writer.add(0, f"_j += {total}")
-        writer.add(0, f"if _tk != _n or _j + {total} > _maxj:")
-        writer.add(1, "return _j")
-
+    writer.add(1, f"_c.retired += {block.total}")
+    writer.add(0, f"return {block.total}")
 
 
 # ---------------------------------------------------------------------------
 # Loop traces: cyclic block-graph paths fused into one looping callable.
 # ---------------------------------------------------------------------------
 #
-# The block layer amortises dispatch over one straight-line run, but the
-# hot loops of the evaluated kernels are *cycles in the block graph*
-# (short blocks chained by conditional branches), so every few cycles
-# still pay one full engine entry.  A :class:`Trace` fuses one such
-# cycle — anchored at a hot block, optionally *forking into the two arms
-# of the anchor's branch* and rejoining at the anchor — into a single
-# generated function that keeps iterating while every running core stays
-# on the traced paths in lockstep.  Key properties:
+# The block layer amortises dispatch over one straight-line run and
+# commits at most one pass per entry, so a hot loop of the evaluated
+# kernels, a *cycle in the block graph* (short blocks chained by
+# conditional branches, or one block branching back to itself), still
+# pays one full engine entry every few cycles.  A :class:`Trace` fuses
+# one such cycle — anchored at a hot block, optionally *forking into the
+# two arms of the anchor's branch* and rejoining at the anchor (an arm
+# of a one-block loop chains no block) — into a single generated
+# function that keeps iterating while every running core stays on the
+# traced paths in lockstep.  Key properties:
 #
 # * uniform execution: lockstep cores run one program image down one
 #   control path (the code sharing the broadcast platforms are built
@@ -1347,13 +1272,13 @@ def _emit_trace_run(w: _Writer, trace: Trace, env: tuple,
         if wr_fold:
             w.add(e, f"_acc[5] += _n * ({wr_fold})")
     if two_arm:
-        w.add(e, "_acc[8] = _ia")
-        w.add(e, "_acc[9] = _ib")
-        w.add(e, "_acc[10] = _la")
+        w.add(e, "_acc[7] = _ia")
+        w.add(e, "_acc[8] = _ib")
+        w.add(e, "_acc[9] = _la")
     else:
-        w.add(e, "_acc[8] = _it")
-        w.add(e, "_acc[9] = 0")
-        w.add(e, "_acc[10] = 1")
+        w.add(e, "_acc[7] = _it")
+        w.add(e, "_acc[8] = 0")
+        w.add(e, "_acc[9] = 1")
     w.add(b, "return _j")
 
 

@@ -22,6 +22,18 @@ def test_broadcast_only_im_access_reduction_is_73_7_not_40_percent():
                  1) == 73.7
 
 
+def test_broadcast_only_im_access_reduction_on_ulpmc_int_is_41_2():
+    """The same configuration on ulpmc-int, whose arithmetic the
+    paper's 40% fits (ROADMAP item 5): its interleaved IM serves
+    several fetch PCs per cycle, which one ulpmc-bank bank cannot."""
+    __, run = reference_results("ulpmc-int", huffman_private=False,
+                                data_broadcast=False)
+    stats = run.stats
+    assert (stats.im_bank_accesses, stats.im_fetches) == (314061, 534153)
+    assert round(100 * (1 - stats.im_bank_accesses / stats.im_fetches),
+                 1) == 41.2
+
+
 def test_private_data_access_fraction_is_69_43_not_76_percent():
     """Paper Section III-D profiles 76% private / 24% shared data
     accesses; our kernel (private LUTs) makes 69.43% private."""

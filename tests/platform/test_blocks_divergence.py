@@ -8,7 +8,8 @@ speculation — taken/not-taken divergence at a data-dependent branch, a
 per-core split no trace can compute uniformly, and a trace entered with
 per-core values in registers it treats as uniform — and require bit
 identity with the exact cycle loop throughout, plus evidence that each
-scenario actually exercised the intended machinery.
+scenario actually exercised the intended machinery.  A block commits
+one pass per entry, so even a one-block loop is the trace layer's.
 """
 
 import dataclasses
@@ -16,8 +17,11 @@ import dataclasses
 import pytest
 
 import repro.platform.fast_forward as ff_engine
+import repro.tamarisc.blocks as tblocks
 from repro.memory.layout import PRIVATE_BASE
-from repro.platform import Benchmark, build_platform
+from repro.obs import WindowedAggregator
+from repro.platform import ARCH_NAMES, Benchmark, build_platform
+from repro.resilience import FaultSession, FaultSpec
 from repro.tamarisc.encoding import encode
 from repro.tamarisc.isa import BranchMode, Cond, DstMode, Instruction, Op, \
     SrcMode
@@ -30,6 +34,10 @@ SCRATCH = 9
 BASE = PRIVATE_BASE + 16
 #: First loop-body PC: :func:`_program` emits five setup instructions.
 LOOP_TOP = 5
+#: A cycle inside the loop of a four-instruction iteration (cycles
+#: 5-100), after the trace layer took over at the default thresholds of
+#: :func:`trace_thresholds`.
+MID_LOOP = 64
 
 
 def _program(body, tail=lambda top: []):
@@ -176,6 +184,54 @@ class TestLoopTraces:
         assert len(engine._trace_recs) >= 1
         assert engine.trace_cycles > 0
         assert_identical(slow_sys, slow, fast_sys, fast)
+
+    @pytest.mark.parametrize("arch", ARCH_NAMES)
+    @pytest.mark.parametrize("case", ["clean", "window", "fault"])
+    def test_one_block_loop_grows_one_arm_trace(self, trace_thresholds,
+                                                monkeypatch, arch, case):
+        # A straight body makes the loop one block that branches back
+        # to its own start.  Its entries profile the block's edge to
+        # itself, so the trace grown there has one arm that chains no
+        # block.  A telemetry window edge or a fault due mid-loop caps
+        # the trace; the flipped counter bit then makes the re-entries
+        # decline (until the engine drops the trace) and one core leave
+        # the loop apart from the others.
+        shapes = []
+        build = tblocks.build_trace
+
+        def spying_build(anchor, arms_spec, *args):
+            shapes.append((anchor.start, arms_spec))
+            return build(anchor, arms_spec, *args)
+
+        monkeypatch.setattr(tblocks, "build_trace", spying_build)
+        body = [
+            Instruction(op=Op.ADD, dreg=0, s1mode=SrcMode.IND,
+                        s1val=POINTER, s2mode=SrcMode.REG, s2val=COUNTER),
+            Instruction(op=Op.ADD, dmode=DstMode.IND, dreg=SCRATCH,
+                        s1mode=SrcMode.REG, s1val=0, s2mode=SrcMode.IMM,
+                        s2val=0),
+        ]
+        benchmark = _benchmark("one-block", body,
+                               lambda pid: [100 * pid] * 32)
+        runs = []
+        for fast_forward in (False, True):
+            system = build_platform(arch, fast_forward=fast_forward)
+            aggregator = WindowedAggregator.attach(
+                system.probe_bus(), window_cycles=MID_LOOP) \
+                if case == "window" else None
+            faults = FaultSession([FaultSpec("reg", MID_LOOP, 3,
+                                             index=COUNTER, mask=2)]) \
+                if case == "fault" else None
+            result = system.run(benchmark, faults=faults)
+            runs.append((system, result,
+                         aggregator and aggregator.windows))
+        (slow_sys, slow, slow_windows), (fast_sys, fast, fast_windows) = runs
+        assert_identical(slow_sys, slow, fast_sys, fast)
+        assert fast_windows == slow_windows
+        engine = fast_sys._ff_engine
+        assert shapes == [(LOOP_TOP, [(True, [])])]
+        assert engine.traces_built == 1
+        assert engine.trace_cycles > 0
 
     def test_two_arm_diamond_commits(self, trace_thresholds):
         # Counter parity alternates the arms every iteration; both

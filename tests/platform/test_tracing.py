@@ -132,9 +132,9 @@ class TestFastForwardTracing:
     @pytest.mark.parametrize("arch", ARCH_NAMES)
     def test_recorded_run_enters_blocks_like_a_trace_free_run(self, arch,
                                                               monkeypatch):
-        """A recorded run runs the same self-looping blocks as an
-        unobserved run without loop traces: as many block entries and
-        block cycles."""
+        """A recorded run enters the same blocks as an unobserved run
+        without loop traces, one pass per entry: as many block entries
+        and block cycles."""
         benchmark = build_benchmark(
             BenchmarkSpec(n_samples=32, n_measurements=16)).benchmark
         system = build_platform(arch)

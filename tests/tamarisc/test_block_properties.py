@@ -4,7 +4,8 @@ Three block-level properties lock the tentpole down:
 
 * executing a fused block is indistinguishable from per-instruction
   dispatch (and from the exact cycle loop) for the full architectural
-  state and the accounting stats;
+  state and the accounting stats, also where an address fault cuts the
+  block short;
 * block discovery stops exactly at control-flow boundaries — a
   ``BR``/``HLT`` terminator is included, an unsupported instruction or
   the :data:`~repro.tamarisc.blocks.MAX_BLOCK_BODY` cap ends the block
@@ -18,10 +19,12 @@ import dataclasses
 import random
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.platform.fast_forward as ff_engine
+from repro.errors import SimulationError
 from repro.memory.layout import PRIVATE_BASE
 from repro.platform import ARCH_NAMES, Benchmark, build_platform
 from repro.tamarisc.blocks import (
@@ -31,9 +34,9 @@ from repro.tamarisc.blocks import (
     get_block,
     image_hash,
 )
-from repro.tamarisc.encoding import decode
-from repro.tamarisc.isa import Op
-from repro.tamarisc.program import DataImage
+from repro.tamarisc.encoding import decode, encode
+from repro.tamarisc.isa import Instruction, Op, SrcMode
+from repro.tamarisc.program import DataImage, Program
 from repro.tamarisc.regression import SANDBOX_WORDS, generate_random_program
 from repro.tamarisc.dispatch import supported as _supported
 
@@ -75,6 +78,38 @@ class TestFusedExecution:
                 assert ref.halted == ffw.halted
             for ref, ffw in zip(exact_sys.dmem.banks, fast_sys.dmem.banks):
                 assert ref.storage == ffw.storage
+
+
+    @pytest.mark.parametrize("arch", ARCH_NAMES)
+    def test_address_fault_keeps_the_flags_before_it(self, arch):
+        """A block raising at a faulting access leaves every earlier
+        instruction committed, including a flag store that the faulting
+        instruction itself would overwrite."""
+        program = Program(words=[encode(instr) for instr in (
+            Instruction(op=Op.MOV, dreg=3, s1mode=SrcMode.IMM,
+                        s1val=0x7FF),
+            # r3 = 0xFFE0, beyond every private window; n set
+            Instruction(op=Op.SLL, dreg=3, s1mode=SrcMode.REG, s1val=3,
+                        s2mode=SrcMode.IMM, s2val=5),
+            # z and c set, n clear: stores only the fault can observe
+            Instruction(op=Op.SUB, dreg=1, s1mode=SrcMode.REG, s1val=1,
+                        s2mode=SrcMode.REG, s2val=1),
+            Instruction(op=Op.ADD, dreg=6, s1mode=SrcMode.IND, s1val=3,
+                        s2mode=SrcMode.IMM, s2val=0),
+            Instruction(op=Op.HLT),
+        )])
+        benchmark = Benchmark("fault-cut", program, DataImage())
+        states = []
+        for fast_forward in (False, True):
+            system = build_platform(arch, fast_forward=fast_forward)
+            with pytest.raises(SimulationError) as raised:
+                system.run(benchmark)
+            states.append((str(raised.value),
+                           [(core.pc, core.retired, core.regs,
+                             core.flags.as_tuple())
+                            for core in system.cores]))
+        assert states[1] == states[0]
+        assert system._ff_engine.block_entries == 1
 
 
 class TestDiscovery:

@@ -83,8 +83,8 @@ def looped_fuzz_benchmark(seed: int, iters: int = 24) -> Benchmark:
     closed by ``SUB r12, 1`` + ``BR NE`` back to the top — exactly the
     counted-loop shape the trace builder profiles for.  A data-dependent
     forward branch mid-body splits the loop into a multi-block diamond
-    (a single-block loop would just self-loop inside the block layer and
-    never profile a trace).  Per-pid sandbox contents differ, so loaded
+    (a one-block loop would grow only a one-arm trace whose arm chains
+    no block).  Per-pid sandbox contents differ, so loaded
     registers diverge across cores and the trace's per-core/uniform
     split, its entry check and the bail path get exercised; even seeds
     branch on the uniform loop counter so whole iterations actually

@@ -23,9 +23,12 @@ no longer applies, 2 when the unmutated copy fails.  No dependency
 beyond pytest and the test suite's own.
 
 The cycle loop's serialised rounds re-implement the round-robin
-schedule the crossbar resolves in ``--exact``, so they get mutants of
-their own.  To cover another code generator, append mutants to
-:data:`MUTANTS` with the subset that must catch them.
+schedule the crossbar resolves in ``--exact``, and the block and
+loop-trace generator of ``src/repro/tamarisc/blocks.py`` adds its own
+budget, flag-liveness and address-translation code around the
+templates, so they get mutants of their own.  To cover another code
+generator, append mutants to :data:`MUTANTS` with the subset that must
+catch them.
 """
 
 from __future__ import annotations
@@ -107,6 +110,35 @@ MUTANTS += [
     Mutant("round-group-every-core", MULTICORE,
            "if fetch_pc[pid] == pc)", "if fetch_pc[pid] >= 0)",
            ROUND_TESTS),
+]
+
+BLOCKS = "src/repro/tamarisc/blocks.py"
+#: A one-block loop's trace capped by a window edge or a fault, on
+#: every architecture.
+TRACE_BUDGET_TESTS = ("tests/platform/test_blocks_divergence.py"
+                      "::TestLoopTraces"
+                      "::test_one_block_loop_grows_one_arm_trace",)
+#: A block cut short by an address fault, on every architecture.
+FAULT_CUT_TESTS = ("tests/tamarisc/test_block_properties.py"
+                   "::TestFusedExecution"
+                   "::test_address_fault_keeps_the_flags_before_it",)
+#: The ECG workload at paper geometry on both engines.
+FULL_GEOMETRY_TESTS = ("tests/platform/test_fast_forward_differential.py"
+                       "::TestECGWorkload::test_full_geometry",)
+
+MUTANTS += [
+    # Block and loop-trace code generation (repro.tamarisc.blocks).
+    Mutant("trace-ignores-budget", BLOCKS,
+           'w.add(L, f"if _j + {trace.max_period} > _maxj:")',
+           'w.add(L, "if False:")', TRACE_BUDGET_TESTS),
+    # Liveness without the memory positions' checkpoints: a flag store
+    # overwritten by a later memory instruction looks dead.
+    Mutant("block-flag-store-dropped", BLOCKS,
+           "if t >= 1 and handlers[t].preview is not None}",
+           "if t >= 1 and handlers[t].preview is None}", FAULT_CUT_TESTS),
+    Mutant("block-private-bank-off-by-one", BLOCKS,
+           'f"{bank} = _cb[_p][_o // {pwb}]"',
+           'f"{bank} = _cb[_p][(_o + 1) // {pwb}]"', FULL_GEOMETRY_TESTS),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",
